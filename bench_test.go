@@ -149,7 +149,6 @@ func queryEngine(b *testing.B, name string) (*exp.Bundle, *query.Engine, *query.
 		b.Fatal(err)
 	}
 	eng := query.NewEngine(arch, ix)
-	eng.DisableCache = true
 
 	tc, err := ted.NewCompressor(bu.DS.Graph, exp.TEDOptionsFor(bu.Profile, bu.Opts))
 	if err != nil {

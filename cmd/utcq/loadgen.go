@@ -177,10 +177,8 @@ func runLoadgen(cfg loadgenConfig) error {
 	}
 	mem.observe(after)
 	e := after.Engine
-	fmt.Printf("server counters: %d requests, %d failures, cache %.1f%% hit (%d hits / %d misses), %d paths decoded\n",
-		after.Requests, after.Failures,
-		100*float64(e.CacheHits)/float64(max(e.CacheHits+e.CacheMisses, 1)),
-		e.CacheHits, e.CacheMisses, e.PathsDecoded)
+	fmt.Printf("server counters: %d requests, %d failures, %d paths decoded\n",
+		after.Requests, after.Failures, e.PathsDecoded)
 	fmt.Printf("server memory: peak RSS %s, peak mapped %s, sidecars %d loaded / %d rebuilt\n",
 		fmtBytes(mem.peakRSS.Load()), fmtBytes(mem.peakMapped.Load()),
 		after.SidecarLoads, after.SidecarRebuilds)

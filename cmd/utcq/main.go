@@ -30,7 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	pivots := flag.Int("pivots", 1, "number of pivots for reference selection")
 	parallel := flag.Int("parallel", 0, "compression/index worker count (0 = one per CPU, 1 = serial)")
-	cacheEntries := flag.Int("cache", 0, "query engine cache budget in entries per cache (0 = default)")
 	addr := flag.String("addr", "http://localhost:8723", "utcqd base URL (loadgen)")
 	duration := flag.Duration("duration", 10*time.Second, "load-generation run time (loadgen)")
 	workers := flag.Int("workers", 8, "concurrent load-generation workers (loadgen)")
@@ -112,7 +111,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := utcq.NewEngineWithOptions(arch, idx, utcq.EngineOptions{CacheEntries: *cacheEntries})
+		eng := utcq.NewEngine(arch, idx)
 		u := ds.Trajectories[0]
 		tq := (u.T[0] + u.T[len(u.T)-1]) / 2
 		res, err := eng.Where(0, tq, 0.2)

@@ -53,7 +53,6 @@ import (
 	"utcq/internal/cluster"
 	"utcq/internal/gen"
 	"utcq/internal/ingest"
-	"utcq/internal/query"
 	"utcq/internal/roadnet"
 	"utcq/internal/server"
 	"utcq/internal/store"
@@ -70,7 +69,6 @@ func main() {
 	assignFlag := flag.String("assign", "hash", "shard assignment: hash or spatial")
 	dir := flag.String("dir", "", "store directory (open if it holds a manifest, else build and save)")
 	parallel := flag.Int("parallel", 0, "build/scatter worker count (0 = one per CPU)")
-	cacheEntries := flag.Int("cache", 0, "per-shard engine cache budget in entries (0 = default)")
 	maxBatch := flag.Int("max-batch", 0, "maximum queries per /v1/batch request (0 = default)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request query evaluation budget; requests past it answer 504 (<0 disables)")
 	maxPending := flag.Int("max-pending", 0, "ingest admission limit: pending WAL records past which /v1/ingest answers 429 (0 = default 4096, <0 disables)")
@@ -94,8 +92,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engOpts := query.EngineOptions{CacheEntries: *cacheEntries}
-
 	if *follow != "" {
 		if *dir == "" {
 			log.Fatal("-follow requires -dir (the follower's snapshot directory)")
@@ -113,7 +109,7 @@ func main() {
 				Parallelism:  *parallel,
 				CompactEvery: *compactAfter,
 			},
-			Open: store.OpenOptions{Engine: engOpts, Parallelism: *parallel},
+			Open: store.OpenOptions{Parallelism: *parallel},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -144,10 +140,7 @@ func main() {
 		// derive from the persisted shard archives, so ingestion matches
 		// however the store was originally built (which may differ from
 		// the profile defaults).
-		st, err = store.Open(*dir, g, store.OpenOptions{
-			Engine:      engOpts,
-			Parallelism: *parallel,
-		})
+		st, err = store.Open(*dir, g, store.OpenOptions{Parallelism: *parallel})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -179,7 +172,6 @@ func main() {
 		opts := store.DefaultOptions(p.Ts)
 		opts.NumShards = *shards
 		opts.Assignment = assignment
-		opts.Engine = engOpts
 		opts.Parallelism = *parallel
 		st, err = store.Build(ds.Graph, ds.Trajectories, opts)
 		if err != nil {

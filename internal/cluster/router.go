@@ -565,8 +565,11 @@ func (rt *Router) whenGlobal(ctx context.Context, req client.WhenRequest) ([]cli
 // answer is deterministic and ≡ a single-node store over the same data.
 func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (client.RangeResult, *routeErr) {
 	req.Gen = 0
+	// Copy the inner slice headers under the lock: handleIngest reassigns
+	// rt.perNode[owner] when it commits.  The arrays behind them are only
+	// appended to, so indices below the copied lengths never change.
 	rt.mu.RLock()
-	perNode := rt.perNode
+	perNode := append([][]int32(nil), rt.perNode...)
 	rt.mu.RUnlock()
 
 	type nodeOut struct {
@@ -1099,11 +1102,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Engine.InstancesSkipped += st.Engine.InstancesSkipped
 		out.Engine.TrajsPruned += st.Engine.TrajsPruned
 		out.Engine.TrajsAccepted += st.Engine.TrajsAccepted
-		out.Engine.CacheHits += st.Engine.CacheHits
-		out.Engine.CacheMisses += st.Engine.CacheMisses
-		out.Engine.CachedViews += st.Engine.CachedViews
-		out.Engine.CachedPaths += st.Engine.CachedPaths
-		out.Engine.CacheBudget += st.Engine.CacheBudget
 
 		out.SidecarLoads += st.SidecarLoads
 		out.SidecarRebuilds += st.SidecarRebuilds

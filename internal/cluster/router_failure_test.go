@@ -385,6 +385,61 @@ func TestRoutedIngestAllFailedBurnsNoHoles(t *testing.T) {
 	}
 }
 
+// TestRouterRangeBesideRoutedIngest runs range queries from two goroutines
+// while routed ingest commits new ids.  Under -race it pins that a range
+// reads the id maps only through the snapshot it copied under the lock,
+// never the per-member slices handleIngest reassigns.
+func TestRouterRangeBesideRoutedIngest(t *testing.T) {
+	ctx := context.Background()
+	_, rc, stubs, place := stubCluster(t, 2, 8)
+	for _, s := range stubs {
+		s.mu.Lock()
+		s.ranges = []int{0}
+		s.mu.Unlock()
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := rc.Range(ctx, client.RangeRequest{Rect: client.Rect{MaxX: 1, MaxY: 1}, T: 0, Alpha: 0.1}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	base := 8
+	for b := 0; b < 20; b++ {
+		batch, _ := splitBatch(place, 2, base, 4)
+		resp, err := rc.Ingest(ctx, batch, true)
+		if err != nil {
+			t.Errorf("ingest batch %d: %v", b, err)
+			break
+		}
+		if resp.Accepted != len(batch) {
+			t.Errorf("ingest batch %d: accepted %d of %d", b, resp.Accepted, len(batch))
+			break
+		}
+		base += len(batch)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("range beside ingest: %v", err)
+	}
+}
+
 // TestRangeNewerThanMapDegrades pins the query/ingest race: a member
 // answering with local ids past the router's map snapshot (an applied
 // but not yet committed routed ingest) degrades the result to a lower

@@ -8,9 +8,7 @@ import (
 
 // BenchmarkCompressOne is the per-trajectory hot path of the write
 // pipeline (reference selection + referential factorization + SIAR/PDDP
-// encoding of one uncertain trajectory).  It is one of the pinned
-// bench-gate benchmarks: CI fails a PR that regresses it by more than the
-// gate threshold (see .github/workflows/ci.yml).
+// encoding of one uncertain trajectory).
 func BenchmarkCompressOne(b *testing.B) {
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 20, 20

@@ -5,6 +5,7 @@ import (
 
 	"utcq/internal/bitio"
 	"utcq/internal/par"
+	"utcq/internal/pddp"
 	"utcq/internal/traj"
 )
 
@@ -280,51 +281,66 @@ func writeEFactors(w *bitio.Writer, factors []EFactor, refLen, edgeBits int) err
 	return nil
 }
 
-// readEFactors decodes an E factor list and returns the factors along with
-// the bit position of each factor (ma.pos for the StIU index).
-func readEFactors(r *bitio.Reader, refLen, edgeBits int) ([]EFactor, []int, error) {
+// readEFactors decodes an E factor list into dst's backing array and, when
+// pos is non-nil, the bit position of each factor (ma.pos for the StIU
+// index) into *pos.  Reusing dst and *pos across calls makes the decode
+// allocation-free.
+func readEFactors(r *bitio.Reader, refLen, edgeBits int, dst []EFactor, pos *[]int) ([]EFactor, error) {
 	sBits := bitio.WidthFor(refLen)
 	lBits := bitio.WidthFor(refLen - 1)
 	h, err := r.ReadCount()
 	if err != nil {
-		return nil, nil, err
+		return dst, err
 	}
 	lastHasM, err := r.ReadBool()
 	if err != nil {
-		return nil, nil, err
+		return dst, err
 	}
-	factors := make([]EFactor, h)
-	pos := make([]int, h)
+	factors := growTo(dst, h)
+	if pos != nil {
+		*pos = growTo(*pos, h)
+	}
 	for i := 0; i < h; i++ {
-		pos[i] = r.Pos()
+		if pos != nil {
+			(*pos)[i] = r.Pos()
+		}
 		s, err := r.ReadBits(sBits)
 		if err != nil {
-			return nil, nil, err
+			return factors, err
 		}
 		if int(s) == refLen {
 			m, err := r.ReadBits(edgeBits)
 			if err != nil {
-				return nil, nil, err
+				return factors, err
 			}
 			factors[i] = EFactor{S: refLen, M: uint16(m), HasM: true, NotInRef: true}
 			continue
 		}
 		lm1, err := r.ReadBits(lBits)
 		if err != nil {
-			return nil, nil, err
+			return factors, err
 		}
 		f := EFactor{S: int(s), L: int(lm1) + 1}
 		if i != h-1 || lastHasM {
 			m, err := r.ReadBits(edgeBits)
 			if err != nil {
-				return nil, nil, err
+				return factors, err
 			}
 			f.M = uint16(m)
 			f.HasM = true
 		}
 		factors[i] = f
 	}
-	return factors, pos, nil
+	return factors, nil
+}
+
+// growTo returns s resized to length n, reusing its backing array when it
+// is large enough.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // writeTFFactors encodes a T' factor list: S and L in ⌈log2 |T'(Ref)|⌉-ish
@@ -344,38 +360,60 @@ func writeTFFactors(w *bitio.Writer, factors []TFFactor, refLen int) {
 	}
 }
 
-// readTFFactors decodes a T' factor list.
-func readTFFactors(r *bitio.Reader, refLen int) ([]TFFactor, error) {
+// readTFFactors decodes a T' factor list into dst's backing array.
+func readTFFactors(r *bitio.Reader, refLen int, dst []TFFactor) ([]TFFactor, error) {
 	sBits := bitio.WidthFor(maxInt(refLen-1, 0))
 	lBits := bitio.WidthFor(refLen)
 	h, err := r.ReadCount()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	lastHasM, err := r.ReadBool()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	factors := make([]TFFactor, h)
+	factors := growTo(dst, h)
 	for i := 0; i < h; i++ {
 		s, err := r.ReadBits(sBits)
 		if err != nil {
-			return nil, err
+			return factors, err
 		}
 		l, err := r.ReadBits(lBits)
 		if err != nil {
-			return nil, err
+			return factors, err
 		}
 		f := TFFactor{S: int(s), L: int(l)}
 		if i != h-1 || lastHasM {
 			m, err := r.ReadBool()
 			if err != nil {
-				return nil, err
+				return factors, err
 			}
 			f.M = m
 			f.HasM = true
 		}
 		factors[i] = f
+	}
+	return factors, nil
+}
+
+// readDFactors decodes a D factor list ([numD γ][pos, PDDP code]...) into
+// dst's backing array; posBits is the width of a point index.
+func readDFactors(r *bitio.Reader, posBits int, codec *pddp.Codec, dst []DFactor) ([]DFactor, error) {
+	nd, err := r.ReadCount()
+	if err != nil {
+		return dst, err
+	}
+	factors := growTo(dst, nd)
+	for i := range factors {
+		pos, err := r.ReadBits(posBits)
+		if err != nil {
+			return factors, err
+		}
+		rd, err := codec.Decode(r)
+		if err != nil {
+			return factors, err
+		}
+		factors[i] = DFactor{Pos: int(pos), RD: rd}
 	}
 	return factors, nil
 }

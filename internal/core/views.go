@@ -44,33 +44,15 @@ func (a *Archive) RefView(j, orig int) (*RefView, error) {
 	if err != nil {
 		return nil, err
 	}
-	gotOrig, err := r.ReadCount()
+	p, err := a.readHead(r, meta.Start, orig, true)
 	if err != nil {
 		return nil, err
 	}
-	if gotOrig != orig {
-		return nil, fmt.Errorf("core: record at %d has orig %d, want %d", meta.Start, gotOrig, orig)
-	}
-	isRef, err := r.ReadBool()
+	sv, eCount, err := a.readRefSkeleton(r)
 	if err != nil {
 		return nil, err
 	}
-	if !isRef {
-		return nil, fmt.Errorf("core: record %d is not a reference record", orig)
-	}
-	p, err := a.PCodec.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	sv, err := r.ReadBits(a.VertexBits)
-	if err != nil {
-		return nil, err
-	}
-	eCount, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	v := &RefView{Orig: orig, SV: roadnet.VertexID(sv), P: p, arch: a, traj: j}
+	v := &RefView{Orig: orig, SV: sv, P: p, arch: a, traj: j}
 	v.E = make([]uint16, eCount)
 	for i := range v.E {
 		no, err := r.ReadBits(a.EdgeBits)
@@ -95,6 +77,41 @@ func (a *Archive) RefView(j, orig int) (*RefView, error) {
 	// touching two points decodes two codes, not all of them.
 	v.dStart = r.Pos()
 	return v, nil
+}
+
+// readHead reads the prefix every instance record starts with,
+// [origIdx γ][isRef][p PDDP], and checks that the record at bit start is
+// instance orig of the expected kind.  It returns p.
+func (a *Archive) readHead(r *bitio.Reader, start, orig int, wantRef bool) (float64, error) {
+	gotOrig, err := r.ReadCount()
+	if err != nil {
+		return 0, err
+	}
+	if gotOrig != orig {
+		return 0, fmt.Errorf("core: record at %d has orig %d, want %d", start, gotOrig, orig)
+	}
+	isRef, err := r.ReadBool()
+	if err != nil {
+		return 0, err
+	}
+	if isRef != wantRef {
+		if wantRef {
+			return 0, fmt.Errorf("core: record %d is not a reference record", orig)
+		}
+		return 0, fmt.Errorf("core: record %d is a reference record", orig)
+	}
+	return a.PCodec.Decode(r)
+}
+
+// readRefSkeleton reads a reference record's [SV][|E| γ] after its head,
+// leaving r at the first E entry.
+func (a *Archive) readRefSkeleton(r *bitio.Reader) (roadnet.VertexID, int, error) {
+	sv, err := r.ReadBits(a.VertexBits)
+	if err != nil {
+		return 0, 0, err
+	}
+	eCount, err := r.ReadCount()
+	return roadnet.VertexID(sv), eCount, err
 }
 
 // DPos returns the bit position of every relative-distance code (the d.pos
@@ -273,21 +290,7 @@ func (a *Archive) NonRefView(j, orig int, ref *RefView) (*NonRefView, error) {
 	if err != nil {
 		return nil, err
 	}
-	gotOrig, err := r.ReadCount()
-	if err != nil {
-		return nil, err
-	}
-	if gotOrig != orig {
-		return nil, fmt.Errorf("core: record at %d has orig %d, want %d", meta.Start, gotOrig, orig)
-	}
-	isRef, err := r.ReadBool()
-	if err != nil {
-		return nil, err
-	}
-	if isRef {
-		return nil, fmt.Errorf("core: record %d is a reference record", orig)
-	}
-	p, err := a.PCodec.Decode(r)
+	p, err := a.readHead(r, meta.Start, orig, false)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +298,7 @@ func (a *Archive) NonRefView(j, orig int, ref *RefView) (*NonRefView, error) {
 		return nil, err
 	}
 	v := &NonRefView{Orig: orig, RefOrig: ref.Orig, P: p}
-	v.EFactors, v.EFactorPos, err = readEFactors(r, len(ref.E), a.EdgeBits)
+	v.EFactors, err = readEFactors(r, len(ref.E), a.EdgeBits, nil, &v.EFactorPos)
 	if err != nil {
 		return nil, err
 	}
@@ -335,28 +338,15 @@ func (a *Archive) NonRefView(j, orig int, ref *RefView) (*NonRefView, error) {
 				v.TFRaw[i] = b
 			}
 		} else {
-			v.TFFactors, err = readTFFactors(r, len(ref.TFStored))
+			v.TFFactors, err = readTFFactors(r, len(ref.TFStored), nil)
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
-	nd, err := r.ReadCount()
+	v.DFactors, err = readDFactors(r, bitio.WidthFor(rec.NumPoints-1), a.DCodec, nil)
 	if err != nil {
 		return nil, err
-	}
-	posBits := bitio.WidthFor(rec.NumPoints - 1)
-	v.DFactors = make([]DFactor, nd)
-	for i := range v.DFactors {
-		pos, err := r.ReadBits(posBits)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := a.DCodec.Decode(r)
-		if err != nil {
-			return nil, err
-		}
-		v.DFactors[i] = DFactor{Pos: int(pos), RD: rd}
 	}
 	return v, nil
 }

@@ -7,23 +7,24 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"utcq/internal/cache"
 	"utcq/internal/core"
 	"utcq/internal/roadnet"
 	"utcq/internal/stiu"
 )
 
 // Engine answers probabilistic queries over a UTCQ archive via the StIU
-// index.  Decoded references and paths are kept in sharded LRU caches
-// bounded by a configurable entry budget; partial decompression and
-// Lemmas 1-4 avoid touching instances that cannot contribute.
+// index.  Every instance a query touches is read straight off its
+// record's bit stream by a pooled instance cursor (partial decompression:
+// only the bits up to the points the query needs), and Lemmas 1-4 avoid
+// touching instances that cannot contribute.  Nothing decoded outlives a
+// query, so a cold query costs what a warm one does and the engine's
+// memory does not grow with the data it has answered from.
 //
 // An Engine is safe for concurrent use: one instance serves any number of
-// goroutines calling Where, When and Range simultaneously, with memory
-// bounded by the cache budget.  The configuration fields (DisablePruning,
-// DisableCache) must be set before the engine is shared; they are plain
-// fields precisely so single-threaded measurement runs can toggle them
-// between workloads, and are not synchronized.
+// goroutines calling Where, When and Range simultaneously.  DisablePruning
+// must be set before the engine is shared; it is a plain field precisely
+// so single-threaded measurement runs can toggle it between workloads,
+// and is not synchronized.
 type Engine struct {
 	Arch *core.Archive
 	Ix   *stiu.Index
@@ -32,13 +33,10 @@ type Engine struct {
 	// Set before sharing the engine across goroutines.
 	DisablePruning bool
 
-	// DisableCache makes every query pay its own decompression cost (the
-	// paper's measurement model); by default decoded views are reused.
-	// Set before sharing the engine across goroutines.
+	// Deprecated: ignored.  The engine keeps no decoded state between
+	// queries, so every query already pays its own decompression cost
+	// (the paper's measurement model).
 	DisableCache bool
-
-	refViews *cache.LRU[[2]int, *core.RefView]
-	paths    *cache.LRU[[2]int, *lazyPath]
 
 	// Per-trajectory query-plan state, precomputed at construction so the
 	// range hot path neither sorts nor allocates per query:
@@ -55,11 +53,6 @@ type Engine struct {
 	// search (the hint is verified before use, so stale values only cost
 	// the fallback search).
 	tempHint []atomic.Int32
-
-	// scratchPool recycles the flat Lemma-4 bound buffers across queries
-	// and goroutines; whenPool does the same for the when-query plan.
-	scratchPool sync.Pool
-	whenPool    sync.Pool
 
 	// Work counters, maintained atomically (see Stats).
 	pathsDecoded     atomic.Int64
@@ -86,21 +79,34 @@ type touchedGroup struct {
 	gi   int32 // flat instance index of the group's reference
 }
 
+// Scratch pools are shared by every engine: scratch holds no decoded
+// data, only epoch-stamped work areas sized to the largest engine that
+// used them, so the memory the pools hold does not grow with the number
+// of engines (shards) and a new engine starts without a cold pool.  The
+// epoch belongs to the scratch, not the engine, so a stamp left by another
+// engine never equals the current epoch.
+var (
+	rangePool sync.Pool
+	whenPool  sync.Pool
+)
+
 func (e *Engine) getScratch() *rangeScratch {
-	if sc, ok := e.scratchPool.Get().(*rangeScratch); ok {
-		return sc
+	sc, _ := rangePool.Get().(*rangeScratch)
+	if sc == nil {
+		sc = new(rangeScratch)
 	}
-	return &rangeScratch{
-		group:  make([]float64, e.numInsts),
-		gstamp: make([]uint64, e.numInsts),
-		bound:  make([]float64, len(e.Arch.Trajs)),
-		bstamp: make([]uint64, len(e.Arch.Trajs)),
+	if len(sc.group) < e.numInsts {
+		sc.group, sc.gstamp = make([]float64, e.numInsts), make([]uint64, e.numInsts)
 	}
+	if n := len(e.Arch.Trajs); len(sc.bound) < n {
+		sc.bound, sc.bstamp = make([]float64, n), make([]uint64, n)
+	}
+	return sc
 }
 
-func (e *Engine) putScratch(sc *rangeScratch) {
+func putScratch(sc *rangeScratch) {
 	sc.touched = sc.touched[:0]
-	e.scratchPool.Put(sc)
+	rangePool.Put(sc)
 }
 
 // whenScratch is the per-query working set of When: a flat epoch-stamped
@@ -121,97 +127,71 @@ const (
 )
 
 func (e *Engine) getWhenScratch() *whenScratch {
-	if sc, ok := e.whenPool.Get().(*whenScratch); ok {
-		return sc
+	sc, _ := whenPool.Get().(*whenScratch)
+	if sc == nil {
+		sc = new(whenScratch)
 	}
-	return &whenScratch{
-		plan:   make([]uint8, e.numInsts),
-		pstamp: make([]uint64, e.numInsts),
+	if len(sc.plan) < e.numInsts {
+		sc.plan, sc.pstamp = make([]uint8, e.numInsts), make([]uint64, e.numInsts)
 	}
+	return sc
 }
 
-func (e *Engine) putWhenScratch(sc *whenScratch) {
+func putWhenScratch(sc *whenScratch) {
 	sc.passages = sc.passages[:0]
-	e.whenPool.Put(sc)
+	whenPool.Put(sc)
 }
 
 // EngineStats is a point-in-time snapshot of the work the engine
-// performed, demonstrating the pruning lemmas and the cache behavior.
+// performed, demonstrating the pruning lemmas.
 type EngineStats struct {
-	PathsDecoded     int64
+	PathsDecoded     int64 // instance cursor runs
 	InstancesSkipped int64
 	TrajsPruned      int64 // range queries: Lemma 4 rejections
 	TrajsAccepted    int64 // range queries: Lemma 3 early accepts
 
-	// Cache accounting, summed over the reference-view and path caches.
-	// CacheHits+CacheMisses equals the number of cache lookups performed.
-	CacheHits   int64
+	// Deprecated: always 0.  The engine has no cache.
+	CacheHits int64
+	// Deprecated: always 0.  The engine has no cache.
 	CacheMisses int64
-	CachedViews int // current reference-view cache entries
-	CachedPaths int // current path cache entries
-	CacheBudget int // configured per-cache entry bound
 }
 
 // Stats returns a consistent-enough snapshot of the engine's counters.
 // Safe to call concurrently with queries.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{
+	return EngineStats{
 		PathsDecoded:     e.pathsDecoded.Load(),
 		InstancesSkipped: e.instancesSkipped.Load(),
 		TrajsPruned:      e.trajsPruned.Load(),
 		TrajsAccepted:    e.trajsAccepted.Load(),
-		CachedViews:      e.refViews.Len(),
-		CachedPaths:      e.paths.Len(),
-		CacheBudget:      e.refViews.Cap(),
 	}
-	rh, rm := e.refViews.Stats()
-	ph, pm := e.paths.Stats()
-	s.CacheHits, s.CacheMisses = rh+ph, rm+pm
-	return s
 }
 
-// EngineOptions configure the engine's bounded caches.
+// EngineOptions once configured the engine's caches.
+//
+// Deprecated: ignored; the engine has no cache.
 type EngineOptions struct {
-	// CacheEntries bounds each of the two caches (decoded reference views
-	// and partially decompressed paths) to at most this many entries,
-	// evicting least-recently-used ones.  Values below 1 select the
-	// default budget.
+	// Deprecated: ignored.
 	CacheEntries int
-	// CacheShards splits each cache into independently locked shards to
-	// reduce contention.  Values below 1 select the default.
-	CacheShards int
 }
 
-// DefaultEngineOptions returns the default cache budget (4096 entries per
-// cache, 16 shards).
-func DefaultEngineOptions() EngineOptions {
-	return EngineOptions{CacheEntries: 4096, CacheShards: 16}
+// DefaultEngineOptions returns the zero EngineOptions.
+//
+// Deprecated: EngineOptions are ignored.
+func DefaultEngineOptions() EngineOptions { return EngineOptions{} }
+
+// NewEngineWithOptions is NewEngine.
+//
+// Deprecated: EngineOptions are ignored; use NewEngine.
+func NewEngineWithOptions(a *core.Archive, ix *stiu.Index, _ EngineOptions) *Engine {
+	return NewEngine(a, ix)
 }
 
-// NewEngine returns an engine over an archive and its index with the
-// default cache budget.  The returned engine is safe for concurrent use
-// once its configuration fields are set (see Engine).
-func NewEngine(a *core.Archive, ix *stiu.Index) *Engine {
-	return NewEngineWithOptions(a, ix, DefaultEngineOptions())
-}
-
-// NewEngineWithOptions returns an engine with an explicit cache budget.
-// The returned engine is safe for concurrent use once its configuration
+// NewEngine returns an engine over an archive and its index.  The
+// returned engine is safe for concurrent use once its configuration
 // fields are set (see Engine).
-func NewEngineWithOptions(a *core.Archive, ix *stiu.Index, o EngineOptions) *Engine {
-	def := DefaultEngineOptions()
-	if o.CacheEntries < 1 {
-		o.CacheEntries = def.CacheEntries
-	}
-	if o.CacheShards < 1 {
-		o.CacheShards = def.CacheShards
-	}
-	e := &Engine{
-		Arch:     a,
-		Ix:       ix,
-		refViews: cache.New[[2]int, *core.RefView](o.CacheEntries, o.CacheShards),
-		paths:    cache.New[[2]int, *lazyPath](o.CacheEntries, o.CacheShards),
-	}
+func NewEngine(a *core.Archive, ix *stiu.Index) *Engine {
+	e := &Engine{Arch: a, Ix: ix}
 	e.probOrder = make([][]int32, len(a.Trajs))
 	e.probSum = make([]float64, len(a.Trajs))
 	e.instOffset = make([]int, len(a.Trajs))
@@ -264,83 +244,11 @@ func (e *Engine) findTemporal(j int, t int64) (stiu.TemporalEntry, bool) {
 	return entries[lo-1], true
 }
 
-func (e *Engine) refView(j, orig int) (*core.RefView, error) {
-	k := [2]int{j, orig}
-	if !e.DisableCache {
-		if v, ok := e.refViews.Get(k); ok {
-			return v, nil
-		}
-	}
-	v, err := e.Arch.RefView(j, orig)
-	if err != nil {
-		return nil, err
-	}
-	if !e.DisableCache {
-		e.refViews.Add(k, v)
-	}
-	return v, nil
-}
-
-// path builds (and caches) the partially decompressed traversal of
-// instance orig of trajectory j: the edge skeleton is materialized,
-// relative distances stay compressed until a point is touched.  Under
-// concurrency two goroutines may race to build the same path; both builds
-// are counted and the cache keeps the last one — duplicated work, never
-// incorrect results.
-func (e *Engine) path(j, orig int) (*lazyPath, error) {
-	k := [2]int{j, orig}
-	if !e.DisableCache {
-		if p, ok := e.paths.Get(k); ok {
-			return p, nil
-		}
-	}
-	meta := e.Arch.Trajs[j].Insts[orig]
-	numPoints := e.Arch.Trajs[j].NumPoints
-	var pi *lazyPath
-	if meta.IsRef {
-		rv, err := e.refView(j, orig)
-		if err != nil {
-			return nil, err
-		}
-		pi, err = newLazyPath(e.Arch.Graph, rv.SV, rv.E, rv.FullTF(), numPoints, meta.P, rv.DecodeD)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rv, err := e.refView(j, meta.RefOrig)
-		if err != nil {
-			return nil, err
-		}
-		nv, err := e.Arch.NonRefView(j, orig, rv)
-		if err != nil {
-			return nil, err
-		}
-		eSeq, err := nv.ExpandE(rv)
-		if err != nil {
-			return nil, err
-		}
-		tf, err := nv.FullTF(rv)
-		if err != nil {
-			return nil, err
-		}
-		dFetch := func(k int) (float64, error) {
-			for _, f := range nv.DFactors {
-				if f.Pos == k {
-					return f.RD, nil
-				}
-			}
-			return rv.DecodeD(k)
-		}
-		pi, err = newLazyPath(e.Arch.Graph, rv.SV, eSeq, tf, numPoints, meta.P, dFetch)
-		if err != nil {
-			return nil, err
-		}
-	}
+// open points the cursor at instance orig of trajectory j, counting the
+// run in PathsDecoded.
+func (e *Engine) open(c *instCursor, j, orig int) error {
 	e.pathsDecoded.Add(1)
-	if !e.DisableCache {
-		e.paths.Add(k, pi)
-	}
-	return pi, nil
+	return c.reset(e.Arch, j, orig)
 }
 
 // bracket finds i with T[i] <= t <= T[i+1] using the temporal index and a
@@ -419,18 +327,28 @@ func (e *Engine) Where(j int, t int64, alpha float64) ([]WhereResult, error) {
 		return nil, nil
 	}
 	rec := e.Arch.Trajs[j]
-	var out []WhereResult
+	hits := 0
+	for orig := range rec.Insts {
+		if rec.Insts[orig].P >= alpha {
+			hits++
+		}
+	}
+	e.instancesSkipped.Add(int64(len(rec.Insts) - hits))
+	if hits == 0 {
+		return nil, nil
+	}
+	c := getCursor()
+	defer putCursor(c)
+	out := make([]WhereResult, 0, hits)
 	for orig := range rec.Insts {
 		p := rec.Insts[orig].P
 		if p < alpha {
-			e.instancesSkipped.Add(1)
 			continue
 		}
-		pi, err := e.path(j, orig)
-		if err != nil {
+		if err := e.open(c, j, orig); err != nil {
 			return nil, err
 		}
-		loc, err := pi.locationAt(i, ti, ti1, t)
+		loc, err := c.locationAt(i, ti, ti1, t)
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +384,9 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 	// non-references when every tuple's pmax < alpha.  Plans live in flat
 	// epoch-stamped scratch indexed by the group's reference orig.
 	sc := e.getWhenScratch()
-	defer e.putWhenScratch(sc)
+	defer putWhenScratch(sc)
+	c := getCursor()
+	defer putCursor(c)
 	sc.epoch++
 	off := e.instOffset[j]
 	if e.DisablePruning {
@@ -505,14 +425,14 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 		}
 		pl := sc.plan[gi]
 		if pl&planRef != 0 || e.DisablePruning {
-			if dst, err = e.appendWhenInst(dst, sc, j, gk, loc, alpha); err != nil {
+			if dst, err = e.appendWhenInst(dst, sc, c, j, gk, loc, alpha); err != nil {
 				return dst, err
 			}
 		}
 		if pl&planNonRefs != 0 {
 			for orig := range rec.Insts {
 				if meta := &rec.Insts[orig]; !meta.IsRef && meta.RefOrig == gk {
-					if dst, err = e.appendWhenInst(dst, sc, j, orig, loc, alpha); err != nil {
+					if dst, err = e.appendWhenInst(dst, sc, c, j, orig, loc, alpha); err != nil {
 						return dst, err
 					}
 				}
@@ -537,18 +457,19 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 	return dst, nil
 }
 
-// appendWhenInst appends the passages of one instance through loc.
-func (e *Engine) appendWhenInst(dst []WhenResult, sc *whenScratch, j, orig int, loc roadnet.Position, alpha float64) ([]WhenResult, error) {
+// appendWhenInst appends the passages of one instance through loc, found
+// in one forward pass of the cursor.
+func (e *Engine) appendWhenInst(dst []WhenResult, sc *whenScratch, c *instCursor, j, orig int, loc roadnet.Position, alpha float64) ([]WhenResult, error) {
 	p := e.Arch.Trajs[j].Insts[orig].P
 	if p < alpha {
 		e.instancesSkipped.Add(1)
 		return dst, nil
 	}
-	pi, err := e.path(j, orig)
+	err := e.open(c, j, orig)
 	if err != nil {
 		return dst, err
 	}
-	sc.passages, err = pi.appendPassagesAt(sc.passages[:0], loc)
+	sc.passages, err = c.appendPassagesAt(sc.passages[:0], loc)
 	if err != nil {
 		return dst, err
 	}
@@ -584,7 +505,9 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 	// accumulators are flat epoch-stamped slices from the scratch pool —
 	// no per-query maps.
 	sc := e.getScratch()
-	defer e.putScratch(sc)
+	defer putScratch(sc)
+	c := getCursor()
+	defer putCursor(c)
 	sc.epoch++
 	sc.touched = sc.touched[:0]
 	cells := e.Ix.Grid.AppendCellsInRect(sc.cells[:0], re)
@@ -657,7 +580,7 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 			orig := int(o32)
 			p := rec.Insts[orig].P
 			remaining -= p
-			inside, err := e.instanceInside(j, orig, re, i, ti, ti1, t)
+			inside, err := e.instanceInside(c, j, orig, re, i, ti, ti1, t)
 			if err != nil {
 				return dst, err
 			}
@@ -687,25 +610,24 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 
 // instanceInside tests whether the instance overlaps RE at time t, using
 // Lemma 2 on the subpath between the bracketing points before falling back
-// to exact interpolation.
-func (e *Engine) instanceInside(j, orig int, re roadnet.Rect, i int, ti, ti1, t int64) (bool, error) {
-	g := e.Arch.Graph
-	pi, err := e.path(j, orig)
-	if err != nil {
+// to exact interpolation.  The cursor reads the instance only up to point
+// i+1, and decodes distances only when Lemma 2 cannot decide.
+func (e *Engine) instanceInside(c *instCursor, j, orig int, re roadnet.Rect, i int, ti, ti1, t int64) (bool, error) {
+	if err := e.open(c, j, orig); err != nil {
 		return false, err
 	}
-	if i >= len(pi.PointEdge) {
+	if i >= c.n {
 		return false, nil
 	}
-	k0 := pi.PointEdge[i]
-	k1 := k0
-	if i+1 < len(pi.PointEdge) {
-		k1 = pi.PointEdge[i+1]
-	}
+	g := e.Arch.Graph
 	if !e.DisablePruning {
+		sp, err := c.subpath(i)
+		if err != nil {
+			return false, err
+		}
 		allIn, anyTouch := true, false
-		for k := k0; k <= k1; k++ {
-			edge := g.Edge(pi.Edges[k])
+		for _, id := range sp {
+			edge := g.Edge(id)
 			a, b := g.Vertex(edge.From), g.Vertex(edge.To)
 			in := re.Contains(a.X, a.Y) && re.Contains(b.X, b.Y)
 			touch := re.IntersectsSegment(a.X, a.Y, b.X, b.Y)
@@ -719,7 +641,7 @@ func (e *Engine) instanceInside(j, orig int, re roadnet.Rect, i int, ti, ti1, t 
 			return false, nil // Lemma 2(ii): sp ∩ RE = ∅
 		}
 	}
-	loc, err := pi.locationAt(i, ti, ti1, t)
+	loc, err := c.locationAt(i, ti, ti1, t)
 	if err != nil {
 		return false, err
 	}

@@ -5,8 +5,55 @@ import (
 	"sort"
 	"sync"
 
+	"utcq/internal/core"
 	"utcq/internal/roadnet"
 )
+
+// This file keeps the engine's former per-instance read path, lazyPath,
+// unchanged as the reference the instance cursor is pinned against
+// (TestCursorMatchesLazyPath): the cursor must reproduce its results
+// bit for bit.
+
+// buildLazyPath materializes instance orig of trajectory j the way the
+// engine once did on a cache miss: parsed views, the expanded E and full
+// T', and a distance fetcher over the reference's d.pos with the
+// non-reference's D factors overriding.
+func buildLazyPath(a *core.Archive, j, orig int) (*lazyPath, error) {
+	meta := a.Trajs[j].Insts[orig]
+	numPoints := a.Trajs[j].NumPoints
+	if meta.IsRef {
+		rv, err := a.RefView(j, orig)
+		if err != nil {
+			return nil, err
+		}
+		return newLazyPath(a.Graph, rv.SV, rv.E, rv.FullTF(), numPoints, meta.P, rv.DecodeD)
+	}
+	rv, err := a.RefView(j, meta.RefOrig)
+	if err != nil {
+		return nil, err
+	}
+	nv, err := a.NonRefView(j, orig, rv)
+	if err != nil {
+		return nil, err
+	}
+	eSeq, err := nv.ExpandE(rv)
+	if err != nil {
+		return nil, err
+	}
+	tf, err := nv.FullTF(rv)
+	if err != nil {
+		return nil, err
+	}
+	dFetch := func(k int) (float64, error) {
+		for _, f := range nv.DFactors {
+			if f.Pos == k {
+				return f.RD, nil
+			}
+		}
+		return rv.DecodeD(k)
+	}
+	return newLazyPath(a.Graph, rv.SV, eSeq, tf, numPoints, meta.P, dFetch)
+}
 
 // lazyPath is the UTCQ engine's partially decompressed traversal: the edge
 // skeleton (from E and T', both cheap) is materialized, but relative

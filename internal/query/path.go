@@ -5,11 +5,11 @@
 // used for correctness tests and the accuracy experiments of Fig 11.
 //
 // Concurrency: Engine is safe for concurrent use — one shared instance
-// serves any number of goroutines, holding decoded state in sharded LRU
-// caches bounded by a configurable entry budget and maintaining its work
-// counters atomically.  Configuration fields (DisablePruning,
-// DisableCache) must be set before the engine is shared.  TEDEngine and
-// Oracle remain single-goroutine measurement harnesses.
+// serves any number of goroutines, reading instances through pooled
+// per-query cursors and maintaining its work counters atomically; it keeps
+// no decoded state between queries.  DisablePruning must be set before
+// the engine is shared.  TEDEngine and Oracle remain single-goroutine
+// measurement harnesses.
 package query
 
 import (

@@ -4,7 +4,7 @@
 // (Definition 11) and range (Definition 12) — as single-query endpoints
 // and as one batched endpoint that fans a request's queries across a
 // bounded worker pool, plus /healthz for liveness and /stats for the
-// store's aggregated engine and cache counters.  With an ingester
+// store's aggregated engine counters.  With an ingester
 // attached (Options.Ingester) the server also accepts live traffic:
 // POST /v1/ingest acknowledges raw trajectories into the WAL and
 // POST /v1/compact folds accumulated delta shards into a base shard.

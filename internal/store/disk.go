@@ -178,8 +178,6 @@ func (s *Store) Save(dir string) error {
 
 // OpenOptions configure a store opened from disk.
 type OpenOptions struct {
-	// Engine is the per-shard query-engine cache budget.
-	Engine query.EngineOptions
 	// Core are the compression parameters for delta shards built by
 	// ApplyDelta.  The zero value derives them from the first live shard's
 	// archive on first use (the container persists them); only an empty
@@ -235,7 +233,6 @@ func Open(dir string, g *roadnet.Graph, opts OpenOptions) (*Store, error) {
 			Assignment:  man.assignment,
 			Core:        opts.Core,
 			Index:       stiu.Options{GridNX: man.gridNX, GridNY: man.gridNY, IntervalDur: man.interval, Parallelism: ixPar},
-			Engine:      opts.Engine,
 			Parallelism: opts.Parallelism,
 			FS:          opts.FS,
 		},
@@ -316,7 +313,7 @@ func (s *Store) openShard(sh *shard, e *shardEntry) (*query.Engine, error) {
 	// keep the buffer alive through the GC, for a mapping the per-record
 	// references do.
 	m.Release()
-	return query.NewEngineWithOptions(arch, ix, s.opts.Engine), nil
+	return query.NewEngine(arch, ix), nil
 }
 
 // loadSidecar returns the shard's persisted StIU index, or nil when the

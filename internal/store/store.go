@@ -103,8 +103,6 @@ type Options struct {
 	Core core.Options
 	// Index is the per-shard StIU granularity.
 	Index stiu.Options
-	// Engine is the per-shard query-engine cache budget.
-	Engine query.EngineOptions
 	// Parallelism bounds the shard-build worker pool (<1: one worker per
 	// CPU).  Shard contents are independent, so the store is identical
 	// across all settings.
@@ -334,7 +332,7 @@ func Build(g *roadnet.Graph, tus []*traj.Uncertain, opts Options) (*Store, error
 		}
 	}
 	err = par.Do(par.Workers(opts.Parallelism), opts.NumShards, func(si int) error {
-		eng, bounds, err := buildShardEngine(g, groups[si], coreOpts, ixOpts, opts.Engine)
+		eng, bounds, err := buildShardEngine(g, groups[si], coreOpts, ixOpts)
 		if err != nil {
 			return fmt.Errorf("store: shard %d: %w", si, err)
 		}
@@ -350,7 +348,7 @@ func Build(g *roadnet.Graph, tus []*traj.Uncertain, opts Options) (*Store, error
 }
 
 // buildShardEngine compresses and indexes one shard's trajectory group.
-func buildShardEngine(g *roadnet.Graph, tus []*traj.Uncertain, coreOpts core.Options, ixOpts stiu.Options, engOpts query.EngineOptions) (*query.Engine, roadnet.Rect, error) {
+func buildShardEngine(g *roadnet.Graph, tus []*traj.Uncertain, coreOpts core.Options, ixOpts stiu.Options) (*query.Engine, roadnet.Rect, error) {
 	c, err := core.NewCompressor(g, coreOpts)
 	if err != nil {
 		return nil, roadnet.Rect{}, err
@@ -363,7 +361,7 @@ func buildShardEngine(g *roadnet.Graph, tus []*traj.Uncertain, coreOpts core.Opt
 	if err != nil {
 		return nil, roadnet.Rect{}, fmt.Errorf("index: %w", err)
 	}
-	return query.NewEngineWithOptions(arch, ix, engOpts), shardGeometryBounds(ix), nil
+	return query.NewEngine(arch, ix), shardGeometryBounds(ix), nil
 }
 
 // shardGeometryBounds returns a conservative bounding rectangle of a
@@ -797,7 +795,7 @@ func (s *Store) ApplyDelta(tus []*traj.Uncertain, walApplied uint64) (uint64, er
 		if err != nil {
 			return 0, err
 		}
-		eng, bounds, err := buildShardEngine(s.graph, tus, coreOpts, s.indexOptions(), s.opts.Engine)
+		eng, bounds, err := buildShardEngine(s.graph, tus, coreOpts, s.indexOptions())
 		if err != nil {
 			return 0, fmt.Errorf("store: delta shard: %w", err)
 		}
@@ -907,7 +905,7 @@ func (s *Store) Compact() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: compact index: %w", err)
 	}
-	eng := query.NewEngineWithOptions(merged, ix, s.opts.Engine)
+	eng := query.NewEngine(merged, ix)
 
 	man := cur.man.clone()
 	man.generation++
@@ -1042,8 +1040,7 @@ type Stats struct {
 	MappedBytes int64
 	RSSBytes    int64
 
-	// Engine is the sum of the open shards' engine counters; CacheBudget is
-	// summed across shards (total entry budget of the store).
+	// Engine is the sum of the open shards' engine counters.
 	Engine query.EngineStats
 
 	// Succinct is the sum of the open shards' StIU succinct-layer counters
@@ -1095,11 +1092,6 @@ func (s *Store) Stats() Stats {
 		st.Engine.InstancesSkipped += es.InstancesSkipped
 		st.Engine.TrajsPruned += es.TrajsPruned
 		st.Engine.TrajsAccepted += es.TrajsAccepted
-		st.Engine.CacheHits += es.CacheHits
-		st.Engine.CacheMisses += es.CacheMisses
-		st.Engine.CachedViews += es.CachedViews
-		st.Engine.CachedPaths += es.CachedPaths
-		st.Engine.CacheBudget += es.CacheBudget
 		is := eng.Ix.Stats()
 		st.Succinct.RegionBlocksDecoded += is.RegionBlocksDecoded
 		st.Succinct.RegionPrunedNoTouch += is.RegionPrunedNoTouch

@@ -214,12 +214,10 @@ type EngineStats struct {
 	TrajsPruned      int64
 	TrajsAccepted    int64
 
-	CacheHits   int64
+	// Deprecated: always 0.  The engine has no cache.
+	CacheHits int64
+	// Deprecated: always 0.  The engine has no cache.
 	CacheMisses int64
-
-	CachedViews int
-	CachedPaths int
-	CacheBudget int
 }
 
 // NodeStats is one cluster member's row in a router's /v1/stats.

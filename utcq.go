@@ -93,11 +93,9 @@ type (
 	Index = stiu.Index
 	// Engine answers probabilistic queries over compressed data.  It is
 	// safe for concurrent use: one shared engine serves many goroutines
-	// with memory bounded by its cache budget.
+	// and keeps no decoded state between queries.
 	Engine = query.Engine
-	// EngineOptions configure the engine's bounded sharded LRU caches.
-	EngineOptions = query.EngineOptions
-	// EngineStats is a snapshot of the engine's work and cache counters.
+	// EngineStats is a snapshot of the engine's work counters.
 	EngineStats = query.EngineStats
 	// WhereResult is one instance's location at a query time.
 	WhereResult = query.WhereResult
@@ -114,7 +112,7 @@ type (
 	// scatter-gather range queries.  Safe for concurrent use.
 	Store = store.Store
 	// StoreOptions configure a store build (shard count, assignment,
-	// compression, index granularity, engine budget).
+	// compression, index granularity).
 	StoreOptions = store.Options
 	// OpenStoreOptions configure a store opened lazily from disk.
 	OpenStoreOptions = store.OpenOptions
@@ -285,19 +283,9 @@ func DefaultIndexOptions() IndexOptions { return stiu.DefaultOptions() }
 // BuildIndex constructs the StIU index over an archive.
 func BuildIndex(a *Archive, opts IndexOptions) (*Index, error) { return stiu.Build(a, opts) }
 
-// NewEngine returns a query engine over an archive and its index with the
-// default cache budget.  The engine is safe for concurrent use.
+// NewEngine returns a query engine over an archive and its index.  The
+// engine is safe for concurrent use.
 func NewEngine(a *Archive, ix *Index) *Engine { return query.NewEngine(a, ix) }
-
-// NewEngineWithOptions returns a query engine with an explicit cache
-// budget (entry bound and shard count).  The engine is safe for
-// concurrent use with memory bounded by the budget.
-func NewEngineWithOptions(a *Archive, ix *Index, o EngineOptions) *Engine {
-	return query.NewEngineWithOptions(a, ix, o)
-}
-
-// DefaultEngineOptions returns the default engine cache budget.
-func DefaultEngineOptions() EngineOptions { return query.DefaultEngineOptions() }
 
 // NewOracle returns a query processor over uncompressed trajectories.
 func NewOracle(g *Graph, tus []*Uncertain) *Oracle { return query.NewOracle(g, tus) }
