@@ -38,11 +38,17 @@ func archiveBytes(t *testing.T, a *core.Archive) []byte {
 	return buf.Bytes()
 }
 
-// indexDigest walks the StIU index in a deterministic order and hashes
-// every stored field, so any change to the built index is detected.
-func indexDigest(ix *stiu.Index) string {
+// indexDigest walks the StIU index through its accessors in a
+// deterministic order and hashes every stored field, so any change to the
+// built index is detected.
+func indexDigest(t *testing.T, ix *stiu.Index) string {
+	t.Helper()
 	h := sha256.New()
-	for j, entries := range ix.Temporal {
+	for j := range ix.Temporal {
+		entries, err := ix.TemporalEntries(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(h, "T%d:", j)
 		for _, e := range entries {
 			fmt.Fprintf(h, "(%d,%d,%d)", e.Start, e.No, e.Pos)
@@ -53,16 +59,21 @@ func indexDigest(ix *stiu.Index) string {
 		ivs = append(ivs, iv)
 	}
 	sort.Ints(ivs)
+	cells := roadnet.RegionID(ix.Opts.GridNX * ix.Opts.GridNY)
 	for _, iv := range ivs {
-		in := ix.Intervals[iv]
-		fmt.Fprintf(h, "I%d:%v", iv, in.Trajs)
-		res := make([]int, 0, len(in.Regions))
-		for re := range in.Regions {
-			res = append(res, int(re))
+		trajs, err := ix.Candidates(iv)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sort.Ints(res)
-		for _, re := range res {
-			b := in.Regions[roadnet.RegionID(re)]
+		fmt.Fprintf(h, "I%d:%v", iv, trajs)
+		for re := roadnet.RegionID(0); re < cells; re++ {
+			b, err := ix.Buckets(iv, re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				continue
+			}
 			fmt.Fprintf(h, "R%d:", re)
 			for _, rt := range b.Refs {
 				fmt.Fprintf(h, "(%d,%d,%d,%d,%d,%g,%g)", rt.Traj, rt.Orig, rt.FV, rt.FVNo, rt.DPos, rt.PTotal, rt.PMax)
@@ -135,7 +146,7 @@ func TestGoldenDatasets(t *testing.T) {
 		}
 		lines = append(lines,
 			fmt.Sprintf("%s archive %s", bu.Profile.Name, shortSHA(ab)),
-			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(ix)))
+			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix)))
 	}
 	got := ""
 	for _, l := range lines {

@@ -1109,6 +1109,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Succinct.RegionPrunedNoTouch += st.Succinct.RegionPrunedNoTouch
 		out.Succinct.TemporalSectionsForced += st.Succinct.TemporalSectionsForced
 		out.Succinct.SuccinctBytes += st.Succinct.SuccinctBytes
+		out.Succinct.TemporalBytes += st.Succinct.TemporalBytes
+		out.Succinct.IntervalBytes += st.Succinct.IntervalBytes
+		out.Succinct.TrajRegionBytes += st.Succinct.TrajRegionBytes
 		out.MappedBytes += st.MappedBytes
 		out.RSSBytes += st.RSSBytes
 		out.QuarantinedShards += st.QuarantinedShards

@@ -15,7 +15,7 @@ import (
 // walImage frames payloads into a syntactically valid WAL for seeding.
 func walImage(payloads ...[]byte) []byte {
 	var buf bytes.Buffer
-	hdr := walHeader(walVersion, 0)
+	hdr := walHeader(0)
 	buf.Write(hdr[:])
 	var frame [walFrameSize]byte
 	for _, p := range payloads {
@@ -53,14 +53,13 @@ func recordsEqual(a, b []Record) bool {
 // FuzzWALReplay feeds arbitrary bytes through WAL recovery.  Whatever the
 // input, replay must not panic, must return a prefix that re-decodes to
 // the same records (recovery is idempotent), and after OpenWAL truncates
-// the torn tail the log must accept appends and replay them.  Version-1
-// and version-2 images are both seeded; replay must accept either layout.
+// the torn tail the log must accept appends and replay them.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("UTCW"))
 	f.Add(walImage())
-	p1 := encodeRecord(Record{Raw: randomRawForFuzz(3), Eps: 12.5}, walVersion)
-	p2 := encodeRecord(Record{Raw: randomRawForFuzz(7)}, walVersion)
+	p1 := encodeRecord(Record{Raw: randomRawForFuzz(3), Eps: 12.5})
+	p2 := encodeRecord(Record{Raw: randomRawForFuzz(7)})
 	valid := walImage(p1, p2)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])            // torn tail
@@ -71,7 +70,9 @@ func FuzzWALReplay(f *testing.F) {
 	huge := walImage(nil)
 	binary.LittleEndian.PutUint32(huge[walHeaderSize:], 1<<30) // absurd length field
 	f.Add(huge)
-	f.Add(walImageV1(Record{Raw: randomRawForFuzz(4)}, Record{Raw: randomRawForFuzz(2)}))
+	checkpointed := walImage(p2)
+	binary.LittleEndian.PutUint64(checkpointed[6:], 5) // firstSeq past 0
+	f.Add(checkpointed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, recs, good, err := DecodeWAL(data)
@@ -112,11 +113,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		w2.Close()
-		wantEps := 3.25
-		if w2.Version() == walVersionV1 {
-			wantEps = 0 // the v1 layout has no field for the budget
-		}
-		if len(recs4) != len(recs)+1 || !recordsEqual(recs4[len(recs):], []Record{{Raw: extra, Eps: wantEps}}) {
+		if len(recs4) != len(recs)+1 || !recordsEqual(recs4[len(recs):], []Record{{Raw: extra, Eps: 3.25}}) {
 			t.Fatalf("append after recovery not replayed (%d vs %d records)", len(recs4), len(recs)+1)
 		}
 	})

@@ -25,8 +25,8 @@ import (
 var ErrWALTruncated = errors.New("ingest: WAL position checkpointed away")
 
 // ShipBatch is a contiguous run of durable WAL records starting at
-// absolute sequence From, encoded for the wire in the log's own payload
-// layout Version.
+// absolute sequence From.  Version is the payload layout the records
+// travel in on the wire, so a follower can refuse one it cannot read.
 type ShipBatch struct {
 	From    uint64
 	Version uint16
@@ -65,7 +65,7 @@ func (ing *Ingester) ShipFrom(from uint64, maxRecords int) (ShipBatch, error) {
 	if err != nil {
 		return ShipBatch{}, err
 	}
-	version, first, recs, _, err := decodeWALImage(data)
+	first, recs, _, err := DecodeWAL(data)
 	if err != nil {
 		return ShipBatch{}, fmt.Errorf("ingest: %s: %w", path, err)
 	}
@@ -74,13 +74,13 @@ func (ing *Ingester) ShipFrom(from uint64, maxRecords int) (ShipBatch, error) {
 	}
 	end := first + uint64(len(recs))
 	if from >= end {
-		return ShipBatch{From: from, Version: version}, nil
+		return ShipBatch{From: from, Version: walVersion}, nil
 	}
 	recs = recs[from-first:]
 	if maxRecords > 0 && len(recs) > maxRecords {
 		recs = recs[:maxRecords]
 	}
-	return ShipBatch{From: from, Version: version, Records: recs}, nil
+	return ShipBatch{From: from, Version: walVersion, Records: recs}, nil
 }
 
 // ReplicateBatch appends records received from the leader, starting at
@@ -156,7 +156,7 @@ func CreateWAL(fsys faultfs.FS, path string, firstSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := walHeader(walVersion, firstSeq)
+	hdr := walHeader(firstSeq)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
@@ -173,12 +173,12 @@ func CreateWAL(fsys faultfs.FS, path string, firstSeq uint64) error {
 
 // EncodeFrames serializes records for the replication stream in the
 // WAL's own frame layout (docs/FORMAT.md §4: u32 length, u32 CRC32-IEEE
-// of the payload, payload in the given version) — a follower can verify
-// integrity with the same code that replays a local log.
-func EncodeFrames(recs []Record, version uint16) []byte {
+// of the payload, payload) — a follower can verify integrity with the
+// same code that replays a local log.
+func EncodeFrames(recs []Record) []byte {
 	var out []byte
 	for _, rec := range recs {
-		payload := encodeRecord(rec, version)
+		payload := encodeRecord(rec)
 		var frame [walFrameSize]byte
 		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
@@ -188,12 +188,13 @@ func EncodeFrames(recs []Record, version uint16) []byte {
 	return out
 }
 
-// DecodeFrames parses a replication stream encoded by EncodeFrames.
-// Unlike WAL replay — where a torn tail is an expected crash footprint
-// and is silently dropped — a short, oversized or checksum-failing
-// frame here is a transport error and fails the whole batch.
+// DecodeFrames parses a replication stream encoded by EncodeFrames in
+// payload layout version.  Unlike WAL replay — where a torn tail is an
+// expected crash footprint and is silently dropped — a short, oversized
+// or checksum-failing frame here is a transport error and fails the
+// whole batch, and so does any version other than the current one.
 func DecodeFrames(data []byte, version uint16) ([]Record, error) {
-	if version != walVersionV1 && version != walVersionV2 {
+	if version != walVersion {
 		return nil, fmt.Errorf("ingest: unsupported replication stream version %d", version)
 	}
 	var recs []Record
@@ -211,7 +212,7 @@ func DecodeFrames(data []byte, version uint16) ([]Record, error) {
 		if crc32.ChecksumIEEE(payload) != crc {
 			return nil, fmt.Errorf("ingest: replication frame checksum mismatch at byte %d", off)
 		}
-		rec, ok := decodeRecord(payload, version)
+		rec, ok := decodeRecord(payload)
 		if !ok {
 			return nil, fmt.Errorf("ingest: malformed replication record at byte %d", off)
 		}

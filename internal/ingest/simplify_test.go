@@ -16,7 +16,7 @@ import (
 // exactly like one fed pre-simplified raws — the oracle is the matcher
 // over simplify.Trajectory(raw, eps), in acknowledgement order — at
 // every generation and across compactions.  (The WAL stores the REDUCED
-// points, so recovery never re-simplifies; TestWALVersion1Compat and the
+// points, so recovery never re-simplifies; TestWALRoundTrip and the
 // crash matrix cover the log side.)
 func TestIngestSimplifiedMatchesOracle(t *testing.T) {
 	const eps = 10.0 // below the profile's SigmaGPS (15): matching stays robust

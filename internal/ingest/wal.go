@@ -40,26 +40,21 @@ import (
 // the file with a higher firstSeq, so sequence numbers — and the store's
 // walApplied high-water mark — survive truncation.  length is the payload
 // byte count, crc is IEEE CRC-32 over the payload.  The payload is one
-// raw trajectory; version 2 prefixes it with the simplification error
-// budget (SED ε, internal/simplify) the record was admitted under:
+// raw trajectory prefixed with the simplification error budget (SED ε,
+// internal/simplify) the record was admitted under:
 //
-//	v1: numPoints u32 | numPoints × (x f64 | y f64 | t i64)
-//	v2: eps f64 | numPoints u32 | numPoints × (x f64 | y f64 | t i64)
+//	eps f64 | numPoints u32 | numPoints × (x f64 | y f64 | t i64)
 //
-// The version is per file: new logs are created at version 2; a log that
-// already exists keeps appending records in its own version, so a v1 log
-// written by an older build replays AND extends without a rewrite (its
-// records report ε = 0 — the budget metadata is simply unrecorded there).
+// Version 2 is the only version read or written; a log of any other
+// version is refused rather than replayed.
 const (
-	walMagic     = "UTCW"
-	walVersionV1 = 1
-	walVersionV2 = 2
-	walVersion   = walVersionV2 // version for newly created logs
+	walMagic   = "UTCW"
+	walVersion = 2
 
 	walHeaderSize = 14 // magic + version + firstSeq
 	walFrameSize  = 8  // length + crc
 	walPointSize  = 24 // x + y + t, 8 bytes each
-	walEpsSize    = 8  // v2 per-record error budget (f64)
+	walEpsSize    = 8  // per-record error budget (f64)
 
 	// maxWALRecord bounds a record's payload so a corrupted length field
 	// fails fast instead of driving a huge allocation: 4 bytes of count
@@ -68,15 +63,13 @@ const (
 	// replay would treat it (and every record after it) as a torn tail.
 	maxWALRecord = 1 << 26
 
-	// MaxPoints is the largest raw trajectory one WAL record can carry
-	// (sized against the v2 payload, the larger of the two layouts).
+	// MaxPoints is the largest raw trajectory one WAL record can carry.
 	MaxPoints = (maxWALRecord - walEpsSize - 4) / walPointSize
 )
 
 // Record is one replayed WAL entry: the raw trajectory as acknowledged
 // (post-simplification when ingest ran with ε > 0) and the SED error
-// budget it was admitted under — 0 for unsimplified records and for every
-// record of a version-1 log, which has no field to carry the budget.
+// budget it was admitted under — 0 for unsimplified records.
 type Record struct {
 	Raw traj.RawTrajectory
 	Eps float64
@@ -87,14 +80,13 @@ type Record struct {
 // acknowledgement barrier.  WAL methods are not safe for concurrent use;
 // the Ingester serializes access.
 type WAL struct {
-	path    string
-	fs      faultfs.FS // filesystem the log lives on (never nil after open)
-	f       faultfs.File
-	buf     []byte // pending appended bytes not yet written through
-	version uint16 // payload layout this file uses (per-file, fixed at create)
-	first   uint64 // absolute sequence of the file's first record
-	count   uint64 // records in the file (durable + buffered)
-	size    int64  // file size once buf is flushed
+	path  string
+	fs    faultfs.FS // filesystem the log lives on (never nil after open)
+	f     faultfs.File
+	buf   []byte // pending appended bytes not yet written through
+	first uint64 // absolute sequence of the file's first record
+	count uint64 // records in the file (durable + buffered)
+	size  int64  // file size once buf is flushed
 
 	// failed latches the first write/sync error: once the file and the
 	// in-memory sequence may disagree, every later operation refuses
@@ -120,11 +112,11 @@ func (w *WAL) errFailed() error {
 // Failed returns the latched WAL error (nil while healthy).
 func (w *WAL) Failed() error { return w.failed }
 
-// walHeader frames a header with the given version and first sequence.
-func walHeader(version uint16, firstSeq uint64) [walHeaderSize]byte {
+// walHeader frames a header with the given first sequence.
+func walHeader(firstSeq uint64) [walHeaderSize]byte {
 	var hdr [walHeaderSize]byte
 	copy(hdr[:], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], version)
+	binary.LittleEndian.PutUint16(hdr[4:], walVersion)
 	binary.LittleEndian.PutUint64(hdr[6:], firstSeq)
 	return hdr
 }
@@ -154,8 +146,7 @@ func OpenWALIn(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 		return nil, nil, err
 	}
 	if len(data) == 0 {
-		w.version = walVersion
-		hdr := walHeader(w.version, 0)
+		hdr := walHeader(0)
 		if _, err := f.Write(hdr[:]); err != nil {
 			f.Close()
 			return nil, nil, err
@@ -176,7 +167,7 @@ func OpenWALIn(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 		w.size = walHeaderSize
 		return w, nil, nil
 	}
-	version, first, recs, good, err := decodeWALImage(data)
+	first, recs, good, err := DecodeWAL(data)
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("ingest: %s: %w", path, err)
@@ -199,30 +190,22 @@ func OpenWALIn(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 	w.size = good
 	w.first = first
 	w.count = uint64(len(recs))
-	w.version = version
 	return w, recs, nil
 }
 
 // DecodeWAL parses a WAL image, returning the first record's absolute
 // sequence number, the complete records, and the byte offset at which the
 // valid prefix ends.  Truncated frames, oversized lengths and checksum
-// mismatches end the scan (they mark the torn tail); only a bad header is
-// an error, because then the file is not a WAL at all and truncating it
-// would destroy someone else's data.
+// mismatches end the scan (they mark the torn tail); only a bad header —
+// a wrong magic or a version other than the current one — is an error,
+// because then the file is not a log this build can read and truncating
+// it would destroy someone else's data.
 func DecodeWAL(data []byte) (uint64, []Record, int64, error) {
-	_, firstSeq, recs, good, err := decodeWALImage(data)
-	return firstSeq, recs, good, err
-}
-
-// decodeWALImage is DecodeWAL plus the header's payload version, which
-// OpenWALIn needs so appends extend the file in its own layout.
-func decodeWALImage(data []byte) (uint16, uint64, []Record, int64, error) {
 	if len(data) < walHeaderSize || string(data[:4]) != walMagic {
-		return 0, 0, nil, 0, errors.New("not a UTCQ write-ahead log")
+		return 0, nil, 0, errors.New("not a UTCQ write-ahead log")
 	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	if version != walVersionV1 && version != walVersionV2 {
-		return 0, 0, nil, 0, fmt.Errorf("unsupported WAL version %d", version)
+	if version := binary.LittleEndian.Uint16(data[4:6]); version != walVersion {
+		return 0, nil, 0, fmt.Errorf("unsupported WAL version %d", version)
 	}
 	firstSeq := binary.LittleEndian.Uint64(data[6:14])
 	var recs []Record
@@ -230,44 +213,36 @@ func decodeWALImage(data []byte) (uint16, uint64, []Record, int64, error) {
 	for {
 		rest := data[off:]
 		if len(rest) < walFrameSize {
-			return version, firstSeq, recs, off, nil
+			return firstSeq, recs, off, nil
 		}
 		length := binary.LittleEndian.Uint32(rest[:4])
 		crc := binary.LittleEndian.Uint32(rest[4:8])
 		if length > maxWALRecord || int(length) > len(rest)-walFrameSize {
-			return version, firstSeq, recs, off, nil
+			return firstSeq, recs, off, nil
 		}
 		payload := rest[walFrameSize : walFrameSize+int(length)]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return version, firstSeq, recs, off, nil
+			return firstSeq, recs, off, nil
 		}
-		rec, ok := decodeRecord(payload, version)
+		rec, ok := decodeRecord(payload)
 		if !ok {
 			// The checksum matched but the payload is structurally invalid:
 			// this is not a torn write, it is corruption (or a foreign
 			// record) that fsync promised us could not happen.  Stop here
 			// and let the caller keep the valid prefix.
-			return version, firstSeq, recs, off, nil
+			return firstSeq, recs, off, nil
 		}
 		recs = append(recs, rec)
 		off += walFrameSize + int64(length)
 	}
 }
 
-// encodeRecord serializes one record payload in the given layout version.
-// A version-1 layout has no field for the error budget; the eps is
-// dropped there (the points themselves are already simplified).
-func encodeRecord(rec Record, version uint16) []byte {
-	pre := 0
-	if version >= walVersionV2 {
-		pre = walEpsSize
-	}
-	out := make([]byte, pre+4+walPointSize*len(rec.Raw.Points))
-	if pre > 0 {
-		binary.LittleEndian.PutUint64(out, math.Float64bits(rec.Eps))
-	}
-	binary.LittleEndian.PutUint32(out[pre:], uint32(len(rec.Raw.Points)))
-	o := pre + 4
+// encodeRecord serializes one record payload.
+func encodeRecord(rec Record) []byte {
+	out := make([]byte, walEpsSize+4+walPointSize*len(rec.Raw.Points))
+	binary.LittleEndian.PutUint64(out, math.Float64bits(rec.Eps))
+	binary.LittleEndian.PutUint32(out[walEpsSize:], uint32(len(rec.Raw.Points)))
+	o := walEpsSize + 4
 	for _, p := range rec.Raw.Points {
 		binary.LittleEndian.PutUint64(out[o:], uint64(int64FromF64(p.X)))
 		binary.LittleEndian.PutUint64(out[o+8:], uint64(int64FromF64(p.Y)))
@@ -277,20 +252,14 @@ func encodeRecord(rec Record, version uint16) []byte {
 	return out
 }
 
-// decodeRecord parses one payload in the given layout version; ok is
-// false on any structural mismatch.
-func decodeRecord(payload []byte, version uint16) (Record, bool) {
-	var rec Record
-	if version >= walVersionV2 {
-		if len(payload) < walEpsSize {
-			return Record{}, false
-		}
-		rec.Eps = math.Float64frombits(binary.LittleEndian.Uint64(payload))
-		payload = payload[walEpsSize:]
-	}
-	if len(payload) < 4 {
+// decodeRecord parses one payload; ok is false on any structural
+// mismatch.
+func decodeRecord(payload []byte) (Record, bool) {
+	if len(payload) < walEpsSize+4 {
 		return Record{}, false
 	}
+	rec := Record{Eps: math.Float64frombits(binary.LittleEndian.Uint64(payload))}
+	payload = payload[walEpsSize:]
 	n := binary.LittleEndian.Uint32(payload)
 	if int(n) != (len(payload)-4)/walPointSize || len(payload) != 4+walPointSize*int(n) {
 		return Record{}, false
@@ -310,8 +279,7 @@ func decodeRecord(payload []byte, version uint16) (Record, bool) {
 
 // Append adds one record to the log buffer and returns its sequence number
 // (its zero-based index in the log).  eps is the SED error budget the
-// trajectory was simplified under (0: unsimplified); version-1 logs have
-// no field for it and record the points alone.  The record is
+// trajectory was simplified under (0: unsimplified).  The record is
 // acknowledged — and must be reported to the submitter as accepted — only
 // after a Sync.
 func (w *WAL) Append(raw traj.RawTrajectory, eps float64) (uint64, error) {
@@ -324,7 +292,7 @@ func (w *WAL) Append(raw traj.RawTrajectory, eps float64) (uint64, error) {
 	if len(raw.Points) > MaxPoints {
 		return 0, fmt.Errorf("ingest: trajectory of %d points exceeds the WAL record limit (%d)", len(raw.Points), MaxPoints)
 	}
-	payload := encodeRecord(Record{Raw: raw, Eps: eps}, w.version)
+	payload := encodeRecord(Record{Raw: raw, Eps: eps})
 	var frame [walFrameSize]byte
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
@@ -378,10 +346,6 @@ func (w *WAL) Size() int64 { return w.size + int64(len(w.buf)) }
 
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
-
-// Version returns the file's payload layout version (1 for logs written
-// by builds before the error-budget field, 2 for logs created since).
-func (w *WAL) Version() uint16 { return w.version }
 
 // Checkpoint drops every record with sequence below upTo — records the
 // store manifest confirms applied (walApplied) — by atomically rewriting
@@ -440,7 +404,7 @@ func (w *WAL) Checkpoint(upTo uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := walHeader(w.version, upTo)
+	hdr := walHeader(upTo)
 	var copied int64
 	if _, err = tmp.Write(hdr[:]); err == nil {
 		copied, err = io.Copy(tmp, br)

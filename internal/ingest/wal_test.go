@@ -1,12 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"utcq/internal/traj"
@@ -42,9 +44,6 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if len(recs) != 0 || w.Count() != 0 {
 		t.Fatalf("fresh WAL has %d records", len(recs))
-	}
-	if w.Version() != walVersion {
-		t.Fatalf("fresh WAL has version %d, want %d", w.Version(), walVersion)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var want []Record
@@ -285,61 +284,36 @@ func TestWALRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// walImageV1 frames v1 payloads (no eps field) under a version-1 header —
-// the byte-for-byte footprint of a log written by a pre-eps build.
-func walImageV1(recs ...Record) []byte {
-	out := walHeader(walVersionV1, 0)
-	img := append([]byte(nil), out[:]...)
+// TestWALVersion1Refused pins the version policy: a version-1 log (the
+// pre-error-budget layout) is refused with a versioned error by OpenWAL
+// and DecodeWAL, which leave the file untouched, and a version-1
+// replication stream is refused by DecodeFrames.
+func TestWALVersion1Refused(t *testing.T) {
+	hdr := walHeader(0)
+	binary.LittleEndian.PutUint16(hdr[4:], 1)
+	// One v1 record: numPoints u32 and the points, no eps field.
+	payload := encodeRecord(Record{Raw: randomRaw(rand.New(rand.NewSource(21)))})[walEpsSize:]
 	var frame [walFrameSize]byte
-	for _, rec := range recs {
-		p := encodeRecord(rec, walVersionV1)
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(p))
-		img = append(img, frame[:]...)
-		img = append(img, p...)
-	}
-	return img
-}
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	img := append(append(append([]byte(nil), hdr[:]...), frame[:]...), payload...)
 
-// TestWALVersion1Compat pins backward compatibility: a version-1 log (no
-// per-record error budget) replays with ε = 0 on every record, keeps
-// accepting appends in its own v1 layout — no silent upgrade rewrites a
-// file an older build might still roll back to — and replays them too.
-func TestWALVersion1Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	old := []Record{{Raw: randomRaw(rng)}, {Raw: randomRaw(rng)}, {Raw: randomRaw(rng)}}
+	const want = "unsupported WAL version 1"
+	if _, _, _, err := DecodeWAL(img); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeWAL(v1) = %v, want %q", err, want)
+	}
 	path := filepath.Join(t.TempDir(), "v1.wal")
-	if err := os.WriteFile(path, walImageV1(old...), 0o644); err != nil {
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, recs, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("v1 log rejected: %v", err)
+	if _, _, err := OpenWAL(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenWAL(v1) = %v, want %q", err, want)
 	}
-	if w.Version() != walVersionV1 {
-		t.Fatalf("v1 log reports version %d", w.Version())
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, img) {
+		t.Fatalf("OpenWAL modified a refused v1 log: %d bytes, %v", len(data), err)
 	}
-	if !reflect.DeepEqual(recs, old) {
-		t.Fatalf("v1 replay: %d records, want %d (all with eps 0)", len(recs), len(old))
-	}
-	// Appends extend the v1 file; the eps metadata has nowhere to live in
-	// this layout and is documented to drop to 0 on replay.
-	extra := randomRaw(rng)
-	if _, err := w.Append(extra, 7.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, recs2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if w2.Version() != walVersionV1 {
-		t.Fatalf("append upgraded a v1 log to version %d", w2.Version())
-	}
-	if len(recs2) != 4 || !reflect.DeepEqual(recs2[3].Raw, extra) || recs2[3].Eps != 0 {
-		t.Fatalf("v1 append not replayed as expected: %d records", len(recs2))
+	if _, err := DecodeFrames(img[walHeaderSize:], 1); err == nil ||
+		!strings.Contains(err.Error(), "unsupported replication stream version 1") {
+		t.Fatalf("DecodeFrames(v1) = %v", err)
 	}
 }

@@ -20,9 +20,9 @@ type whenWorkload struct {
 	locs []roadnet.Position
 }
 
-// succinct selects an index decoded from a v2 sidecar instead of the
-// built one, so the assertion also covers the rank/select read path.
-func buildWhenWorkload(tb testing.TB, succinct bool) *whenWorkload {
+// fromSidecar selects an index decoded from its sidecar bytes instead of
+// the built one, so the assertion also covers the lazy decode path.
+func buildWhenWorkload(tb testing.TB, fromSidecar bool) *whenWorkload {
 	tb.Helper()
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 24, 24
@@ -43,7 +43,7 @@ func buildWhenWorkload(tb testing.TB, succinct bool) *whenWorkload {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if succinct {
+	if fromSidecar {
 		enc, err := ix.EncodeSidecar(1)
 		if err != nil {
 			tb.Fatal(err)
@@ -89,16 +89,16 @@ func TestAppendWhenAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	for _, tc := range []struct {
-		name     string
-		succinct bool
-		cold     bool
+		name        string
+		fromSidecar bool
+		cold        bool
 	}{
 		{"built", false, false},
 		{"v2sidecar", true, false},
 		{"cold", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := buildWhenWorkload(t, tc.succinct)
+			w := buildWhenWorkload(t, tc.fromSidecar)
 			buf, err := w.run(nil) // size the result buffer and the scratch pools
 			if err != nil {
 				t.Fatal(err)

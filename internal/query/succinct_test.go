@@ -11,14 +11,17 @@ import (
 	"utcq/internal/stiu"
 )
 
-// succinctVariants builds three engines over the same archive whose StIU
-// indexes differ only in provenance: built in memory (no sidecar), decoded
-// from a v1 sidecar (eager temporal, monolithic lazy blocks), and decoded
-// from a v2 sidecar (rank/select + lazy temporal sections).
-func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Dataset, []struct {
+// namedEngine labels one engine of a variant set.
+type namedEngine struct {
 	name string
 	eng  *Engine
-}) {
+}
+
+// succinctVariants builds two engines over the same archive whose StIU
+// indexes differ only in provenance: built in memory, with every decode
+// cache seeded, and decoded from the sidecar bytes, with every section
+// left encoded until first touch.
+func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Dataset, []namedEngine) {
 	t.Helper()
 	p.Network.Cols, p.Network.Rows = 24, 24
 	ds, err := gen.Build(p, n, seed)
@@ -38,116 +41,110 @@ func succinctVariants(t *testing.T, p gen.Profile, n int, seed int64) (*gen.Data
 	if err != nil {
 		t.Fatal(err)
 	}
-	encV1, err := built.EncodeSidecarV1(1)
+	enc, err := built.EncodeSidecar(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encV2, err := built.EncodeSidecar(1)
+	decoded, err := stiu.DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := stiu.DecodeSidecar(encV1, a.Graph, len(a.Trajs), 1, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := stiu.DecodeSidecar(encV2, a.Graph, len(a.Trajs), 1, sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, []struct {
-		name string
-		eng  *Engine
-	}{
-		{"built", NewEngine(a, built)},
-		{"v1", NewEngine(a, v1)},
-		{"v2", NewEngine(a, v2)},
+	return ds, []namedEngine{{"built", NewEngine(a, built)}, {"sidecar", NewEngine(a, decoded)}}
+}
+
+// sweepProfiles are the three synthetic road networks the variant tests
+// sweep, each with its own dataset seed.
+var sweepProfiles = []struct {
+	name string
+	p    gen.Profile
+	seed int64
+}{
+	{"DK", gen.DK(), 31},
+	{"CD", gen.CD(), 32},
+	{"HZ", gen.HZ(), 33},
+}
+
+// sweep runs 80 random where/when/range queries against every variant and
+// requires each answer to equal the first variant's.
+func sweep(t *testing.T, ds *gen.Dataset, seed int64, variants []namedEngine) {
+	t.Helper()
+	oracle := NewOracle(ds.Graph, ds.Trajectories)
+	rng := rand.New(rand.NewSource(seed * 7))
+	bounds := ds.Graph.Bounds()
+	for trial := 0; trial < 80; trial++ {
+		j := rng.Intn(len(ds.Trajectories))
+		T := ds.Trajectories[j].T
+		tq := T[0] + rng.Int63n(T[len(T)-1]-T[0]+1)
+		alpha := rng.Float64() * 0.6
+
+		// Where: identical instance sets and positions.
+		base, err := variants[0].eng.Where(j, tq, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants[1:] {
+			got, err := v.eng.Where(j, tq, alpha)
+			if err != nil {
+				t.Fatalf("%s Where: %v", v.name, err)
+			}
+			if !reflect.DeepEqual(base, got) {
+				t.Fatalf("%s Where(%d, %d, %g) diverged", v.name, j, tq, alpha)
+			}
+		}
+
+		// When: a location the trajectory actually visits.
+		inst := rng.Intn(len(ds.Trajectories[j].Instances))
+		pi, err := oracle.path(j, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := pi.Edges[rng.Intn(len(pi.Edges))]
+		loc := ds.Graph.PositionAtRD(edge, rng.Float64())
+		baseWhen, err := variants[0].eng.When(j, loc, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants[1:] {
+			got, err := v.eng.When(j, loc, alpha)
+			if err != nil {
+				t.Fatalf("%s When: %v", v.name, err)
+			}
+			if !reflect.DeepEqual(baseWhen, got) {
+				t.Fatalf("%s When(%d, %g) diverged", v.name, j, alpha)
+			}
+		}
+
+		// Range: random window, shared across variants.
+		w := (bounds.MaxX - bounds.MinX) * 0.15
+		x := bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX-w)
+		y := bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY-w)
+		re := roadnet.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + w}
+		baseRange, err := variants[0].eng.Range(re, tq, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range variants[1:] {
+			got, err := v.eng.Range(re, tq, alpha)
+			if err != nil {
+				t.Fatalf("%s Range: %v", v.name, err)
+			}
+			if !reflect.DeepEqual(baseRange, got) {
+				t.Fatalf("%s Range(%+v, %d, %g) diverged", v.name, re, tq, alpha)
+			}
+		}
 	}
 }
 
-// TestSuccinctPruningEquivalence pins succinct pruning ≡ materialized
-// pruning on all three synthetic road networks: the same query workload
-// must return identical results from a built index, a v1-sidecar index
-// and a v2-sidecar index — and take identical pruning decisions, observed
-// through the TrajsPruned / InstancesSkipped counters.
+// TestSuccinctPruningEquivalence pins seeded ≡ lazily decoded pruning on
+// all three synthetic road networks: the same query workload must return
+// identical results from a built index and a sidecar-decoded one — and
+// take identical pruning decisions, observed through the TrajsPruned /
+// InstancesSkipped counters.
 func TestSuccinctPruningEquivalence(t *testing.T) {
-	profiles := []struct {
-		name string
-		p    gen.Profile
-		seed int64
-	}{
-		{"DK", gen.DK(), 31},
-		{"CD", gen.CD(), 32},
-		{"HZ", gen.HZ(), 33},
-	}
-	for _, pr := range profiles {
+	for _, pr := range sweepProfiles {
 		t.Run(pr.name, func(t *testing.T) {
 			ds, variants := succinctVariants(t, pr.p, 25, pr.seed)
-			oracle := NewOracle(ds.Graph, ds.Trajectories)
-			rng := rand.New(rand.NewSource(pr.seed * 7))
-			bounds := ds.Graph.Bounds()
-
-			for trial := 0; trial < 80; trial++ {
-				j := rng.Intn(len(ds.Trajectories))
-				T := ds.Trajectories[j].T
-				tq := T[0] + rng.Int63n(T[len(T)-1]-T[0]+1)
-				alpha := rng.Float64() * 0.6
-
-				// Where: identical instance sets and positions.
-				base, err := variants[0].eng.Where(j, tq, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range variants[1:] {
-					got, err := v.eng.Where(j, tq, alpha)
-					if err != nil {
-						t.Fatalf("%s Where: %v", v.name, err)
-					}
-					if !reflect.DeepEqual(base, got) {
-						t.Fatalf("%s Where(%d, %d, %g) diverged", v.name, j, tq, alpha)
-					}
-				}
-
-				// When: a location the trajectory actually visits.
-				inst := rng.Intn(len(ds.Trajectories[j].Instances))
-				pi, err := oracle.path(j, inst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				edge := pi.Edges[rng.Intn(len(pi.Edges))]
-				loc := ds.Graph.PositionAtRD(edge, rng.Float64())
-				baseWhen, err := variants[0].eng.When(j, loc, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range variants[1:] {
-					got, err := v.eng.When(j, loc, alpha)
-					if err != nil {
-						t.Fatalf("%s When: %v", v.name, err)
-					}
-					if !reflect.DeepEqual(baseWhen, got) {
-						t.Fatalf("%s When(%d, %g) diverged", v.name, j, alpha)
-					}
-				}
-
-				// Range: random window, shared across variants.
-				w := (bounds.MaxX - bounds.MinX) * 0.15
-				x := bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX-w)
-				y := bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY-w)
-				re := roadnet.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + w}
-				baseRange, err := variants[0].eng.Range(re, tq, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range variants[1:] {
-					got, err := v.eng.Range(re, tq, alpha)
-					if err != nil {
-						t.Fatalf("%s Range: %v", v.name, err)
-					}
-					if !reflect.DeepEqual(baseRange, got) {
-						t.Fatalf("%s Range(%+v, %d, %g) diverged", v.name, re, tq, alpha)
-					}
-				}
-			}
+			sweep(t, ds, pr.seed, variants)
 
 			// Identical answers must come from identical pruning decisions,
 			// not compensating errors.
@@ -161,6 +158,27 @@ func TestSuccinctPruningEquivalence(t *testing.T) {
 					t.Fatalf("%s pruning counters (pruned=%d skipped=%d) != built (pruned=%d skipped=%d)",
 						v.name, st.TrajsPruned, st.InstancesSkipped, base.TrajsPruned, base.InstancesSkipped)
 				}
+			}
+		})
+	}
+}
+
+// TestBuiltIndexServesSeeded pins Build's cache seeding: a freshly built
+// index answers a full where/when/range sweep without decoding a single
+// bucket or temporal section, while the same sweep on the sidecar-decoded
+// index has to decode both.
+func TestBuiltIndexServesSeeded(t *testing.T) {
+	for _, pr := range sweepProfiles {
+		t.Run(pr.name, func(t *testing.T) {
+			ds, variants := succinctVariants(t, pr.p, 25, pr.seed)
+			sweep(t, ds, pr.seed, variants)
+			if st := variants[0].eng.Ix.Stats(); st.RegionBlocksDecoded != 0 || st.TemporalSectionsForced != 0 {
+				t.Fatalf("built index decoded %d buckets and %d temporal sections, want 0 and 0",
+					st.RegionBlocksDecoded, st.TemporalSectionsForced)
+			}
+			if st := variants[1].eng.Ix.Stats(); st.RegionBlocksDecoded == 0 || st.TemporalSectionsForced == 0 {
+				t.Fatalf("sidecar index decoded %d buckets and %d temporal sections, want both > 0",
+					st.RegionBlocksDecoded, st.TemporalSectionsForced)
 			}
 		})
 	}

@@ -24,18 +24,18 @@ type TEDIndex struct {
 	// Per interval: active trajectories.
 	Intervals map[int][]int32
 
-	// byTrajRegion[j][re]: instances of trajectory j passing region re.
-	byTrajRegion []map[roadnet.RegionID][]int32
+	// trajRegionInsts[j][re]: instances of trajectory j passing region re.
+	trajRegionInsts []map[roadnet.RegionID][]int32
 }
 
 // BuildTEDIndex constructs the baseline index.
 func BuildTEDIndex(a *ted.Archive, opts stiu.Options) (*TEDIndex, error) {
 	ix := &TEDIndex{
-		Opts:         opts,
-		Grid:         roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY),
-		Temporal:     make([][]stiu.TemporalEntry, len(a.Trajs)),
-		Intervals:    make(map[int][]int32),
-		byTrajRegion: make([]map[roadnet.RegionID][]int32, len(a.Trajs)),
+		Opts:            opts,
+		Grid:            roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY),
+		Temporal:        make([][]stiu.TemporalEntry, len(a.Trajs)),
+		Intervals:       make(map[int][]int32),
+		trajRegionInsts: make([]map[roadnet.RegionID][]int32, len(a.Trajs)),
 	}
 	for j := range a.Trajs {
 		T, err := a.DecodeTime(j)
@@ -69,7 +69,7 @@ func BuildTEDIndex(a *ted.Archive, opts stiu.Options) (*TEDIndex, error) {
 			ix.Intervals[iv] = append(ix.Intervals[iv], int32(j))
 		}
 
-		ix.byTrajRegion[j] = make(map[roadnet.RegionID][]int32)
+		ix.trajRegionInsts[j] = make(map[roadnet.RegionID][]int32)
 		for i := range a.Trajs[j].Insts {
 			ins, err := a.DecodeInstance(j, i)
 			if err != nil {
@@ -84,7 +84,7 @@ func BuildTEDIndex(a *ted.Archive, opts stiu.Options) (*TEDIndex, error) {
 				for _, re := range ix.Grid.CellsOfEdge(a.Graph, e) {
 					if !seen[re] {
 						seen[re] = true
-						ix.byTrajRegion[j][re] = append(ix.byTrajRegion[j][re], int32(i))
+						ix.trajRegionInsts[j][re] = append(ix.trajRegionInsts[j][re], int32(i))
 					}
 				}
 			}
@@ -104,7 +104,7 @@ func (ix *TEDIndex) SizeBits(vertexBits int) int64 {
 	for _, entries := range ix.Temporal {
 		n += int64(len(entries)) * (17 + 12 + 32)
 	}
-	for _, regions := range ix.byTrajRegion {
+	for _, regions := range ix.trajRegionInsts {
 		for _, insts := range regions {
 			n += int64(len(insts)) * int64(vertexBits+12+32)
 		}
@@ -267,7 +267,7 @@ func (e *TEDEngine) When(j int, loc roadnet.Position, alpha float64) ([]WhenResu
 	g := e.Arch.Graph
 	x, y := g.Coords(loc)
 	re := e.Ix.Grid.CellOf(x, y)
-	insts := e.Ix.byTrajRegion[j][re]
+	insts := e.Ix.trajRegionInsts[j][re]
 	rec := e.Arch.Trajs[j]
 	var out []WhenResult
 	for _, i32 := range insts {

@@ -98,7 +98,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 		case <-time.After(replPollEvery):
 		}
 	}
-	body := ingest.EncodeFrames(batch.Records, batch.Version)
+	body := ingest.EncodeFrames(batch.Records)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerWALVersion, strconv.Itoa(int(batch.Version)))
 	w.Header().Set(headerWALFrom, strconv.FormatUint(batch.From, 10))

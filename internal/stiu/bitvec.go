@@ -1,4 +1,4 @@
-// Broadword rank bitvectors for the UTCI v2 sidecar (FORMAT.md §5).
+// Broadword rank bitvectors for the UTCI sidecar (FORMAT.md §5.2).
 //
 // A bitvec is a read-only view over sidecar bytes: 64-bit little-endian
 // words plus one 32-bit cumulative-popcount superblock per 8 words (512
@@ -36,19 +36,17 @@ func appendBitvec(buf []byte, nbits int, vals []int32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(nbits))
 	buf = binary.AppendUvarint(buf, uint64(len(vals)))
 	nwords := (nbits + 63) / 64
-	words := make([]uint64, nwords)
+	start := len(buf)
+	buf = append(buf, make([]byte, 8*nwords)...)
 	for _, v := range vals {
-		words[v>>6] |= 1 << (uint(v) & 63)
+		buf[start+int(v>>3)] |= 1 << (v & 7) // bit v of the little-endian words
 	}
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	cum := uint32(0)
+	k := 0
 	for s := 0; s*superWords < nwords; s++ {
-		buf = binary.LittleEndian.AppendUint32(buf, cum)
-		for w := s * superWords; w < nwords && w < (s+1)*superWords; w++ {
-			cum += uint32(bits.OnesCount64(words[w]))
+		for k < len(vals) && int(vals[k]) < s*superWords*64 {
+			k++
 		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
 	}
 	return buf
 }
@@ -124,17 +122,18 @@ func (bv *bitvec) rank1(i int) int {
 	return r
 }
 
-// appendOnes appends the positions of every set bit in ascending order,
-// the iteration Materialize uses to rebuild the region maps.
-func (bv *bitvec) appendOnes(dst []int32) []int32 {
+// forEach calls fn(k, i) for every set bit i in ascending order, where k
+// is the bit's rank (its slot in the layout's offset table).
+func (bv *bitvec) forEach(fn func(k, i int)) {
+	k := 0
 	for w := 0; w*64 < bv.nbits; w++ {
 		v := binary.LittleEndian.Uint64(bv.words[8*w:])
 		for v != 0 {
-			dst = append(dst, int32(w*64+bits.TrailingZeros64(v)))
+			fn(k, w*64+bits.TrailingZeros64(v))
+			k++
 			v &= v - 1
 		}
 	}
-	return dst
 }
 
 // sizeBytes is the succinct footprint of the view (words + superblocks).

@@ -5,8 +5,184 @@ import (
 	"sort"
 
 	"utcq/internal/core"
+	"utcq/internal/par"
 	"utcq/internal/roadnet"
 )
+
+// buildState is what Build's walk and merge produce before encoding: the
+// per-trajectory temporal entries and region buckets and the per-interval
+// cells.  It lives only as long as Build; the index keeps its structures
+// as the seeded decode caches.
+type buildState struct {
+	temporal   [][]TemporalEntry
+	trajRegion []map[roadnet.RegionID]*RegionBucket
+	intervals  map[int]*builtInterval
+}
+
+// builtInterval is one interval's cell contents during a build.
+type builtInterval struct {
+	trajs   []int32 // trajectories whose time span intersects the interval
+	regions map[roadnet.RegionID]*RegionBucket
+}
+
+// Build constructs the index from a compressed archive.  Building happens
+// at compression time (the paper builds StIU "during compression"), so it
+// may decode records freely.
+//
+// Construction has two phases.  The walk phase decodes each trajectory's
+// instance traversals and produces a per-trajectory tuple batch; walks are
+// independent, so they run on a bounded worker pool (Options.Parallelism).
+// The merge phase folds the batches into the grid/interval cells, sharded
+// by interval id so shards never touch the same cell.  Both phases apply
+// batches in trajectory order, so the index is identical to a serial build.
+// The result is then encoded in the sidecar layout, parsed back as
+// DecodeSidecar would, and its decode caches are seeded with the built
+// structures.
+func Build(a *core.Archive, opts Options) (*Index, error) {
+	if opts.GridNX < 1 || opts.GridNY < 1 || opts.IntervalDur < 1 {
+		return nil, fmt.Errorf("stiu: invalid options %+v", opts)
+	}
+	n := len(a.Trajs)
+	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY)}
+	st := &buildState{
+		temporal:   make([][]TemporalEntry, n),
+		trajRegion: make([]map[roadnet.RegionID]*RegionBucket, n),
+	}
+	workers := par.Workers(opts.Parallelism)
+
+	// Walk phase: per-trajectory batches, plus the per-trajectory index
+	// parts (temporal entries, trajectory-region buckets) that no other
+	// worker touches.
+	batches := make([]*trajBatch, n)
+	err := par.Do(workers, n, func(j int) error {
+		b, err := ix.walkTrajectory(a, j)
+		if err != nil {
+			return fmt.Errorf("stiu: trajectory %d: %w", j, err)
+		}
+		batches[j] = b
+		st.temporal[j], st.trajRegion[j] = b.temporal, b.trajRegion
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	st.intervals = mergeBatches(batches, workers)
+	for _, iv := range st.intervals {
+		sort.Slice(iv.trajs, func(x, y int) bool { return iv.trajs[x] < iv.trajs[y] })
+		iv.trajs = dedupInt32(iv.trajs)
+	}
+
+	data, err := st.encode(opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.parse(data, n); err != nil {
+		return nil, err
+	}
+	if err := ix.seed(st, workers); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// seed fills every decode cache of a freshly parsed index with the
+// structures the build already holds, so queries on a built index never
+// decode a section: they read exactly what DecodeSidecar's lazy paths
+// would produce from the same bytes.
+func (ix *Index) seed(st *buildState, workers int) error {
+	for id, biv := range st.intervals {
+		iv := ix.Intervals[id]
+		iv.Trajs = biv.trajs
+		iv.cand.done.Store(true)
+		iv.layout.seed(biv.regions)
+	}
+	return par.Do(workers, len(st.temporal), func(j int) error {
+		ix.Temporal[j] = st.temporal[j]
+		ix.lazyTemporal[j].done.Store(true)
+		if err := ix.forceTRHeader(j); err != nil {
+			return err
+		}
+		ix.trajRegions[j].layout.seed(st.trajRegion[j])
+		return nil
+	})
+}
+
+// seed publishes the bucket of every occupied region of m, in rank order.
+func (l *layout) seed(m map[roadnet.RegionID]*RegionBucket) {
+	l.occ.forEach(func(k, re int) { l.decoded[k].Store(m[roadnet.RegionID(re)]) })
+}
+
+// mergeBatches folds the walk batches into interval cells.  Each shard
+// owns the intervals with id ≡ shard (mod shards) and applies every batch
+// in trajectory order, so no two shards write the same cell and the tuple
+// order within each cell matches a serial build exactly.
+func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
+	if shards < 1 {
+		shards = 1
+	}
+	mod := func(iv int) int { return ((iv % shards) + shards) % shards }
+	parts := make([]map[int]*builtInterval, shards)
+	// Shard counts are small; par.Do with error-free work never fails.
+	_ = par.Do(shards, shards, func(s int) error {
+		m := make(map[int]*builtInterval)
+		get := func(id int) *builtInterval {
+			iv := m[id]
+			if iv == nil {
+				iv = &builtInterval{regions: make(map[roadnet.RegionID]*RegionBucket)}
+				m[id] = iv
+			}
+			return iv
+		}
+		for j, b := range batches {
+			for iv := b.firstIv; iv <= b.lastIv; iv++ {
+				if mod(iv) == s {
+					in := get(iv)
+					in.trajs = append(in.trajs, int32(j))
+				}
+			}
+			for _, e := range b.emits {
+				if mod(e.interval) != s {
+					continue
+				}
+				bk := bucketIn(get(e.interval).regions, e.re)
+				if e.isRef {
+					bk.Refs = append(bk.Refs, e.ref)
+				} else {
+					bk.NonRefs = append(bk.NonRefs, e.nonRef)
+				}
+			}
+		}
+		parts[s] = m
+		return nil
+	})
+	out := make(map[int]*builtInterval)
+	for _, m := range parts {
+		for id, iv := range m {
+			out[id] = iv
+		}
+	}
+	return out
+}
+
+// bucketIn returns (creating if needed) the bucket of region re in m.
+func bucketIn(m map[roadnet.RegionID]*RegionBucket, re roadnet.RegionID) *RegionBucket {
+	b := m[re]
+	if b == nil {
+		b = &RegionBucket{}
+		m[re] = b
+	}
+	return b
+}
+
+func dedupInt32(xs []int32) []int32 {
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
 
 // instWalk is the decoded traversal of one instance used during index
 // construction: edge-aligned entries, vertices, and region visits.
@@ -317,7 +493,7 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			}
 		}
 		b.emits = append(b.emits, spatialEmit{interval: k.interval, re: k.re, isRef: true, ref: rt})
-		tb := b.bucket(k.re)
+		tb := bucketIn(b.trajRegion, k.re)
 		tb.Refs = append(tb.Refs, rt)
 	}
 
@@ -350,21 +526,10 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			for _, iv := range intervalsOf(v) {
 				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re, isRef: false, nonRef: nt})
 			}
-			tb := b.bucket(v.re)
+			tb := bucketIn(b.trajRegion, v.re)
 			tb.NonRefs = append(tb.NonRefs, nt)
 		}
 	}
-}
-
-// bucket returns (creating if needed) the batch's per-trajectory bucket of
-// region re.
-func (b *trajBatch) bucket(re roadnet.RegionID) *RegionBucket {
-	bk := b.trajRegion[re]
-	if bk == nil {
-		bk = &RegionBucket{}
-		b.trajRegion[re] = bk
-	}
-	return bk
 }
 
 // factorOf returns the factor index whose entry span contains off.

@@ -9,10 +9,11 @@ import (
 )
 
 // FuzzSidecarDecode throws arbitrary bytes at the sidecar decoder —
-// seeded with real v1 and v2 encodings so mutations explore the rank
-// directories, offset tables and lazy temporal sections rather than dying
-// at the header.  Whatever decodes must also survive full materialization
-// and the lazy point accessors without panicking; errors are fine.
+// seeded with a real encoding and cuts of it so mutations explore the
+// rank directories, offset tables and lazy temporal sections rather than
+// dying at the header.  Whatever decodes must also survive every lazy
+// accessor and a full walk of the buckets without panicking; errors are
+// fine.
 func FuzzSidecarDecode(f *testing.F) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	p := gen.CD()
@@ -34,17 +35,13 @@ func FuzzSidecarDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	const archiveSize = 7
-	v2, err := ix.EncodeSidecar(archiveSize)
+	enc, err := ix.EncodeSidecar(archiveSize)
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := ix.EncodeSidecarV1(archiveSize)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2)
-	f.Add(v1)
-	f.Add(v2[:len(v2)/2])
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1]) // cut inside the last trajectory-region layout
+	f.Add(enc[:len(enc)/2])
 	f.Add([]byte("UTCI"))
 
 	numTrajs := len(a.Trajs)
@@ -55,20 +52,11 @@ func FuzzSidecarDecode(f *testing.F) {
 		}
 		// Lazy accessors on hostile layouts: bounds failures must surface
 		// as errors, never as panics or out-of-range ranks.
-		for j := 0; j < numTrajs; j++ {
-			_, _ = dec.TemporalEntries(j)
-		}
 		for id := range dec.Intervals {
-			_, _ = dec.Candidates(id)
 			for re := 0; re < opts.GridNX*opts.GridNY; re += 5 {
 				_, _ = dec.Buckets(id, roadnet.RegionID(re))
 			}
 		}
-		for j := 0; j < numTrajs; j++ {
-			for re := 0; re < opts.GridNX*opts.GridNY; re += 7 {
-				_, _ = dec.TrajRegion(j, roadnet.RegionID(re))
-			}
-		}
-		_ = dec.Materialize()
+		touchAll(dec)
 	})
 }

@@ -1,7 +1,7 @@
 package stiu
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"utcq/internal/core"
@@ -9,9 +9,9 @@ import (
 )
 
 // TestBuildParallelDeterministic: the index built with any worker count
-// must be deeply equal to the serial (Parallelism: 1) build — temporal
-// entries, interval trajectory lists, every cell's tuple order, and the
-// per-trajectory region buckets.
+// must encode to the same sidecar bytes as the serial (Parallelism: 1)
+// build — temporal entries, interval trajectory lists, every cell's tuple
+// order, and the per-trajectory region buckets.
 func TestBuildParallelDeterministic(t *testing.T) {
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 20, 20
@@ -28,30 +28,27 @@ func TestBuildParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	build := func(parallelism int) *Index {
+	build := func(parallelism int) []byte {
 		ix, err := Build(a, Options{GridNX: 16, GridNY: 16, IntervalDur: 1800, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		enc, err := ix.EncodeSidecar(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
 	}
 
 	want := build(1)
 	for _, workers := range []int{0, 2, 4, 7} {
-		got := build(workers)
-		if !reflect.DeepEqual(got.Temporal, want.Temporal) {
-			t.Errorf("Parallelism=%d: temporal index differs from serial", workers)
-		}
-		if !reflect.DeepEqual(got.Intervals, want.Intervals) {
-			t.Errorf("Parallelism=%d: interval map differs from serial", workers)
-		}
-		if !reflect.DeepEqual(got.byTrajRegion, want.byTrajRegion) {
-			t.Errorf("Parallelism=%d: trajectory-region buckets differ from serial", workers)
+		if got := build(workers); !bytes.Equal(got, want) {
+			t.Errorf("Parallelism=%d: sidecar bytes differ from serial", workers)
 		}
 	}
 
 	// Serial rebuild is also self-identical (no map-order leaks anywhere).
-	if again := build(1); !reflect.DeepEqual(again.Intervals, want.Intervals) {
+	if again := build(1); !bytes.Equal(again, want) {
 		t.Error("two serial builds differ: nondeterministic tuple order")
 	}
 }

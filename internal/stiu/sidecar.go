@@ -1,69 +1,178 @@
-// Sidecar persistence for the StIU index ("UTCI" format, FORMAT.md §5).
+// Sidecar persistence for the StIU index ("UTCI" format, FORMAT.md §5),
+// which is also the one in-memory form every Index serves from.
 //
 // A sidecar freezes a built index so that opening a shard never replays
-// the O(archive) Build walk.  The temporal index and the per-interval
-// candidate sets decode eagerly (they are small and every query's pruning
-// touches them); the per-(interval,region) and per-trajectory region
-// buckets stay as encoded blocks inside the sidecar buffer and
-// materialize on first touch, so Lemma-1/2 pruning over cold intervals
-// costs nothing.  When the buffer is a memory mapping, untouched blocks
-// never even page in.
+// the O(archive) Build walk.  It stores
+//
+//   - a fixed-width u32 offset directory over per-trajectory temporal
+//     sections, so parsing decodes no temporal entry at all and
+//     trajectory j's section decodes on its first When/FindTemporal touch;
+//   - per interval, an Elias–Fano candidate set, a rank bitvector over
+//     the grid's region occupancy and a u32 offset table into individually
+//     encoded region buckets, so a Range probe of an absent (interval,
+//     region) pair is a bit test and a present pair decodes only its own
+//     bucket;
+//   - the same bitvector + offset-table shape per trajectory for the
+//     When path's Lemma-1 gate, behind a per-trajectory directory.
+//
+// All directories are fixed-width and verified at parse (monotone span
+// checks happen lazily per section), so parsing is O(header + interval
+// count), independent of temporal-entry and tuple counts.  When the
+// buffer is a memory mapping, untouched sections never even page in.
 //
 // The encoding is deterministic: intervals and regions are emitted in
-// ascending id order and tuple slices keep their build order, so
-// re-encoding a freshly built index is byte-stable.  An index decoded
-// from a sidecar keeps the original buffer and returns it verbatim from
-// EncodeSidecar.
+// ascending id order and tuple slices keep their build order.
 package stiu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"utcq/internal/bitio"
+	"utcq/internal/par"
 	"utcq/internal/roadnet"
 )
 
 const (
-	sidecarMagic     = "UTCI"
-	sidecarVersion   = 2
-	sidecarVersionV1 = 1
-	sidecarHdrLen    = 35
+	sidecarMagic   = "UTCI"
+	sidecarVersion = 2
+	sidecarHdrLen  = 35
 )
 
 // ErrSidecarMismatch reports a sidecar that is well-formed but was written
 // for a different archive or index geometry.
 var ErrSidecarMismatch = fmt.Errorf("stiu: sidecar does not match archive")
 
-// EncodeSidecar serializes the index for an archive of archiveSize bytes
-// in the current (v2) layout.  An index decoded from a sidecar — v1 or
-// v2 — for the same archive size returns its original buffer unchanged.
+// EncodeSidecar returns the index's sidecar bytes bound to an archive of
+// archiveSize bytes.  The index already serves from those bytes, so
+// nothing is re-encoded: when the header carries archiveSize the buffer
+// itself is returned (callers must not modify it), otherwise a copy with
+// the header's size field set — the buffer may be a read-only mapping.
 func (ix *Index) EncodeSidecar(archiveSize int64) ([]byte, error) {
-	if ix.raw != nil {
-		if sz, ok := sidecarArchiveSize(ix.raw); ok && sz == archiveSize {
-			return ix.raw, nil
-		}
+	if int64(binary.LittleEndian.Uint64(ix.raw[27:35])) == archiveSize {
+		return ix.raw, nil
 	}
-	if err := ix.Materialize(); err != nil {
-		return nil, err
-	}
-	return ix.encodeSidecarV2(archiveSize)
+	out := bytes.Clone(ix.raw)
+	binary.LittleEndian.PutUint64(out[27:35], uint64(archiveSize))
+	return out, nil
 }
 
-// appendSidecarHeader emits the 35-byte header shared by both versions.
-func (ix *Index) appendSidecarHeader(buf []byte, version uint16, archiveSize int64) []byte {
+// encode serializes the build state with a zero archive size.  Every
+// per-trajectory and per-interval part is independent, so the parts encode
+// on the worker pool and the assembly only concatenates them.
+func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
+	nbits := opts.GridNX * opts.GridNY
+	n := len(st.temporal)
+	ids := make([]int, 0, len(st.intervals))
+	for id := range st.intervals {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	temporal, trajRegion := make([][]byte, n), make([][]byte, n)
+	intervals := make([][]byte, len(ids))
+	err := par.Do(workers, n+len(ids), func(i int) error {
+		var err error
+		if i < n {
+			temporal[i] = appendTemporalEntries(nil, st.temporal[i])
+			if trajRegion[i], err = appendLayout(nil, nbits, st.trajRegion[i]); err != nil {
+				return fmt.Errorf("stiu: trajRegion[%d]: %w", i, err)
+			}
+			return nil
+		}
+		iv := st.intervals[ids[i-n]]
+		if intervals[i-n], err = appendLayout(appendEFSet(nil, iv.trajs), nbits, iv.regions); err != nil {
+			return fmt.Errorf("stiu: interval %d: %w", ids[i-n], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	size := sidecarHdrLen + 8*(n+1) + (len(ids)+1)*binary.MaxVarintLen64
+	for _, parts := range [][][]byte{temporal, trajRegion, intervals} {
+		for _, p := range parts {
+			size += len(p)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, sidecarMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, sidecarVersion)
 	buf = append(buf, 0) // flags
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.Opts.GridNX))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.Opts.GridNY))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ix.Opts.IntervalDur))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.Temporal)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(archiveSize))
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(opts.GridNX))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(opts.GridNY))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.IntervalDur))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // archive size
+
+	// Temporal section: (numTrajs+1) u32 offsets, then the blobs.
+	if buf, err = appendDirectory(buf, temporal); err != nil {
+		return nil, fmt.Errorf("stiu: temporal section: %w", err)
+	}
+	// Interval section, ascending id order.
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for i, id := range ids {
+		if i == 0 {
+			buf = binary.AppendVarint(buf, int64(id))
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(id-ids[i-1]))
+		}
+		buf = append(buf, intervals[i]...)
+	}
+	// Trajectory-region section: directory + per-trajectory layouts.
+	if buf, err = appendDirectory(buf, trajRegion); err != nil {
+		return nil, fmt.Errorf("stiu: trajRegion section: %w", err)
+	}
+	return buf, nil
+}
+
+// appendDirectory emits len(parts)+1 fixed-width u32 offsets delimiting
+// parts, then the concatenated parts themselves.
+func appendDirectory(buf []byte, parts [][]byte) ([]byte, error) {
+	off := 0
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	for _, p := range parts {
+		if off += len(p); off > math.MaxUint32 {
+			return nil, fmt.Errorf("section exceeds u32 offset space (%d bytes)", off)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
+	}
+	for _, p := range parts {
+		buf = append(buf, p...)
+	}
+	return buf, nil
+}
+
+// appendLayout emits one bucket layout: occupancy bitvector over nbits
+// regions, (npop+1) u32 offsets, and the concatenated bucket encodings in
+// ascending region-id (= rank) order.
+func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket) ([]byte, error) {
+	ids := make([]int32, 0, len(m))
+	for id := range m {
+		if id < 0 || int(id) >= nbits {
+			return nil, fmt.Errorf("region id %d outside %d-cell grid", id, nbits)
+		}
+		ids = append(ids, int32(id))
+	}
+	slices.Sort(ids)
+	buf = appendBitvec(buf, nbits, ids)
+	offs := len(buf)
+	buf = append(buf, make([]byte, 4*(len(ids)+1))...) // filled as buckets land
+	blob := len(buf)
+	for k, id := range ids {
+		buf = appendBucket(buf, m[roadnet.RegionID(id)])
+		if len(buf)-blob > math.MaxUint32 {
+			return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(buf)-blob)
+		}
+		binary.LittleEndian.PutUint32(buf[offs+4*(k+1):], uint32(len(buf)-blob))
+	}
+	return buf, nil
 }
 
 // appendTemporalEntries emits one trajectory's temporal section: a
@@ -84,72 +193,11 @@ func appendTemporalEntries(buf []byte, entries []TemporalEntry) []byte {
 	return buf
 }
 
-// sortedIntervalIDs returns the interval ids in ascending order, the
-// deterministic emission order of both encoders.
-func (ix *Index) sortedIntervalIDs() []int {
-	ids := make([]int, 0, len(ix.Intervals))
-	for id := range ix.Intervals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// EncodeSidecarV1 serializes the index in the legacy v1 layout (eager
-// temporal section, per-interval monolithic region blocks).  Kept so the
-// compatibility tests can mint v1 sidecars; the write path uses v2.
-func (ix *Index) EncodeSidecarV1(archiveSize int64) ([]byte, error) {
-	if err := ix.Materialize(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 1<<16)
-	buf = ix.appendSidecarHeader(buf, sidecarVersionV1, archiveSize)
-
-	// Temporal section.
-	for _, entries := range ix.Temporal {
-		buf = appendTemporalEntries(buf, entries)
-	}
-
-	// Interval section, ascending id order.
-	ids := ix.sortedIntervalIDs()
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	prevID := 0
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prevID))
-		}
-		prevID = id
-		iv := ix.Intervals[id]
-		buf = appendEFSet(buf, iv.Trajs)
-		block := encodeRegionBlock(iv.Regions)
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
-	}
-
-	// Trajectory-region section.
-	for _, m := range ix.byTrajRegion {
-		block := encodeRegionBlock(m)
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
-	}
-	return buf, nil
-}
-
-// sidecarArchiveSize reads the bound archive size from a sidecar header.
-func sidecarArchiveSize(data []byte) (int64, bool) {
-	if len(data) < sidecarHdrLen || string(data[:4]) != sidecarMagic {
-		return 0, false
-	}
-	return int64(binary.LittleEndian.Uint64(data[27:35])), true
-}
-
-// DecodeSidecar rebuilds an index from sidecar bytes (v1 or v2).  The
-// buffer may be a read-only memory mapping; decoded structures alias it,
-// so it must stay valid for the index's lifetime.  Any mismatch with the
-// expected geometry or archive returns an error — callers fall back to
-// Build.
+// DecodeSidecar rebuilds an index from sidecar bytes.  The buffer may be
+// a read-only memory mapping; the index aliases it, so it must stay valid
+// for the index's lifetime.  Any mismatch with the expected geometry or
+// archive, and any version other than the current one, returns an error —
+// callers fall back to Build.
 func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int64, opts Options) (*Index, error) {
 	if len(data) < sidecarHdrLen {
 		return nil, fmt.Errorf("stiu: sidecar too short (%d bytes)", len(data))
@@ -157,8 +205,7 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 	if string(data[:4]) != sidecarMagic {
 		return nil, fmt.Errorf("stiu: bad sidecar magic %q", data[:4])
 	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	if version != sidecarVersionV1 && version != sidecarVersion {
+	if version := binary.LittleEndian.Uint16(data[4:6]); version != sidecarVersion {
 		return nil, fmt.Errorf("stiu: unsupported sidecar version %d", version)
 	}
 	if data[6] != 0 {
@@ -175,24 +222,119 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 			ErrSidecarMismatch, nx, ny, dur, nt, sz,
 			opts.GridNX, opts.GridNY, opts.IntervalDur, numTrajs, archiveSize)
 	}
+	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(g, opts.GridNX, opts.GridNY)}
+	if err := ix.parse(data, numTrajs); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
 
-	ix := &Index{
-		Opts:         opts,
-		Grid:         roadnet.NewGrid(g, opts.GridNX, opts.GridNY),
-		Temporal:     make([][]TemporalEntry, numTrajs),
-		Intervals:    make(map[int]*Interval),
-		byTrajRegion: make([]map[roadnet.RegionID]*RegionBucket, numTrajs),
-		raw:          data,
-	}
+// parse attaches the body of a header-checked sidecar to ix.  Temporal
+// sections, candidate sets, per-trajectory region layouts and every
+// region bucket stay on the buffer; only the interval skeleton is built.
+func (ix *Index) parse(data []byte, numTrajs int) error {
+	ix.raw = data
+	ix.Temporal = make([][]TemporalEntry, numTrajs)
+	ix.lazyTemporal = make([]lazyBlock, numTrajs)
+	ix.Intervals = make(map[int]*Interval)
+	ix.trajRegions = make([]trLayout, numTrajs)
 	r := &sidecarReader{data: data, off: sidecarHdrLen}
-	if version == sidecarVersionV1 {
-		return decodeSidecarV1(r, ix, numTrajs)
+	nbits := ix.Opts.GridNX * ix.Opts.GridNY
+
+	var err error
+	if ix.tempDir, ix.tempBlob, err = r.directory(numTrajs); err != nil {
+		return fmt.Errorf("stiu: sidecar temporal directory: %w", err)
 	}
-	return decodeSidecarV2(r, ix, numTrajs)
+	resident := len(ix.tempDir)
+	ix.temporalBytes = int64(r.off - sidecarHdrLen)
+
+	start := r.off
+	nIv, err := r.intervalCount()
+	if err != nil {
+		return fmt.Errorf("stiu: sidecar intervals: %w", err)
+	}
+	prevID := int64(0)
+	for i := 0; i < nIv; i++ {
+		id, err := r.intervalID(i == 0, &prevID)
+		if err != nil {
+			return fmt.Errorf("stiu: sidecar intervals: %w", err)
+		}
+		iv := &Interval{}
+		if iv.cand.data, err = r.efSlice(); err != nil {
+			return fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
+		}
+		if iv.layout, err = r.layout(nbits); err != nil {
+			return fmt.Errorf("stiu: sidecar interval %d regions: %w", id, err)
+		}
+		resident += iv.occ.sizeBytes() + len(iv.offs)
+		ix.Intervals[id] = iv
+	}
+	ix.intervalBytes = int64(r.off - start)
+
+	start = r.off
+	if ix.trDir, ix.trBlob, err = r.directory(numTrajs); err != nil {
+		return fmt.Errorf("stiu: sidecar trajRegion directory: %w", err)
+	}
+	resident += len(ix.trDir)
+	ix.trajRegionBytes = int64(r.off - start)
+
+	if r.remaining() != 0 {
+		return fmt.Errorf("stiu: sidecar has %d trailing bytes", r.remaining())
+	}
+	ix.succinctBytes.Store(int64(resident))
+	return nil
+}
+
+// directory slices one fixed-width u32 offset directory and the blob it
+// spans; per-entry monotonicity is checked lazily by dirSpan.
+func (r *sidecarReader) directory(n int) (dir, blob []byte, err error) {
+	dir, err = r.take((n + 1) * 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	if binary.LittleEndian.Uint32(dir) != 0 {
+		return nil, nil, fmt.Errorf("directory does not start at offset 0")
+	}
+	blob, err = r.take(int(binary.LittleEndian.Uint32(dir[4*n:])))
+	if err != nil {
+		return nil, nil, err
+	}
+	return dir, blob, nil
+}
+
+// dirSpan returns a reader over entry j of a directory's blob.
+func dirSpan(dir, blob []byte, j int) (*sidecarReader, error) {
+	lo := int(binary.LittleEndian.Uint32(dir[4*j:]))
+	hi := int(binary.LittleEndian.Uint32(dir[4*j+4:]))
+	if lo > hi || hi > len(blob) {
+		return nil, fmt.Errorf("directory span [%d,%d) overflows blob of %d bytes", lo, hi, len(blob))
+	}
+	return &sidecarReader{data: blob[lo:hi:hi]}, nil
+}
+
+// layout parses one bucket layout: verified bitvector, offset table,
+// bucket blob.  Slicing and verification only — buckets stay encoded.
+func (r *sidecarReader) layout(universe int) (layout, error) {
+	occ, err := r.bitvec(universe)
+	if err != nil {
+		return layout{}, err
+	}
+	offs, err := r.take((occ.npop + 1) * 4)
+	if err != nil {
+		return layout{}, err
+	}
+	if binary.LittleEndian.Uint32(offs) != 0 {
+		return layout{}, fmt.Errorf("bucket offsets do not start at 0")
+	}
+	blob, err := r.take(int(binary.LittleEndian.Uint32(offs[4*occ.npop:])))
+	if err != nil {
+		return layout{}, err
+	}
+	return layout{occ: occ, offs: offs, buckets: blob, decoded: make([]atomic.Pointer[RegionBucket], occ.npop)}, nil
 }
 
 // decodeTemporalEntries reads one trajectory's temporal section (count +
-// delta-coded entries), the format shared by v1 and v2.
+// delta-coded entries).
 func decodeTemporalEntries(r *sidecarReader) ([]TemporalEntry, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -259,106 +401,10 @@ func (r *sidecarReader) intervalID(first bool, prev *int64) (int, error) {
 	return int(id), nil
 }
 
-// decodeSidecarV1 parses the legacy layout: eager temporal entries and
-// per-interval EF candidate sets, monolithic lazy region blocks.
-func decodeSidecarV1(r *sidecarReader, ix *Index, numTrajs int) (*Index, error) {
-	ix.lazyTR = make([]lazyBlock, numTrajs)
-
-	// Temporal section.
-	for j := 0; j < numTrajs; j++ {
-		entries, err := decodeTemporalEntries(r)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
-		}
-		ix.Temporal[j] = entries
-	}
-
-	// Interval section.
-	nIv, err := r.intervalCount()
-	if err != nil {
-		return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
-	}
-	prevID := int64(0)
-	for i := 0; i < nIv; i++ {
-		id, err := r.intervalID(i == 0, &prevID)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar intervals: %w", err)
-		}
-		trajs, err := r.efSet(numTrajs)
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
-		}
-		block, err := r.lenPrefixed()
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar interval %d regions: %w", id, err)
-		}
-		iv := &Interval{Trajs: trajs}
-		iv.lazy.data = block
-		ix.Intervals[id] = iv
-	}
-
-	// Trajectory-region section.
-	for j := 0; j < numTrajs; j++ {
-		block, err := r.lenPrefixed()
-		if err != nil {
-			return nil, fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
-		}
-		ix.lazyTR[j].data = block
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("stiu: sidecar has %d trailing bytes", r.remaining())
-	}
-	return ix, nil
-}
-
-// Materialize decodes every lazy block and temporal section.  Built
-// indexes are no-ops.
-func (ix *Index) Materialize() error {
-	for j := range ix.Temporal {
-		if _, err := ix.TemporalEntries(j); err != nil {
-			return err
-		}
-	}
-	if ix.succinct {
-		return ix.materializeV2()
-	}
-	for id, iv := range ix.Intervals {
-		if err := iv.force(); err != nil {
-			return fmt.Errorf("stiu: interval %d: %w", id, err)
-		}
-	}
-	for j := range ix.lazyTR {
-		if err := ix.forceTR(j); err != nil {
-			return fmt.Errorf("stiu: trajRegion[%d]: %w", j, err)
-		}
-	}
-	return nil
-}
-
-// --- region block codec ---
-
-func encodeRegionBlock(m map[roadnet.RegionID]*RegionBucket) []byte {
-	ids := make([]roadnet.RegionID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
-	prev := int64(0)
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(int64(id)-prev))
-		}
-		prev = int64(id)
-		buf = appendBucket(buf, m[id])
-	}
-	return buf
-}
+// --- region bucket codec ---
 
 // appendBucket emits one region bucket (refs then non-refs), the unit the
-// v2 layout addresses individually through its offset tables.
+// layout addresses individually through its offset tables.
 func appendBucket(buf []byte, b *RegionBucket) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
 	for _, rt := range b.Refs {
@@ -385,54 +431,6 @@ func appendBucket(buf []byte, b *RegionBucket) []byte {
 // decodeBucket decodes one region bucket from exactly data.
 func decodeBucket(data []byte) (*RegionBucket, error) {
 	r := &sidecarReader{data: data}
-	b, err := r.bucket()
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
-	}
-	return b, nil
-}
-
-func decodeRegionBlock(data []byte) (map[roadnet.RegionID]*RegionBucket, error) {
-	r := &sidecarReader{data: data}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining())+1 {
-		return nil, fmt.Errorf("region count %d overflows block", n)
-	}
-	m := make(map[roadnet.RegionID]*RegionBucket, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		var id int64
-		if i == 0 {
-			id, err = r.varint()
-		} else {
-			var d uint64
-			d, err = r.uvarint()
-			id = prev + int64(d)
-		}
-		if err != nil {
-			return nil, err
-		}
-		prev = id
-		b, err := r.bucket()
-		if err != nil {
-			return nil, err
-		}
-		m[roadnet.RegionID(id)] = b
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("region block has %d trailing bytes", r.remaining())
-	}
-	return m, nil
-}
-
-// bucket decodes one region bucket at the reader's position.
-func (r *sidecarReader) bucket() (*RegionBucket, error) {
 	b := &RegionBucket{}
 	nr, err := r.uvarint()
 	if err != nil {
@@ -499,6 +497,9 @@ func (r *sidecarReader) bucket() (*RegionBucket, error) {
 			Traj: int32(traj), Orig: int32(orig), RefOrig: int32(refOrig),
 			RV: roadnet.VertexID(rv), RVNo: int32(rvNo), MaPos: int32(maPos),
 		}
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
 	}
 	return b, nil
 }
@@ -587,6 +588,25 @@ func (r *sidecarReader) efSet(maxCount int) ([]int32, error) {
 	return out, nil
 }
 
+// efSlice returns the raw bytes of one Elias–Fano set without decoding
+// it, so a candidate set can stay on the buffer until first touch.
+func (r *sidecarReader) efSlice() ([]byte, error) {
+	start := r.off
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		if _, err := r.uvarint(); err != nil { // max value
+			return nil, err
+		}
+		if _, err := r.lenPrefixed(); err != nil { // unary/low-bit blob
+			return nil, err
+		}
+	}
+	return r.data[start:r.off:r.off], nil
+}
+
 // --- bounds-checked byte reader ---
 
 type sidecarReader struct {
@@ -633,25 +653,6 @@ func (r *sidecarReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// efSlice returns the raw bytes of one Elias–Fano set without decoding
-// it, so a v2 candidate set can stay on the mapping until first touch.
-func (r *sidecarReader) efSlice() ([]byte, error) {
-	start := r.off
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		if _, err := r.uvarint(); err != nil { // max value
-			return nil, err
-		}
-		if _, err := r.lenPrefixed(); err != nil { // unary/low-bit blob
-			return nil, err
-		}
-	}
-	return r.data[start:r.off:r.off], nil
-}
-
 // lenPrefixed returns a subslice for a uvarint-length-prefixed block.
 func (r *sidecarReader) lenPrefixed() ([]byte, error) {
 	n, err := r.uvarint()
@@ -661,7 +662,5 @@ func (r *sidecarReader) lenPrefixed() ([]byte, error) {
 	if n > uint64(r.remaining()) {
 		return nil, fmt.Errorf("block of %d bytes overflows buffer at offset %d", n, r.off)
 	}
-	b := r.data[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
+	return r.take(int(n))
 }

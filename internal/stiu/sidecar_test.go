@@ -3,7 +3,9 @@ package stiu
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"utcq/internal/core"
@@ -34,39 +36,65 @@ func buildGeneratedIndex(t *testing.T, opts Options) (*core.Archive, *Index) {
 	return a, ix
 }
 
-// requireSameIndex compares the query-visible state of two indexes:
-// temporal entries, interval candidate sets and fully materialized region
-// buckets.  It avoids DeepEqual on the Index struct itself, whose lazy
-// bookkeeping legitimately differs between built and decoded instances.
+// requireSameIndex compares the query-visible state of two indexes
+// through the accessors: temporal entries, interval candidate sets and
+// every (interval, region) and (trajectory, region) bucket.
 func requireSameIndex(t *testing.T, want, got *Index) {
 	t.Helper()
-	if err := want.Materialize(); err != nil {
-		t.Fatal(err)
+	if len(want.Temporal) != len(got.Temporal) || len(want.Intervals) != len(got.Intervals) {
+		t.Fatalf("shape differs: %d/%d trajectories, %d/%d intervals",
+			len(got.Temporal), len(want.Temporal), len(got.Intervals), len(want.Intervals))
 	}
-	if err := got.Materialize(); err != nil {
-		t.Fatal(err)
+	cells := roadnet.RegionID(want.Opts.GridNX * want.Opts.GridNY)
+	same := func(what string, w, g any, werr, gerr error) {
+		t.Helper()
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: %v / %v", what, werr, gerr)
+		}
+		if !reflect.DeepEqual(w, g) {
+			t.Fatalf("%s differs", what)
+		}
 	}
-	if !reflect.DeepEqual(want.Temporal, got.Temporal) {
-		t.Fatal("temporal entries differ")
+	for j := range want.Temporal {
+		w, werr := want.TemporalEntries(j)
+		g, gerr := got.TemporalEntries(j)
+		same(fmt.Sprintf("temporal[%d]", j), w, g, werr, gerr)
+		for re := roadnet.RegionID(0); re < cells; re++ {
+			w, werr := want.TrajRegion(j, re)
+			g, gerr := got.TrajRegion(j, re)
+			same(fmt.Sprintf("trajRegion (%d,%d)", j, re), w, g, werr, gerr)
+		}
 	}
-	if len(want.Intervals) != len(got.Intervals) {
-		t.Fatalf("interval count %d != %d", len(got.Intervals), len(want.Intervals))
-	}
-	for id, wiv := range want.Intervals {
-		giv := got.Intervals[id]
-		if giv == nil {
+	for id := range want.Intervals {
+		if got.Intervals[id] == nil {
 			t.Fatalf("interval %d missing after decode", id)
 		}
-		if !reflect.DeepEqual(wiv.Trajs, giv.Trajs) {
-			t.Fatalf("interval %d candidate trajs differ", id)
-		}
-		if !reflect.DeepEqual(wiv.Regions, giv.Regions) {
-			t.Fatalf("interval %d region buckets differ", id)
+		w, werr := want.Candidates(id)
+		g, gerr := got.Candidates(id)
+		same(fmt.Sprintf("interval %d candidates", id), w, g, werr, gerr)
+		for re := roadnet.RegionID(0); re < cells; re++ {
+			w, werr := want.Buckets(id, re)
+			g, gerr := got.Buckets(id, re)
+			same(fmt.Sprintf("bucket (%d,%d)", id, re), w, g, werr, gerr)
 		}
 	}
-	if !reflect.DeepEqual(want.byTrajRegion, got.byTrajRegion) {
-		t.Fatal("trajectory-region buckets differ")
+}
+
+// touchAll drives every accessor over every section of ix, ignoring
+// errors: hostile layouts must surface as errors, never as panics.
+func touchAll(ix *Index) {
+	cells := roadnet.RegionID(ix.Opts.GridNX * ix.Opts.GridNY)
+	for j := range ix.Temporal {
+		_, _ = ix.TemporalEntries(j)
+		for re := roadnet.RegionID(0); re < cells; re++ {
+			_, _ = ix.TrajRegion(j, re)
+		}
 	}
+	for id := range ix.Intervals {
+		_, _ = ix.Candidates(id)
+	}
+	_ = ix.SpatialSizeBits(8)
+	_ = ix.Bounds()
 }
 
 func TestSidecarRoundTrip(t *testing.T) {
@@ -112,29 +140,37 @@ func TestSidecarLazyAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Point lookups materialize blocks on demand and agree with the built
-	// index for every (interval, region) and (traj, region) pair.
-	for id, iv := range ix.Intervals {
-		for re, want := range iv.Regions {
-			got, err := dec.Buckets(id, re)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("bucket (%d,%d) differs", id, re)
+	// Point lookups decode each occupied bucket on demand, exactly once,
+	// and agree with the built index, which decodes nothing.
+	occupied := int64(0)
+	for pass := 0; pass < 2; pass++ {
+		for id := range ix.Intervals {
+			for re := roadnet.RegionID(0); int(re) < opts.GridNX*opts.GridNY; re++ {
+				want, err := ix.Buckets(id, re)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dec.Buckets(id, re)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("bucket (%d,%d) differs", id, re)
+				}
+				if pass == 0 && got != nil {
+					occupied++
+				}
 			}
 		}
 	}
-	for j := range ix.byTrajRegion {
-		for re, want := range ix.byTrajRegion[j] {
-			got, err := dec.TrajRegion(j, re)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trajRegion (%d,%d) differs", j, re)
-			}
-		}
+	if occupied == 0 {
+		t.Fatal("no occupied bucket in the fixture")
+	}
+	if got := dec.Stats().RegionBlocksDecoded; got != occupied {
+		t.Fatalf("decoded %d buckets over two passes, want %d (once each)", got, occupied)
+	}
+	if got := ix.Stats().RegionBlocksDecoded; got != 0 {
+		t.Fatalf("built index decoded %d buckets, want 0", got)
 	}
 }
 
@@ -174,8 +210,8 @@ func TestSidecarRejectsMismatch(t *testing.T) {
 }
 
 // TestSidecarCorruptionIsAnError truncates and bit-flips the encoding at
-// every offset: decode (plus full materialization when decode succeeds)
-// must return an error or a different index, never panic.
+// every offset: decode (plus a walk of every accessor when decode
+// succeeds) must return an error or a different index, never panic.
 func TestSidecarCorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
@@ -195,7 +231,7 @@ func TestSidecarCorruptionIsAnError(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_ = dec.Materialize() // must not panic; errors are acceptable
+		touchAll(dec) // must not panic; errors are acceptable
 	}
 }
 
@@ -227,61 +263,85 @@ func TestEFSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSidecarV1RoundTrip pins the legacy layout: a v1 encoding (as every
-// pre-v2 store wrote) still decodes to the same index, and its header
-// carries version 1.
+// v1Sidecar returns an index's sidecar with its header relabelled as
+// version 1, the layout readers no longer accept.
+func v1Sidecar(t *testing.T, ix *Index, archiveSize int64) []byte {
+	t.Helper()
+	enc, err := ix.EncodeSidecar(archiveSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(enc[4:]); v != 2 {
+		t.Fatalf("encoder writes version %d, want 2", v)
+	}
+	v1 := bytes.Clone(enc)
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	return v1
+}
+
+// TestSidecarV1RoundTrip pins the version policy: the encoder writes
+// version 2, and a version-1 sidecar no longer round-trips — it fails
+// DecodeSidecar with a versioned error, so a store rebuilds the index
+// from its archive instead.
 func TestSidecarV1RoundTrip(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
 	const archiveSize = 123456
-	enc, err := ix.EncodeSidecarV1(archiveSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(enc[4:]); v != 1 {
-		t.Fatalf("v1 header version = %d", v)
-	}
-	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), archiveSize, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.succinct {
-		t.Fatal("v1 decode took the succinct path")
-	}
-	requireSameIndex(t, ix, dec)
-
-	// The default encoder writes v2.
-	enc2, err := ix.EncodeSidecar(archiveSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(enc2[4:]); v != 2 {
-		t.Fatalf("default header version = %d", v)
+	v1 := v1Sidecar(t, ix, archiveSize)
+	_, err := DecodeSidecar(v1, a.Graph, len(a.Trajs), archiveSize, opts)
+	if err == nil || !strings.Contains(err.Error(), "unsupported sidecar version 1") {
+		t.Fatalf("v1 sidecar: err = %v, want unsupported sidecar version 1", err)
 	}
 }
 
-// TestSidecarV1CorruptionIsAnError mirrors the main corruption sweep for
-// the legacy decoder, which must stay robust as long as v1 files load.
+// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1
+// sidecar at every offset: each variant must fail DecodeSidecar, never
+// decode and never panic.
 func TestSidecarV1CorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	enc, err := ix.EncodeSidecarV1(7)
+	v1 := v1Sidecar(t, ix, 7)
+	for cut := 0; cut <= len(v1); cut += 7 {
+		if _, err := DecodeSidecar(v1[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
+			t.Fatalf("v1 sidecar cut at %d decoded", cut)
+		}
+	}
+	for cut := sidecarHdrLen; cut <= len(v1); cut += 7 {
+		_, err := DecodeSidecar(v1[:cut], a.Graph, len(a.Trajs), 7, opts)
+		if err == nil || !strings.Contains(err.Error(), "unsupported sidecar version 1") {
+			t.Fatalf("v1 sidecar cut at %d: err = %v, want unsupported sidecar version 1", cut, err)
+		}
+	}
+	for off := 0; off < len(v1); off += 11 {
+		mut := bytes.Clone(v1)
+		mut[off] ^= 0x40
+		if _, err := DecodeSidecar(mut, a.Graph, len(a.Trajs), 7, opts); err == nil {
+			t.Fatalf("v1 sidecar with byte %d flipped decoded", off)
+		}
+	}
+}
+
+// TestSidecarSectionBytes pins the per-section split of IndexStats: the
+// temporal, interval and trajectory-region spans are each nonempty and
+// add up to the sidecar minus its header, for built and decoded indexes.
+func TestSidecarSectionBytes(t *testing.T) {
+	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
+	a, ix := buildGeneratedIndex(t, opts)
+	enc, err := ix.EncodeSidecar(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := DecodeSidecar(enc[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
+	dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for off := 0; off < len(enc); off += 11 {
-		mut := bytes.Clone(enc)
-		mut[off] ^= 0x40
-		dec, err := DecodeSidecar(mut, a.Graph, len(a.Trajs), 7, opts)
-		if err != nil {
-			continue
+	for name, st := range map[string]IndexStats{"built": ix.Stats(), "decoded": dec.Stats()} {
+		if st.TemporalBytes <= 0 || st.IntervalBytes <= 0 || st.TrajRegionBytes <= 0 {
+			t.Fatalf("%s: empty section in %+v", name, st)
 		}
-		_ = dec.Materialize() // must not panic; errors are acceptable
+		if sum := st.TemporalBytes + st.IntervalBytes + st.TrajRegionBytes; sum != int64(len(enc)-sidecarHdrLen) {
+			t.Fatalf("%s: sections sum to %d, want %d", name, sum, len(enc)-sidecarHdrLen)
+		}
 	}
 }
 
@@ -348,11 +408,12 @@ func TestSidecarV2SuccinctStats(t *testing.T) {
 	// Find an occupied pair and an unoccupied region in the same interval.
 	var id int
 	var hit, miss roadnet.RegionID = -1, -1
-	for iid, iv := range ix.Intervals {
+	for iid := range ix.Intervals {
+		id, hit, miss = iid, -1, -1
 		for re := roadnet.RegionID(0); int(re) < opts.GridNX*opts.GridNY; re++ {
-			if _, ok := iv.Regions[re]; ok && hit < 0 {
-				id, hit = iid, re
-			} else if !ok && miss < 0 {
+			if b, _ := ix.Buckets(iid, re); b != nil && hit < 0 {
+				hit = re
+			} else if b == nil && miss < 0 {
 				miss = re
 			}
 		}

@@ -11,17 +11,24 @@
 // (fv.id, fv.no, d.pos, ptotal, pmax) and non-reference tuples
 // (rv.id, rv.no, ma.pos), exactly the fields Definition 9 and Section 5.2
 // prescribe.  ptotal and pmax drive the filtering Lemmas 1-4.
+//
+// An Index has one in-memory form, the succinct sidecar layout of
+// FORMAT.md §5: occupancy bitvectors, offset tables and directories over
+// one encoded buffer, with a per-bucket decode cache in front of it.
+// DecodeSidecar parses that buffer and leaves every section encoded until
+// a query touches it; Build encodes what its walk produced, parses the
+// result the same way and seeds the decode caches with the structures it
+// already holds, so a built index never decodes anything.
 package stiu
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"utcq/internal/core"
-	"utcq/internal/par"
 	"utcq/internal/roadnet"
 )
 
@@ -78,42 +85,36 @@ type RegionBucket struct {
 	NonRefs []NonRefTuple
 }
 
-// Interval is one time partition.  For a built index Regions is populated
-// eagerly; for an index decoded from a v1 sidecar the region buckets stay
-// as one encoded block until the first query touches the interval.  A v2
-// sidecar is finer-grained still: occupancy is a rank bitvector over the
-// grid cells, so a query probing an absent region answers straight off
-// the (possibly mapped) sidecar bytes, and a present region decodes just
-// its own bucket into the decoded cache — untouched buckets never page in.
-type Interval struct {
-	Trajs   []int32 // trajectories whose time span intersects the interval
-	Regions map[roadnet.RegionID]*RegionBucket
-
-	lazy lazyBlock // v1: the whole region block; v2: unused (mu guards Materialize)
-
-	// v2 succinct layout, aliasing the sidecar buffer.
-	occ     bitvec // region occupancy over the grid cells
+// layout is one succinct bucket group (FORMAT.md §5.3): occupancy is a
+// rank bitvector over the grid cells, so a probe of an absent region
+// answers with one bit test, and a present region decodes just its own
+// bucket into the decoded cache.  The bytes alias the index buffer.
+type layout struct {
+	occ     bitvec
 	offs    []byte // (npop+1) × u32 offsets into buckets
 	buckets []byte // concatenated per-region bucket encodings, rank order
 	decoded []atomic.Pointer[RegionBucket]
-	cand    lazyBlock // data = EF candidate-set bytes; force fills Trajs
 }
 
-// trSuccinct is the v2 per-trajectory region layout: the same
-// bitvector + offset-table shape as an interval, parsed from the
+// Interval is one time partition.
+type Interval struct {
+	// Trajs caches the trajectories whose time span intersects the
+	// interval; nil until Candidates decodes the Elias–Fano set.
+	Trajs []int32
+	cand  lazyBlock // data = EF candidate-set bytes
+	layout
+}
+
+// trLayout is one trajectory's region layout, parsed from the
 // trajectory-region directory on the trajectory's first When touch.
-type trSuccinct struct {
-	hdr     lazyBlock // data = the trajectory's blob; force parses the views
-	occ     bitvec
-	offs    []byte
-	buckets []byte
-	decoded []atomic.Pointer[RegionBucket]
+type trLayout struct {
+	hdr lazyBlock // data unused; done/err guard the parse
+	layout
 }
 
-// lazyBlock defers decoding of one sidecar block.  data is nil for built
-// indexes (nothing to decode).  The done flag is the lock-free fast path:
-// its release store happens after the decoded map is written under mu, so
-// an acquire load observing true also observes the map.
+// lazyBlock defers decoding of one section.  The done flag is the
+// lock-free fast path: its release store happens after the decoded value
+// is written under mu, so an acquire load observing true also observes it.
 type lazyBlock struct {
 	done atomic.Bool
 	mu   sync.Mutex
@@ -126,103 +127,101 @@ type Index struct {
 	Opts Options
 	Grid *roadnet.Grid
 
-	// Temporal[j] is trajectory j's interval entries, sorted by Start.
-	// For a v2 sidecar the slice is nil until the trajectory's first
-	// temporal touch — use TemporalEntries.
+	// Temporal caches trajectory j's interval entries, sorted by Start;
+	// Temporal[j] is nil until the trajectory's first temporal touch — use
+	// TemporalEntries.
 	Temporal [][]TemporalEntry
 
 	Intervals map[int]*Interval
 
-	// byTrajRegion[j][re] aggregates, across intervals, the tuple presence
-	// used by the when-query and Lemma 1.  nil entries of lazyTR (v1
-	// sidecar decode) materialize into it on first touch; v2 sidecars use
-	// trV2 instead and only fill the maps under Materialize.
-	byTrajRegion []map[roadnet.RegionID]*RegionBucket
-	lazyTR       []lazyBlock // parallel to byTrajRegion; v1 sidecars only
-
-	// v2 succinct state: the per-trajectory temporal offset directory and
-	// the per-trajectory region layouts.  succinct marks the index as
-	// v2-decoded so the query accessors take the rank/select paths.
-	succinct     bool
 	tempDir      []byte // (numTrajs+1) × u32 offsets into tempBlob
 	tempBlob     []byte
-	lazyTemporal []lazyBlock // parallel to Temporal; data unused, mu/err/done only
+	lazyTemporal []lazyBlock // parallel to Temporal
 	trDir        []byte      // (numTrajs+1) × u32 offsets into trBlob
 	trBlob       []byte
-	trV2         []trSuccinct
+	trajRegions  []trLayout // parallel to Temporal
 
-	// raw retains the sidecar buffer an index was decoded from: the lazy
-	// blocks alias it, and EncodeSidecar can return it verbatim instead of
-	// re-encoding a partially materialized index.
+	// raw is the buffer every section aliases; EncodeSidecar returns it.
 	raw []byte
 
-	// Succinct-index observability (Stats): how often the rank/select
-	// layer answered without materializing anything vs. how many bucket
-	// blocks and temporal sections were actually decoded, plus the
-	// resident footprint of the succinct structures themselves.
+	// Byte spans of the three sections in raw, fixed at parse.
+	temporalBytes, intervalBytes, trajRegionBytes int64
+
+	// Observability (Stats): how often the occupancy bitvectors answered
+	// without decoding vs. how many buckets and temporal sections were
+	// actually decoded, plus the resident footprint of the bitvectors and
+	// offset tables.
 	regionsDecoded atomic.Int64
 	prunedNoTouch  atomic.Int64
 	temporalForced atomic.Int64
 	succinctBytes  atomic.Int64
-
-	// Materialization state for v2 indexes: Materialize rebuilds the eager
-	// maps exactly once, guarded here rather than per-block so concurrent
-	// callers observe either nothing or the whole rebuild.
-	matMu        sync.Mutex
-	materialized bool
-	matErr       error
 }
 
 // IndexStats is a snapshot of the succinct-layer counters.
 type IndexStats struct {
 	// RegionBlocksDecoded counts (interval,region) and (trajectory,region)
-	// buckets materialized from sidecar bytes; RegionPrunedNoTouch counts
+	// buckets decoded from the index bytes; RegionPrunedNoTouch counts
 	// probes the occupancy bitvectors answered empty without decoding.
 	RegionBlocksDecoded int64
 	RegionPrunedNoTouch int64
 	// TemporalSectionsForced counts per-trajectory temporal sections
-	// decoded on first touch (always 0 right after a v2 open).
+	// decoded on first touch (always 0 right after a decode or a build).
 	TemporalSectionsForced int64
-	// SuccinctBytes is the static footprint of the rank/select directories
-	// (bitvector words + superblocks + offset tables); 0 unless the index
-	// was decoded from a v2 sidecar.
+	// SuccinctBytes is the resident footprint of the rank/select
+	// directories (bitvector words + superblocks + offset tables).
 	SuccinctBytes int64
+	// TemporalBytes, IntervalBytes and TrajRegionBytes split the sidecar
+	// body by section; they sum to its length minus the 35-byte header.
+	TemporalBytes   int64
+	IntervalBytes   int64
+	TrajRegionBytes int64
+}
+
+// Add accumulates o into s.
+func (s *IndexStats) Add(o IndexStats) {
+	s.RegionBlocksDecoded += o.RegionBlocksDecoded
+	s.RegionPrunedNoTouch += o.RegionPrunedNoTouch
+	s.TemporalSectionsForced += o.TemporalSectionsForced
+	s.SuccinctBytes += o.SuccinctBytes
+	s.TemporalBytes += o.TemporalBytes
+	s.IntervalBytes += o.IntervalBytes
+	s.TrajRegionBytes += o.TrajRegionBytes
 }
 
 // Stats returns the succinct-layer counters.  Safe to call concurrently
-// with queries; built and v1-decoded indexes report zeros.
+// with queries.
 func (ix *Index) Stats() IndexStats {
 	return IndexStats{
 		RegionBlocksDecoded:    ix.regionsDecoded.Load(),
 		RegionPrunedNoTouch:    ix.prunedNoTouch.Load(),
 		TemporalSectionsForced: ix.temporalForced.Load(),
 		SuccinctBytes:          ix.succinctBytes.Load(),
+		TemporalBytes:          ix.temporalBytes,
+		IntervalBytes:          ix.intervalBytes,
+		TrajRegionBytes:        ix.trajRegionBytes,
 	}
 }
 
 // IntervalOf returns the time-partition id of t.
 func (ix *Index) IntervalOf(t int64) int { return int(t / ix.Opts.IntervalDur) }
 
-// TemporalEntries returns trajectory j's interval entries, decoding them
-// from a v2 sidecar's temporal section on first touch.  Built and
-// v1-decoded indexes return the eager slice; warm calls are a single
-// atomic load and never allocate.
+// TemporalEntries returns trajectory j's interval entries, decoding its
+// temporal section on first touch.  Warm calls are a single atomic load
+// and never allocate.
 func (ix *Index) TemporalEntries(j int) ([]TemporalEntry, error) {
-	if ix.lazyTemporal != nil {
-		lz := &ix.lazyTemporal[j]
-		if !lz.done.Load() {
-			if err := ix.forceTemporal(j); err != nil {
-				return nil, err
-			}
-		} else if lz.err != nil {
-			return nil, lz.err
+	lz := &ix.lazyTemporal[j]
+	if !lz.done.Load() {
+		if err := ix.forceTemporal(j); err != nil {
+			return nil, err
 		}
+	} else if lz.err != nil {
+		return nil, lz.err
 	}
 	return ix.Temporal[j], nil
 }
 
-// forceTemporal decodes trajectory j's temporal section from the v2
-// offset directory.
+// forceTemporal decodes trajectory j's temporal section from the offset
+// directory.
 func (ix *Index) forceTemporal(j int) error {
 	lz := &ix.lazyTemporal[j]
 	lz.mu.Lock()
@@ -230,22 +229,19 @@ func (ix *Index) forceTemporal(j int) error {
 	if lz.done.Load() {
 		return lz.err
 	}
-	lo := int(binary.LittleEndian.Uint32(ix.tempDir[4*j:]))
-	hi := int(binary.LittleEndian.Uint32(ix.tempDir[4*j+4:]))
-	if lo > hi || hi > len(ix.tempBlob) {
-		lz.err = fmt.Errorf("stiu: temporal directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.tempBlob))
-	} else {
-		r := &sidecarReader{data: ix.tempBlob[lo:hi:hi]}
-		entries, err := decodeTemporalEntries(r)
-		if err == nil && r.remaining() != 0 {
-			err = fmt.Errorf("temporal section has %d trailing bytes", r.remaining())
+	r, err := dirSpan(ix.tempDir, ix.tempBlob, j)
+	if err == nil {
+		var entries []TemporalEntry
+		if entries, err = decodeTemporalEntries(r); err == nil && r.remaining() != 0 {
+			err = fmt.Errorf("%d trailing bytes", r.remaining())
 		}
-		if err != nil {
-			lz.err = fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
-		} else {
+		if err == nil {
 			ix.Temporal[j] = entries
 			ix.temporalForced.Add(1)
 		}
+	}
+	if err != nil {
+		lz.err = fmt.Errorf("stiu: sidecar temporal[%d]: %w", j, err)
 	}
 	lz.done.Store(true)
 	return lz.err
@@ -265,160 +261,109 @@ func (ix *Index) FindTemporal(j int, t int64) (TemporalEntry, bool) {
 	return entries[lo-1], true
 }
 
-// Buckets returns the bucket of (interval, region), or nil.  The only
-// error source is a corrupt lazily-decoded sidecar block; built indexes
-// never fail.  Under a v2 sidecar an absent region answers from the
-// occupancy bitvector without decoding anything, and a present region
-// decodes only its own bucket (cached behind an atomic pointer).
+// FindTemporalByNo returns trajectory j's entry with the greatest No <= k,
+// used to resume timestamp decoding near point index k.
+func (ix *Index) FindTemporalByNo(j, k int) (TemporalEntry, bool) {
+	entries, err := ix.TemporalEntries(j)
+	if err != nil {
+		return TemporalEntry{}, false
+	}
+	lo := sort.Search(len(entries), func(i int) bool { return int(entries[i].No) > k })
+	if lo == 0 {
+		return TemporalEntry{}, false
+	}
+	return entries[lo-1], true
+}
+
+// Buckets returns the bucket of (interval, region), or nil.  An absent
+// region answers from the occupancy bitvector without decoding anything;
+// a present region decodes only its own bucket, once.  The only error
+// source is a corrupt sidecar.
 func (ix *Index) Buckets(interval int, re roadnet.RegionID) (*RegionBucket, error) {
 	iv := ix.Intervals[interval]
 	if iv == nil {
 		return nil, nil
 	}
-	if ix.succinct {
-		if int(re) >= iv.occ.nbits || !iv.occ.get(int(re)) {
-			ix.prunedNoTouch.Add(1)
-			return nil, nil
-		}
-		k := iv.occ.rank1(int(re))
-		if b := iv.decoded[k].Load(); b != nil {
-			return b, nil
-		}
-		return ix.decodeBucketAt(iv.offs, iv.buckets, iv.decoded, k)
-	}
-	if iv.lazy.data != nil && !iv.lazy.done.Load() {
-		if err := iv.force(); err != nil {
-			return nil, err
-		}
-	}
-	return iv.Regions[re], nil
+	return ix.bucket(&iv.layout, re)
 }
 
-// decodeBucketAt materializes the k-th occupied bucket of a v2 layout and
-// publishes it.  Concurrent decoders may duplicate the work; both results
-// are identical and the last store wins.
-func (ix *Index) decodeBucketAt(offs, blob []byte, cache []atomic.Pointer[RegionBucket], k int) (*RegionBucket, error) {
-	lo := int(binary.LittleEndian.Uint32(offs[4*k:]))
-	hi := int(binary.LittleEndian.Uint32(offs[4*k+4:]))
-	if lo > hi || hi > len(blob) {
-		return nil, fmt.Errorf("stiu: bucket offsets [%d,%d) overflow blob of %d bytes", lo, hi, len(blob))
+// TrajRegion returns the aggregated bucket of trajectory j and region re.
+// The trajectory's bitvector answers absent regions without decoding,
+// giving the When path's Lemma-1 gate a zero-cost miss.
+func (ix *Index) TrajRegion(j int, re roadnet.RegionID) (*RegionBucket, error) {
+	tr := &ix.trajRegions[j]
+	if !tr.hdr.done.Load() {
+		if err := ix.forceTRHeader(j); err != nil {
+			return nil, err
+		}
+	} else if tr.hdr.err != nil {
+		return nil, tr.hdr.err
 	}
-	b, err := decodeBucket(blob[lo:hi:hi])
+	return ix.bucket(&tr.layout, re)
+}
+
+// bucket looks region re up in one layout, decoding and publishing its
+// bucket on first touch.  Concurrent decoders may duplicate the work; both
+// results are identical and the last store wins.
+func (ix *Index) bucket(l *layout, re roadnet.RegionID) (*RegionBucket, error) {
+	if uint(re) >= uint(l.occ.nbits) || !l.occ.get(int(re)) {
+		ix.prunedNoTouch.Add(1)
+		return nil, nil
+	}
+	k := l.occ.rank1(int(re))
+	if b := l.decoded[k].Load(); b != nil {
+		return b, nil
+	}
+	lo := int(binary.LittleEndian.Uint32(l.offs[4*k:]))
+	hi := int(binary.LittleEndian.Uint32(l.offs[4*k+4:]))
+	if lo > hi || hi > len(l.buckets) {
+		return nil, fmt.Errorf("stiu: bucket offsets [%d,%d) overflow blob of %d bytes", lo, hi, len(l.buckets))
+	}
+	b, err := decodeBucket(l.buckets[lo:hi:hi])
 	if err != nil {
 		return nil, fmt.Errorf("stiu: bucket %d: %w", k, err)
 	}
-	cache[k].Store(b)
+	l.decoded[k].Store(b)
 	ix.regionsDecoded.Add(1)
 	return b, nil
 }
 
-// force materializes the interval's region map from its sidecar block.
-func (iv *Interval) force() error {
-	if iv.lazy.data == nil || iv.lazy.done.Load() {
-		return iv.lazy.err
-	}
-	iv.lazy.mu.Lock()
-	if !iv.lazy.done.Load() {
-		iv.Regions, iv.lazy.err = decodeRegionBlock(iv.lazy.data)
-		iv.lazy.done.Store(true)
-	}
-	iv.lazy.mu.Unlock()
-	return iv.lazy.err
-}
-
-// TrajRegion returns the aggregated bucket of trajectory j and region re.
-// Under a v2 sidecar the trajectory's bitvector answers absent regions
-// without decoding, giving the When path's Lemma-1 gate a zero-cost miss.
-func (ix *Index) TrajRegion(j int, re roadnet.RegionID) (*RegionBucket, error) {
-	if ix.trV2 != nil {
-		tr := &ix.trV2[j]
-		if !tr.hdr.done.Load() {
-			if err := ix.forceTRHeader(j); err != nil {
-				return nil, err
-			}
-		} else if tr.hdr.err != nil {
-			return nil, tr.hdr.err
-		}
-		if int(re) >= tr.occ.nbits || !tr.occ.get(int(re)) {
-			ix.prunedNoTouch.Add(1)
-			return nil, nil
-		}
-		k := tr.occ.rank1(int(re))
-		if b := tr.decoded[k].Load(); b != nil {
-			return b, nil
-		}
-		return ix.decodeBucketAt(tr.offs, tr.buckets, tr.decoded, k)
-	}
-	if len(ix.lazyTR) > 0 {
-		lz := &ix.lazyTR[j]
-		if lz.data != nil && !lz.done.Load() {
-			if err := ix.forceTR(j); err != nil {
-				return nil, err
-			}
-		} else if lz.err != nil {
-			return nil, lz.err
-		}
-	}
-	return ix.byTrajRegion[j][re], nil
-}
-
-// forceTRHeader parses trajectory j's v2 region layout (bitvector, offset
+// forceTRHeader parses trajectory j's region layout (bitvector, offset
 // table, bucket blob) from its slot in the trajectory-region directory.
 // Slicing only — no bucket decodes.
 func (ix *Index) forceTRHeader(j int) error {
-	tr := &ix.trV2[j]
+	tr := &ix.trajRegions[j]
 	tr.hdr.mu.Lock()
 	defer tr.hdr.mu.Unlock()
 	if tr.hdr.done.Load() {
 		return tr.hdr.err
 	}
-	lo := int(binary.LittleEndian.Uint32(ix.trDirAt(j)))
-	hi := int(binary.LittleEndian.Uint32(ix.trDirAt(j + 1)))
-	if lo > hi || hi > len(ix.trBlob) {
-		tr.hdr.err = fmt.Errorf("stiu: trajRegion directory [%d,%d) overflows blob of %d bytes", lo, hi, len(ix.trBlob))
-	} else {
-		r := &sidecarReader{data: ix.trBlob[lo:hi:hi]}
-		occ, offs, blob, err := r.bucketLayout(ix.Opts.GridNX * ix.Opts.GridNY)
-		if err == nil && r.remaining() != 0 {
+	r, err := dirSpan(ix.trDir, ix.trBlob, j)
+	if err == nil {
+		var l layout
+		if l, err = r.layout(ix.Opts.GridNX * ix.Opts.GridNY); err == nil && r.remaining() != 0 {
 			err = fmt.Errorf("%d trailing bytes", r.remaining())
 		}
-		if err != nil {
-			tr.hdr.err = fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
-		} else {
-			tr.occ, tr.offs, tr.buckets = occ, offs, blob
-			tr.decoded = make([]atomic.Pointer[RegionBucket], occ.npop)
-			ix.succinctBytes.Add(int64(occ.sizeBytes() + len(offs)))
+		if err == nil {
+			tr.layout = l
+			ix.succinctBytes.Add(int64(l.occ.sizeBytes() + len(l.offs)))
 		}
+	}
+	if err != nil {
+		tr.hdr.err = fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
 	}
 	tr.hdr.done.Store(true)
 	return tr.hdr.err
 }
 
-func (ix *Index) trDirAt(j int) []byte { return ix.trDir[4*j:] }
-
-// forceTR materializes trajectory j's region map from its sidecar block.
-func (ix *Index) forceTR(j int) error {
-	lz := &ix.lazyTR[j]
-	if lz.data == nil || lz.done.Load() {
-		return lz.err
-	}
-	lz.mu.Lock()
-	if !lz.done.Load() {
-		ix.byTrajRegion[j], lz.err = decodeRegionBlock(lz.data)
-		lz.done.Store(true)
-	}
-	lz.mu.Unlock()
-	return lz.err
-}
-
-// Candidates returns the trajectories active in the interval, decoding a
-// v2 sidecar's Elias–Fano candidate set on the interval's first touch.
+// Candidates returns the trajectories active in the interval, decoding
+// the interval's Elias–Fano candidate set on first touch.
 func (ix *Index) Candidates(interval int) ([]int32, error) {
 	iv := ix.Intervals[interval]
 	if iv == nil {
 		return nil, nil
 	}
-	if iv.cand.data != nil && !iv.cand.done.Load() {
+	if !iv.cand.done.Load() {
 		if err := ix.forceCandidates(interval, iv); err != nil {
 			return nil, err
 		}
@@ -456,6 +401,30 @@ func (ix *Index) CandidateTrajs(interval int) []int32 {
 	return trajs
 }
 
+// Bounds returns a conservative bounding rectangle of the indexed
+// geometry: the union of every grid cell an interval's occupancy
+// bitvector marks.  Cells cover the full edge geometry, so no position of
+// any instance lies outside it.  An index with no occupied cell returns
+// an inverted rectangle that intersects nothing.
+func (ix *Index) Bounds() roadnet.Rect {
+	out := roadnet.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
+	empty := true
+	for _, iv := range ix.Intervals {
+		iv.occ.forEach(func(_, re int) {
+			cr := ix.Grid.CellRect(roadnet.RegionID(re))
+			if empty {
+				out, empty = cr, false
+				return
+			}
+			out.MinX = math.Min(out.MinX, cr.MinX)
+			out.MinY = math.Min(out.MinY, cr.MinY)
+			out.MaxX = math.Max(out.MaxX, cr.MaxX)
+			out.MaxY = math.Max(out.MaxY, cr.MaxY)
+		})
+	}
+	return out
+}
+
 // Tuple bit widths used for index size accounting (Fig 9): temporal
 // entries store a 17-bit seconds-of-day start, a 12-bit ordinal and a
 // 32-bit stream position; spatial tuples store vertex ids, 12-bit
@@ -467,8 +436,8 @@ const (
 	probBits  = 16
 )
 
-// TemporalSizeBits returns the temporal index size.  Lazy sections are
-// forced first so the accounting covers untouched trajectories.
+// TemporalSizeBits returns the temporal index size, decoding untouched
+// sections so the accounting covers every trajectory.
 func (ix *Index) TemporalSizeBits() int64 {
 	n := int64(0)
 	for j := range ix.Temporal {
@@ -482,153 +451,24 @@ func (ix *Index) TemporalSizeBits() int64 {
 }
 
 // SpatialSizeBits returns the spatial index size, given the vertex id
-// width of the archive.  Sidecar-backed indexes are fully materialized
-// first so the accounting covers untouched intervals.
+// width of the archive.  Every occupied bucket is read so the accounting
+// covers untouched intervals.
 func (ix *Index) SpatialSizeBits(vertexBits int) int64 {
-	if err := ix.Materialize(); err != nil {
-		return 0
-	}
 	n := int64(0)
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
+	failed := false
+	for id, iv := range ix.Intervals {
+		iv.occ.forEach(func(_, re int) {
+			b, err := ix.Buckets(id, roadnet.RegionID(re))
+			if err != nil {
+				failed = true
+				return
+			}
 			n += int64(len(b.Refs)) * int64(vertexBits+1+noBits+posBits+2*probBits)
 			n += int64(len(b.NonRefs)) * int64(vertexBits+noBits+posBits)
-		}
+		})
+	}
+	if failed {
+		return 0
 	}
 	return n
-}
-
-// Build constructs the index from a compressed archive.  Building happens
-// at compression time (the paper builds StIU "during compression"), so it
-// may decode records freely.
-//
-// Construction has two phases.  The walk phase decodes each trajectory's
-// instance traversals and produces a per-trajectory tuple batch; walks are
-// independent, so they run on a bounded worker pool (Options.Parallelism).
-// The merge phase folds the batches into the grid/interval cells, sharded
-// by interval id so shards never touch the same cell.  Both phases apply
-// batches in trajectory order, so the index is identical to a serial build.
-func Build(a *core.Archive, opts Options) (*Index, error) {
-	if opts.GridNX < 1 || opts.GridNY < 1 || opts.IntervalDur < 1 {
-		return nil, fmt.Errorf("stiu: invalid options %+v", opts)
-	}
-	ix := &Index{
-		Opts:         opts,
-		Grid:         roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY),
-		Temporal:     make([][]TemporalEntry, len(a.Trajs)),
-		Intervals:    make(map[int]*Interval),
-		byTrajRegion: make([]map[roadnet.RegionID]*RegionBucket, len(a.Trajs)),
-	}
-	workers := par.Workers(opts.Parallelism)
-
-	// Walk phase: per-trajectory batches, plus the per-trajectory index
-	// parts (temporal entries, trajectory-region buckets) that no other
-	// worker touches.
-	batches := make([]*trajBatch, len(a.Trajs))
-	err := par.Do(workers, len(a.Trajs), func(j int) error {
-		b, err := ix.walkTrajectory(a, j)
-		if err != nil {
-			return fmt.Errorf("stiu: trajectory %d: %w", j, err)
-		}
-		batches[j] = b
-		ix.Temporal[j] = b.temporal
-		ix.byTrajRegion[j] = b.trajRegion
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ix.mergeBatches(batches, workers)
-
-	// Sort interval trajectory lists and deduplicate.
-	for _, iv := range ix.Intervals {
-		sort.Slice(iv.Trajs, func(x, y int) bool { return iv.Trajs[x] < iv.Trajs[y] })
-		iv.Trajs = dedupInt32(iv.Trajs)
-	}
-	return ix, nil
-}
-
-// mergeBatches folds the walk batches into the interval map.  Each shard
-// owns the intervals with id ≡ shard (mod shards) and applies every batch
-// in trajectory order, so no two shards write the same cell and the tuple
-// order within each cell matches a serial build exactly.
-func (ix *Index) mergeBatches(batches []*trajBatch, shards int) {
-	if shards < 1 {
-		shards = 1
-	}
-	mod := func(iv int) int { return ((iv % shards) + shards) % shards }
-	parts := make([]map[int]*Interval, shards)
-	// Shard counts are small; par.Do with error-free work never fails.
-	_ = par.Do(shards, shards, func(s int) error {
-		m := make(map[int]*Interval)
-		get := func(id int) *Interval {
-			iv := m[id]
-			if iv == nil {
-				iv = &Interval{Regions: make(map[roadnet.RegionID]*RegionBucket)}
-				m[id] = iv
-			}
-			return iv
-		}
-		for j, b := range batches {
-			for iv := b.firstIv; iv <= b.lastIv; iv++ {
-				if mod(iv) != s {
-					continue
-				}
-				in := get(iv)
-				in.Trajs = append(in.Trajs, int32(j))
-			}
-			for _, e := range b.emits {
-				if mod(e.interval) != s {
-					continue
-				}
-				bk := get(e.interval).bucket(e.re)
-				if e.isRef {
-					bk.Refs = append(bk.Refs, e.ref)
-				} else {
-					bk.NonRefs = append(bk.NonRefs, e.nonRef)
-				}
-			}
-		}
-		parts[s] = m
-		return nil
-	})
-	for _, m := range parts {
-		for id, iv := range m {
-			ix.Intervals[id] = iv
-		}
-	}
-}
-
-func (iv *Interval) bucket(re roadnet.RegionID) *RegionBucket {
-	b := iv.Regions[re]
-	if b == nil {
-		b = &RegionBucket{}
-		iv.Regions[re] = b
-	}
-	return b
-}
-
-func dedupInt32(xs []int32) []int32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// FindTemporalByNo returns trajectory j's entry with the greatest No <= k,
-// used to resume timestamp decoding near point index k.
-func (ix *Index) FindTemporalByNo(j, k int) (TemporalEntry, bool) {
-	entries, err := ix.TemporalEntries(j)
-	if err != nil {
-		return TemporalEntry{}, false
-	}
-	lo := sort.Search(len(entries), func(i int) bool { return int(entries[i].No) > k })
-	if lo == 0 {
-		return TemporalEntry{}, false
-	}
-	return entries[lo-1], true
 }

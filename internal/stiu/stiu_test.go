@@ -28,6 +28,23 @@ func buildFixtureIndex(t *testing.T, opts Options) (*paperfix.Fixture, *core.Arc
 	return fx, a, ix
 }
 
+// occupiedBuckets returns every (interval, region) bucket of ix through
+// the Buckets accessor, in no particular order.
+func occupiedBuckets(t *testing.T, ix *Index) []*RegionBucket {
+	t.Helper()
+	var out []*RegionBucket
+	for id, iv := range ix.Intervals {
+		iv.occ.forEach(func(_, re int) {
+			b, err := ix.Buckets(id, roadnet.RegionID(re))
+			if err != nil || b == nil {
+				t.Fatalf("occupied bucket (%d,%d): %v, %v", id, re, b, err)
+			}
+			out = append(out, b)
+		})
+	}
+	return out
+}
+
 // TestTemporalEntries mirrors Example 3: with 15-minute partitions, the
 // tuple whose t.start is closest below 5:21:25 has t.no = 3 (timestamp
 // 5:15:26).
@@ -66,11 +83,9 @@ func TestSpatialTuples(t *testing.T) {
 	// Collect all regions with tuples for trajectory 0.
 	total := 0
 	var refTuples []RefTuple
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
-			refTuples = append(refTuples, b.Refs...)
-			total += len(b.Refs) + len(b.NonRefs)
-		}
+	for _, b := range occupiedBuckets(t, ix) {
+		refTuples = append(refTuples, b.Refs...)
+		total += len(b.Refs) + len(b.NonRefs)
 	}
 	if total == 0 {
 		t.Fatal("no spatial tuples built")
@@ -189,15 +204,13 @@ func TestBuildOnGeneratedDataset(t *testing.T) {
 	}
 	// ptotal consistency: every group tuple's ptotal must not exceed the
 	// trajectory's total probability (~1).
-	for _, iv := range ix.Intervals {
-		for _, b := range iv.Regions {
-			for _, rt := range b.Refs {
-				if rt.PTotal > 1.05 {
-					t.Errorf("ptotal %g > 1", rt.PTotal)
-				}
-				if rt.PMax > rt.PTotal+1e-6 {
-					t.Errorf("pmax %g > ptotal %g", rt.PMax, rt.PTotal)
-				}
+	for _, b := range occupiedBuckets(t, ix) {
+		for _, rt := range b.Refs {
+			if rt.PTotal > 1.05 {
+				t.Errorf("ptotal %g > 1", rt.PTotal)
+			}
+			if rt.PMax > rt.PTotal+1e-6 {
+				t.Errorf("pmax %g > ptotal %g", rt.PMax, rt.PTotal)
 			}
 		}
 	}

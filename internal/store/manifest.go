@@ -36,18 +36,14 @@ import (
 //	numTrajs u32
 //	shardOf: numTrajs × u32       (global trajectory id → live shard id)
 //
-// Version 3 added the per-entry archive file length (openShard fails fast
-// on a truncated shard file instead of decoding garbage) and the CRC-32
-// (IEEE) of the shard's StIU sidecar file; a zero CRC means "no sidecar —
-// rebuild the index from the archive".  Versions 1 (the read-only store of
-// PR 3) and 2 (the mutable store) are still read; their entries carry
-// bytes = 0 (length unknown, not validated) and sidecarCRC = 0.  Writers
-// always emit version 3.
+// bytes is the shard archive's file length (openShard fails fast on a
+// truncated shard file instead of decoding garbage) and sidecarCRC the
+// CRC-32 (IEEE) of the shard's StIU sidecar file; a zero CRC means "no
+// sidecar — rebuild the index from the archive".  Version 3 is the only
+// version read or written; older manifests are refused.
 const (
 	manifestMagic      = "UTCS"
 	manifestVersion    = 3
-	manifestVersionV2  = 2
-	manifestVersionV1  = 1
 	entryFlagDelta     = 1 << 0
 	entryFlagTombstone = 1 << 1
 
@@ -92,8 +88,7 @@ type shardEntry struct {
 	bounds roadnet.Rect
 
 	// bytes is the shard archive's exact file length; openShard rejects a
-	// file of any other size before decoding.  0 (pre-v3 manifests) skips
-	// the check.
+	// file of any other size before decoding.  0 skips the check.
 	bytes uint64
 
 	// sidecarCRC is the CRC-32 (IEEE) of the shard's StIU sidecar file;
@@ -218,7 +213,7 @@ func (m *manifest) write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// readManifest decodes and validates a manifest (version 1 or 2).
+// readManifest decodes and validates a version 3 manifest.
 func readManifest(r io.Reader) (*manifest, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(manifestMagic))
@@ -233,18 +228,9 @@ func readManifest(r io.Reader) (*manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case manifestVersionV1:
-		return readManifestV1(lr)
-	case manifestVersionV2, manifestVersion:
-		return readManifestV2(lr, version)
+	if version != manifestVersion {
+		return nil, fmt.Errorf("store: unsupported manifest version %d", version)
 	}
-	return nil, fmt.Errorf("store: unsupported manifest version %d", version)
-}
-
-// readManifestV2 decodes the version 2 and 3 layouts (the magic and
-// version are already consumed); version 3 entries carry two extra fields.
-func readManifestV2(lr *core.LEReader, version uint16) (*manifest, error) {
 	m := &manifest{}
 	am, err := lr.U8()
 	if err != nil {
@@ -323,13 +309,11 @@ func readManifestV2(lr *core.LEReader, version uint16) (*manifest, error) {
 			}
 		}
 		e.bounds = roadnet.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-		if version >= manifestVersion {
-			if e.bytes, err = lr.U64(); err != nil {
-				return nil, err
-			}
-			if e.sidecarCRC, err = lr.U32(); err != nil {
-				return nil, err
-			}
+		if e.bytes, err = lr.U64(); err != nil {
+			return nil, err
+		}
+		if e.sidecarCRC, err = lr.U32(); err != nil {
+			return nil, err
 		}
 	}
 	if m.liveShards() == 0 {
@@ -368,90 +352,6 @@ func readManifestV2(lr *core.LEReader, version uint16) (*manifest, error) {
 		if got := counts[e.id]; got != e.count {
 			return nil, fmt.Errorf("store: shard %d count %d does not match assignment (%d)", e.id, e.count, got)
 		}
-	}
-	return m, nil
-}
-
-// readManifestV1 decodes the PR 3 layout into the mutable model: every
-// shard becomes a live base entry with id = shard index.
-func readManifestV1(lr *core.LEReader) (*manifest, error) {
-	m := &manifest{generation: 1}
-	am, err := lr.U8()
-	if err != nil {
-		return nil, err
-	}
-	m.assignment = Assignment(am)
-	ns, err := lr.U32()
-	if err != nil {
-		return nil, err
-	}
-	if ns < 1 || ns > maxManifestShards {
-		return nil, fmt.Errorf("store: manifest declares %d shards (limit %d)", ns, maxManifestShards)
-	}
-	nt, err := lr.U32()
-	if err != nil {
-		return nil, err
-	}
-	if nt > maxManifestTrajs {
-		return nil, fmt.Errorf("store: manifest declares %d trajectories (limit %d)", nt, maxManifestTrajs)
-	}
-	nx, err := lr.U32()
-	if err != nil {
-		return nil, err
-	}
-	ny, err := lr.U32()
-	if err != nil {
-		return nil, err
-	}
-	m.gridNX, m.gridNY = int(nx), int(ny)
-	if m.interval, err = lr.I64(); err != nil {
-		return nil, err
-	}
-	if m.timeMin, err = lr.I64(); err != nil {
-		return nil, err
-	}
-	if m.timeMax, err = lr.I64(); err != nil {
-		return nil, err
-	}
-	if m.graphHash, err = lr.U64(); err != nil {
-		return nil, err
-	}
-	m.nextID = ns
-	m.entries = make([]shardEntry, ns)
-	for i := range m.entries {
-		m.entries[i] = shardEntry{id: uint32(i), kind: kindBase}
-	}
-	m.shardOf = make([]uint32, nt)
-	counts := make([]uint32, ns)
-	for j := range m.shardOf {
-		id, err := lr.U32()
-		if err != nil {
-			return nil, err
-		}
-		if id >= ns {
-			return nil, fmt.Errorf("store: trajectory %d assigned to shard %d of %d", j, id, ns)
-		}
-		m.shardOf[j] = id
-		counts[id]++
-	}
-	for i := range m.entries {
-		var vals [4]float64
-		for k := range vals {
-			if vals[k], err = lr.F64(); err != nil {
-				return nil, err
-			}
-		}
-		m.entries[i].bounds = roadnet.Rect{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-	}
-	for i := range m.entries {
-		got, err := lr.U32()
-		if err != nil {
-			return nil, err
-		}
-		if got != counts[i] {
-			return nil, fmt.Errorf("store: shard %d count %d does not match assignment (%d)", i, got, counts[i])
-		}
-		m.entries[i].count = got
 	}
 	return m, nil
 }

@@ -361,31 +361,7 @@ func buildShardEngine(g *roadnet.Graph, tus []*traj.Uncertain, coreOpts core.Opt
 	if err != nil {
 		return nil, roadnet.Rect{}, fmt.Errorf("index: %w", err)
 	}
-	return query.NewEngine(arch, ix), shardGeometryBounds(ix), nil
-}
-
-// shardGeometryBounds returns a conservative bounding rectangle of a
-// shard's trajectory geometry: the union of every StIU region cell any of
-// its instances touches (cells cover the full edge geometry, so no
-// position of any instance lies outside the union).  An empty shard gets
-// an inverted rectangle that intersects nothing.
-func shardGeometryBounds(ix *stiu.Index) roadnet.Rect {
-	out := roadnet.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
-	empty := true
-	for _, iv := range ix.Intervals {
-		for re := range iv.Regions {
-			cr := ix.Grid.CellRect(re)
-			if empty {
-				out, empty = cr, false
-				continue
-			}
-			out.MinX = math.Min(out.MinX, cr.MinX)
-			out.MinY = math.Min(out.MinY, cr.MinY)
-			out.MaxX = math.Max(out.MaxX, cr.MaxX)
-			out.MaxY = math.Max(out.MaxY, cr.MaxY)
-		}
-	}
-	return out
+	return query.NewEngine(arch, ix), ix.Bounds(), nil
 }
 
 // assign computes the shard of every trajectory.
@@ -914,7 +890,7 @@ func (s *Store) Compact() (int, error) {
 	for _, slot := range slots {
 		man.entries[slot].dead = true
 	}
-	man.entries = append(man.entries, shardEntry{id: id, kind: kindBase, count: uint32(len(recs)), bounds: shardGeometryBounds(ix)})
+	man.entries = append(man.entries, shardEntry{id: id, kind: kindBase, count: uint32(len(recs)), bounds: ix.Bounds()})
 	sh := &shard{id: id, globals: make([]int32, len(recs))}
 	for i, r := range recs {
 		man.shardOf[r.global] = id
@@ -1044,7 +1020,7 @@ type Stats struct {
 	Engine query.EngineStats
 
 	// Succinct is the sum of the open shards' StIU succinct-layer counters
-	// (v2 sidecars only; zeros for v1/rebuilt indexes).
+	// and section sizes.
 	Succinct stiu.IndexStats
 }
 
@@ -1092,11 +1068,7 @@ func (s *Store) Stats() Stats {
 		st.Engine.InstancesSkipped += es.InstancesSkipped
 		st.Engine.TrajsPruned += es.TrajsPruned
 		st.Engine.TrajsAccepted += es.TrajsAccepted
-		is := eng.Ix.Stats()
-		st.Succinct.RegionBlocksDecoded += is.RegionBlocksDecoded
-		st.Succinct.RegionPrunedNoTouch += is.RegionPrunedNoTouch
-		st.Succinct.TemporalSectionsForced += is.TemporalSectionsForced
-		st.Succinct.SuccinctBytes += is.SuccinctBytes
+		st.Succinct.Add(eng.Ix.Stats())
 	}
 	return st
 }

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -265,6 +269,30 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Open(t.TempDir(), bc.ds.Graph, OpenOptions{}); err == nil {
 		t.Fatal("opening an empty directory succeeded")
+	}
+}
+
+// TestManifestV1V2Refused pins the version policy: a manifest whose
+// header says version 1 or 2 (the layouts before the per-entry file length
+// and sidecar checksum) fails Open with a versioned error.
+func TestManifestV1V2Refused(t *testing.T) {
+	bc := buildReference(t, gen.CD(), 6, 5)
+	dir := saveStore(t, buildStore(t, bc, 2, AssignHash))
+	path := filepath.Join(dir, ManifestName)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint16{1, 2} {
+		old := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint16(old[len(manifestMagic):], version)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("store: unsupported manifest version %d", version)
+		if _, err := Open(dir, bc.ds.Graph, OpenOptions{}); err == nil || err.Error() != want {
+			t.Fatalf("Open(manifest v%d) = %v, want %q", version, err, want)
+		}
 	}
 }
 

@@ -246,7 +246,6 @@ type ClusterStats struct {
 
 // SuccinctStats mirrors the StIU succinct-index counters
 // (internal/stiu.IndexStats) summed across a store's open shards.
-// Zeros when every shard's index is v1 or rebuilt.
 type SuccinctStats struct {
 	// RegionBlocksDecoded counts region buckets materialized from
 	// sidecar bytes; RegionPrunedNoTouch counts pruning probes the
@@ -259,6 +258,11 @@ type SuccinctStats struct {
 	// SuccinctBytes is the resident footprint of the rank/select
 	// directories themselves.
 	SuccinctBytes int64 `json:"succinctBytes"`
+	// TemporalBytes, IntervalBytes and TrajRegionBytes split the open
+	// shards' index bytes by sidecar section.
+	TemporalBytes   int64 `json:"temporalBytes"`
+	IntervalBytes   int64 `json:"intervalBytes"`
+	TrajRegionBytes int64 `json:"trajRegionBytes"`
 }
 
 // StatsResponse is the /v1/stats payload: store shape, aggregated
@@ -295,9 +299,9 @@ type StatsResponse struct {
 	MappedBytes     int64 `json:"mappedBytes"`
 	RSSBytes        int64 `json:"rssBytes"`
 
-	// Succinct reports the v2 sidecars' rank/select layer (PR10): how
-	// often pruning answered without decoding anything vs. the blocks
-	// and temporal sections actually materialized.
+	// Succinct reports the StIU rank/select layer: how often pruning
+	// answered without decoding anything vs. the blocks and temporal
+	// sections actually decoded, and the index bytes per section.
 	Succinct SuccinctStats `json:"succinct"`
 
 	// Degradation state (PR7).
