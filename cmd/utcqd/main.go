@@ -1,6 +1,6 @@
 // Command utcqd serves probabilistic trajectory queries over HTTP: it
 // builds (or opens) a sharded compressed store and exposes the where /
-// when / range queries, a batched endpoint, /healthz and /stats.
+// when / range queries, a batched endpoint, /healthz and /v1/stats.
 //
 // A synthetic dataset is generated from the profile flags, compressed into
 // -shards archives and served; with -dir the store round-trips through
@@ -33,7 +33,7 @@
 //
 //	POST /v1/where   POST /v1/when   POST /v1/range   POST /v1/batch
 //	POST /v1/ingest  POST /v1/compact
-//	GET  /healthz    GET  /stats
+//	GET  /healthz    GET  /v1/stats
 //
 // The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests for up to -drain, then drains pending ingestion and closes the

@@ -207,9 +207,6 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		http.Redirect(w, r, "/v1/stats", http.StatusMovedPermanently)
-	})
 	rt.mux.HandleFunc("POST /v1/where", rt.handleWhere)
 	rt.mux.HandleFunc("POST /v1/when", rt.handleWhen)
 	rt.mux.HandleFunc("POST /v1/range", rt.handleRange)
@@ -1111,7 +1108,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Succinct.SuccinctBytes += st.Succinct.SuccinctBytes
 		out.Succinct.TemporalBytes += st.Succinct.TemporalBytes
 		out.Succinct.IntervalBytes += st.Succinct.IntervalBytes
-		out.Succinct.TrajRegionBytes += st.Succinct.TrajRegionBytes
 		out.MappedBytes += st.MappedBytes
 		out.RSSBytes += st.RSSBytes
 		out.QuarantinedShards += st.QuarantinedShards

@@ -9,7 +9,7 @@ import (
 
 // ResidentSetBytes returns the process's resident set size from
 // /proc/self/statm (second field, in pages), or 0 when unreadable.  It
-// backs the /stats rssBytes gauge: together with MappedBytes it shows how
+// backs the /v1/stats rssBytes gauge: together with MappedBytes it shows how
 // much of the mapped data is actually paged in.
 func ResidentSetBytes() int64 {
 	b, err := os.ReadFile("/proc/self/statm")

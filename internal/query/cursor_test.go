@@ -11,7 +11,7 @@ import (
 )
 
 // cursorEngines builds one archive per profile and two engines over it:
-// one on the built StIU index and one on the index decoded from its v2
+// one on the built StIU index and one on the index decoded from its
 // sidecar.
 func cursorEngines(t *testing.T, p gen.Profile, n int, seed int64) []*Engine {
 	t.Helper()
@@ -76,7 +76,7 @@ func lazyInside(g *roadnet.Graph, pi *lazyPath, re roadnet.Rect, i int, ti, ti1,
 }
 
 // TestCursorMatchesLazyPath pins the instance cursor to the materializing
-// read path it replaced: on DK, CD and HZ, over a built and a v2-sidecar
+// read path it replaced: on DK, CD and HZ, over a built and a sidecar-decoded
 // index, the cursor's location, passages and Lemma-2 verdict equal
 // lazyPath's bit for bit (== on float64, no tolerance).  Query locations
 // cover inner edge points, both edge ends (NDist = length is exactly the

@@ -368,15 +368,14 @@ func (e *Engine) When(j int, loc roadnet.Position, alpha float64) ([]WhenResult,
 // steady-state allocations; the appended window is sorted by (Inst, T),
 // entries before it are untouched.
 func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha float64) ([]WhenResult, error) {
-	g := e.Arch.Graph
-	x, y := g.Coords(loc)
+	x, y := e.Arch.Graph.Coords(loc)
 	re := e.Ix.Grid.CellOf(x, y)
-	bucket, err := e.Ix.TrajRegion(j, re)
-	if err != nil {
-		return dst, err
-	}
-	if bucket == nil && !e.DisablePruning {
-		return dst, nil // no instance of this trajectory enters the region
+	var lo, hi int
+	var err error
+	if !e.DisablePruning {
+		if lo, hi, err = e.whenSpan(j, re); err != nil || lo > hi {
+			return dst, err // lo > hi: no instance of this trajectory enters the region
+		}
 	}
 	rec := e.Arch.Trajs[j]
 
@@ -399,18 +398,30 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 			sc.plan[off+gk] = planRef | planNonRefs
 		}
 	} else {
-		for i := range bucket.Refs {
-			rt := &bucket.Refs[i]
-			gi := off + int(rt.Orig)
-			if sc.pstamp[gi] != sc.epoch {
-				sc.pstamp[gi] = sc.epoch
-				sc.plan[gi] = 0
+		for iv := lo; iv <= hi; iv++ {
+			bucket, err := e.Ix.Buckets(iv, re)
+			if err != nil {
+				return dst, err
 			}
-			if rt.FV != roadnet.NoVertex && rec.Insts[rt.Orig].P >= alpha {
-				sc.plan[gi] |= planRef
+			if bucket == nil {
+				continue
 			}
-			if float64(rt.PMax) >= alpha {
-				sc.plan[gi] |= planNonRefs // Lemma 1 does not apply
+			for i := range bucket.Refs {
+				rt := &bucket.Refs[i]
+				if int(rt.Traj) != j {
+					continue
+				}
+				gi := off + int(rt.Orig)
+				if sc.pstamp[gi] != sc.epoch {
+					sc.pstamp[gi] = sc.epoch
+					sc.plan[gi] = 0
+				}
+				if rt.FV != roadnet.NoVertex && rec.Insts[rt.Orig].P >= alpha {
+					sc.plan[gi] |= planRef
+				}
+				if float64(rt.PMax) >= alpha {
+					sc.plan[gi] |= planNonRefs // Lemma 1 does not apply
+				}
 			}
 		}
 	}
@@ -455,6 +466,31 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 		return 0
 	})
 	return dst, nil
+}
+
+// whenSpan returns the intervals [lo, hi] whose buckets for cell re hold
+// trajectory j's Lemma-1 tuples, lo > hi when none does.  Every tuple the
+// build aggregates for j lands in some bucket (iv, re) with iv between the
+// intervals of j's first and last samples, so those buckets, filtered to
+// Traj == j, carry exactly the trajectory's plan; lo is advanced to the
+// first of them that holds j, so a miss costs only bit tests and a scan of
+// the few buckets present.
+func (e *Engine) whenSpan(j int, re roadnet.RegionID) (lo, hi int, err error) {
+	entries, err := e.Ix.TemporalEntries(j)
+	if err != nil || len(entries) == 0 {
+		return 0, -1, err
+	}
+	lo, hi = e.Ix.IntervalOf(entries[0].Start), e.Ix.IntervalOf(entries[len(entries)-1].Start)
+	for ; lo <= hi; lo++ {
+		b, err := e.Ix.Buckets(lo, re)
+		if err != nil {
+			return 0, -1, err
+		}
+		if b != nil && slices.ContainsFunc(b.Refs, func(rt stiu.RefTuple) bool { return int(rt.Traj) == j }) {
+			break
+		}
+	}
+	return lo, hi, nil
 }
 
 // appendWhenInst appends the passages of one instance through loc, found

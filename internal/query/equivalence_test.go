@@ -129,8 +129,18 @@ func TestWhereEquivalence(t *testing.T) {
 	}
 }
 
+// TestWhenEquivalence checks the engine's when answers against the
+// uncompressed oracle on all three road networks.  A Lemma-1 gate that
+// wrongly reports "no instance enters this cell" drops passages here.
 func TestWhenEquivalence(t *testing.T) {
-	h := buildHarness(t, gen.HZ(), 30, 33)
+	for _, pr := range sweepProfiles {
+		t.Run(pr.name, func(t *testing.T) {
+			checkWhenEquivalence(t, buildHarness(t, pr.p, 30, pr.seed))
+		})
+	}
+}
+
+func checkWhenEquivalence(t *testing.T, h *harness) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
 		j := rng.Intn(len(h.ds.Trajectories))

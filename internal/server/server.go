@@ -3,7 +3,7 @@
 // the paper's three probabilistic queries — where (Definition 10), when
 // (Definition 11) and range (Definition 12) — as single-query endpoints
 // and as one batched endpoint that fans a request's queries across a
-// bounded worker pool, plus /healthz for liveness and /stats for the
+// bounded worker pool, plus /healthz for liveness and /v1/stats for the
 // store's aggregated engine counters.  With an ingester
 // attached (Options.Ingester) the server also accepts live traffic:
 // POST /v1/ingest acknowledges raw trajectories into the WAL and
@@ -123,9 +123,6 @@ func New(st *store.Store, opts Options) *Server {
 	s := &Server{st: st, ing: opts.Ingester, opts: opts, mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	// Deprecated alias: /stats predates the versioned prefix.  Old
-	// scrapers get a permanent redirect; new clients use /v1/stats.
-	s.mux.HandleFunc("GET /stats", redirectStats)
 	s.mux.HandleFunc("POST /v1/where", s.handleWhere)
 	s.mux.HandleFunc("POST /v1/when", s.handleWhen)
 	s.mux.HandleFunc("POST /v1/range", s.handleRange)
@@ -622,7 +619,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // alive (200) as long as it can answer, but the body reports "degraded"
 // with the reasons — quarantined shards, a read-only write path — so
 // operators and load balancers see partial failure without scraping
-// /stats.
+// /v1/stats.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := Health{Status: "ok"}
 	if q := s.st.QuarantinedShards(); q > 0 {
@@ -634,11 +631,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.ReadOnly = true
 	}
 	s.reply(w, resp)
-}
-
-// redirectStats 301s the pre-versioning /stats alias to /v1/stats.
-func redirectStats(w http.ResponseWriter, r *http.Request) {
-	http.Redirect(w, r, "/v1/stats", http.StatusMovedPermanently)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -289,24 +289,17 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsAliasRedirects pins the deprecated bare /stats alias to a
-// permanent redirect at /v1/stats (old scrapers keep working; the
-// versioned path is the API).
-func TestStatsAliasRedirects(t *testing.T) {
+// TestStatsAliasRetired pins the removal of the bare /stats alias: only
+// the versioned /v1/stats path is served.
+func TestStatsAliasRetired(t *testing.T) {
 	f := newFixture(t)
-	c := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := c.Get(f.ts.URL + "/stats")
+	resp, err := http.Get(f.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMovedPermanently {
-		t.Fatalf("GET /stats = %d, want 301", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/v1/stats" {
-		t.Fatalf("Location = %q, want /v1/stats", loc)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 )
 
 // buildState is what Build's walk and merge produce before encoding: the
-// per-trajectory temporal entries and region buckets and the per-interval
-// cells.  It lives only as long as Build; the index keeps its structures
-// as the seeded decode caches.
+// per-trajectory temporal entries and the per-interval cells.  It lives
+// only as long as Build; the index keeps its structures as the seeded
+// decode caches.
 type buildState struct {
-	temporal   [][]TemporalEntry
-	trajRegion []map[roadnet.RegionID]*RegionBucket
-	intervals  map[int]*builtInterval
+	temporal  [][]TemporalEntry
+	intervals map[int]*builtInterval
 }
 
 // builtInterval is one interval's cell contents during a build.
@@ -44,15 +43,11 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 	}
 	n := len(a.Trajs)
 	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY)}
-	st := &buildState{
-		temporal:   make([][]TemporalEntry, n),
-		trajRegion: make([]map[roadnet.RegionID]*RegionBucket, n),
-	}
+	st := &buildState{temporal: make([][]TemporalEntry, n)}
 	workers := par.Workers(opts.Parallelism)
 
-	// Walk phase: per-trajectory batches, plus the per-trajectory index
-	// parts (temporal entries, trajectory-region buckets) that no other
-	// worker touches.
+	// Walk phase: per-trajectory batches, plus the trajectory's temporal
+	// entries, which no other worker touches.
 	batches := make([]*trajBatch, n)
 	err := par.Do(workers, n, func(j int) error {
 		b, err := ix.walkTrajectory(a, j)
@@ -60,7 +55,7 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 			return fmt.Errorf("stiu: trajectory %d: %w", j, err)
 		}
 		batches[j] = b
-		st.temporal[j], st.trajRegion[j] = b.temporal, b.trajRegion
+		st.temporal[j] = b.temporal
 		return nil
 	})
 	if err != nil {
@@ -79,9 +74,7 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 	if err := ix.parse(data, n); err != nil {
 		return nil, err
 	}
-	if err := ix.seed(st, workers); err != nil {
-		return nil, err
-	}
+	ix.seed(st)
 	return ix, nil
 }
 
@@ -89,27 +82,17 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 // structures the build already holds, so queries on a built index never
 // decode a section: they read exactly what DecodeSidecar's lazy paths
 // would produce from the same bytes.
-func (ix *Index) seed(st *buildState, workers int) error {
+func (ix *Index) seed(st *buildState) {
 	for id, biv := range st.intervals {
 		iv := ix.Intervals[id]
 		iv.Trajs = biv.trajs
 		iv.cand.done.Store(true)
-		iv.layout.seed(biv.regions)
+		iv.occ.forEach(func(k, re int) { iv.decoded[k].Store(biv.regions[roadnet.RegionID(re)]) })
 	}
-	return par.Do(workers, len(st.temporal), func(j int) error {
-		ix.Temporal[j] = st.temporal[j]
+	for j, entries := range st.temporal {
+		ix.Temporal[j] = entries
 		ix.lazyTemporal[j].done.Store(true)
-		if err := ix.forceTRHeader(j); err != nil {
-			return err
-		}
-		ix.trajRegions[j].layout.seed(st.trajRegion[j])
-		return nil
-	})
-}
-
-// seed publishes the bucket of every occupied region of m, in rank order.
-func (l *layout) seed(m map[roadnet.RegionID]*RegionBucket) {
-	l.occ.forEach(func(k, re int) { l.decoded[k].Store(m[roadnet.RegionID(re)]) })
+	}
 }
 
 // mergeBatches folds the walk batches into interval cells.  Each shard
@@ -144,7 +127,12 @@ func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
 				if mod(e.interval) != s {
 					continue
 				}
-				bk := bucketIn(get(e.interval).regions, e.re)
+				regions := get(e.interval).regions
+				bk := regions[e.re]
+				if bk == nil {
+					bk = &RegionBucket{}
+					regions[e.re] = bk
+				}
 				if e.isRef {
 					bk.Refs = append(bk.Refs, e.ref)
 				} else {
@@ -162,16 +150,6 @@ func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
 		}
 	}
 	return out
-}
-
-// bucketIn returns (creating if needed) the bucket of region re in m.
-func bucketIn(m map[roadnet.RegionID]*RegionBucket, re roadnet.RegionID) *RegionBucket {
-	b := m[re]
-	if b == nil {
-		b = &RegionBucket{}
-		m[re] = b
-	}
-	return b
 }
 
 func dedupInt32(xs []int32) []int32 {
@@ -219,7 +197,6 @@ type trajBatch struct {
 	temporal        []TemporalEntry
 	firstIv, lastIv int // interval span covered by the trajectory
 	emits           []spatialEmit
-	trajRegion      map[roadnet.RegionID]*RegionBucket
 }
 
 // spatialEmit is one tuple append destined for an (interval, region) cell.
@@ -236,7 +213,7 @@ type spatialEmit struct {
 // may run concurrently.
 func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	rec := a.Trajs[j]
-	b := &trajBatch{trajRegion: make(map[roadnet.RegionID]*RegionBucket)}
+	b := &trajBatch{}
 
 	// Temporal entries: one per interval the trajectory has samples in.
 	T := make([]int64, 0, rec.NumPoints)
@@ -410,8 +387,8 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 }
 
 // emitGroupTuples aggregates the group's visits into per-(interval, region)
-// reference and non-reference tuples, appending interval-cell tuples to the
-// batch's emit list and per-trajectory tuples to its trajRegion buckets.
+// reference and non-reference tuples, appending them to the batch's emit
+// list.
 func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWalk, refView *core.RefView, T []int64) {
 	type key struct {
 		interval int
@@ -493,8 +470,6 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			}
 		}
 		b.emits = append(b.emits, spatialEmit{interval: k.interval, re: k.re, isRef: true, ref: rt})
-		tb := bucketIn(b.trajRegion, k.re)
-		tb.Refs = append(tb.Refs, rt)
 	}
 
 	// Non-reference tuples, with the factor-crossing rule: one tuple per
@@ -526,8 +501,6 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			for _, iv := range intervalsOf(v) {
 				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re, isRef: false, nonRef: nt})
 			}
-			tb := bucketIn(b.trajRegion, v.re)
-			tb.NonRefs = append(tb.NonRefs, nt)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func FuzzSidecarDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(enc)
-	f.Add(enc[:len(enc)-1]) // cut inside the last trajectory-region layout
+	f.Add(enc[:len(enc)-1]) // cut inside the last interval's bucket blob
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte("UTCI"))
 

@@ -10,8 +10,8 @@ import (
 
 // TestBuildParallelDeterministic: the index built with any worker count
 // must encode to the same sidecar bytes as the serial (Parallelism: 1)
-// build — temporal entries, interval trajectory lists, every cell's tuple
-// order, and the per-trajectory region buckets.
+// build — temporal entries, interval trajectory lists and every cell's
+// tuple order.
 func TestBuildParallelDeterministic(t *testing.T) {
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 20, 20

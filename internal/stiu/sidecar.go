@@ -9,11 +9,12 @@
 //     trajectory j's section decodes on its first When/FindTemporal touch;
 //   - per interval, an Elias–Fano candidate set, a rank bitvector over
 //     the grid's region occupancy and a u32 offset table into individually
-//     encoded region buckets, so a Range probe of an absent (interval,
-//     region) pair is a bit test and a present pair decodes only its own
-//     bucket;
-//   - the same bitvector + offset-table shape per trajectory for the
-//     When path's Lemma-1 gate, behind a per-trajectory directory.
+//     encoded region buckets, so a probe of an absent (interval, region)
+//     pair is a bit test and a present pair decodes only its own bucket.
+//
+// There is no per-trajectory spatial section: the When path's Lemma-1
+// gate reads the interval buckets over the trajectory's interval span and
+// keeps the tuples of that trajectory.
 //
 // All directories are fixed-width and verified at parse (monotone span
 // checks happen lazily per section), so parsing is O(header + interval
@@ -41,7 +42,7 @@ import (
 
 const (
 	sidecarMagic   = "UTCI"
-	sidecarVersion = 2
+	sidecarVersion = 3
 	sidecarHdrLen  = 35
 )
 
@@ -74,17 +75,14 @@ func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	temporal, trajRegion := make([][]byte, n), make([][]byte, n)
+	temporal := make([][]byte, n)
 	intervals := make([][]byte, len(ids))
 	err := par.Do(workers, n+len(ids), func(i int) error {
-		var err error
 		if i < n {
 			temporal[i] = appendTemporalEntries(nil, st.temporal[i])
-			if trajRegion[i], err = appendLayout(nil, nbits, st.trajRegion[i]); err != nil {
-				return fmt.Errorf("stiu: trajRegion[%d]: %w", i, err)
-			}
 			return nil
 		}
+		var err error
 		iv := st.intervals[ids[i-n]]
 		if intervals[i-n], err = appendLayout(appendEFSet(nil, iv.trajs), nbits, iv.regions); err != nil {
 			return fmt.Errorf("stiu: interval %d: %w", ids[i-n], err)
@@ -95,8 +93,8 @@ func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
 		return nil, err
 	}
 
-	size := sidecarHdrLen + 8*(n+1) + (len(ids)+1)*binary.MaxVarintLen64
-	for _, parts := range [][][]byte{temporal, trajRegion, intervals} {
+	size := sidecarHdrLen + 4*(n+1) + (len(ids)+1)*binary.MaxVarintLen64
+	for _, parts := range [][][]byte{temporal, intervals} {
 		for _, p := range parts {
 			size += len(p)
 		}
@@ -124,10 +122,6 @@ func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(id-ids[i-1]))
 		}
 		buf = append(buf, intervals[i]...)
-	}
-	// Trajectory-region section: directory + per-trajectory layouts.
-	if buf, err = appendDirectory(buf, trajRegion); err != nil {
-		return nil, fmt.Errorf("stiu: trajRegion section: %w", err)
 	}
 	return buf, nil
 }
@@ -230,14 +224,13 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 }
 
 // parse attaches the body of a header-checked sidecar to ix.  Temporal
-// sections, candidate sets, per-trajectory region layouts and every
-// region bucket stay on the buffer; only the interval skeleton is built.
+// sections, candidate sets and every region bucket stay on the buffer;
+// only the interval skeleton is built.
 func (ix *Index) parse(data []byte, numTrajs int) error {
 	ix.raw = data
 	ix.Temporal = make([][]TemporalEntry, numTrajs)
 	ix.lazyTemporal = make([]lazyBlock, numTrajs)
 	ix.Intervals = make(map[int]*Interval)
-	ix.trajRegions = make([]trLayout, numTrajs)
 	r := &sidecarReader{data: data, off: sidecarHdrLen}
 	nbits := ix.Opts.GridNX * ix.Opts.GridNY
 
@@ -270,13 +263,6 @@ func (ix *Index) parse(data []byte, numTrajs int) error {
 		ix.Intervals[id] = iv
 	}
 	ix.intervalBytes = int64(r.off - start)
-
-	start = r.off
-	if ix.trDir, ix.trBlob, err = r.directory(numTrajs); err != nil {
-		return fmt.Errorf("stiu: sidecar trajRegion directory: %w", err)
-	}
-	resident += len(ix.trDir)
-	ix.trajRegionBytes = int64(r.off - start)
 
 	if r.remaining() != 0 {
 		return fmt.Errorf("stiu: sidecar has %d trailing bytes", r.remaining())

@@ -38,7 +38,7 @@ func buildGeneratedIndex(t *testing.T, opts Options) (*core.Archive, *Index) {
 
 // requireSameIndex compares the query-visible state of two indexes
 // through the accessors: temporal entries, interval candidate sets and
-// every (interval, region) and (trajectory, region) bucket.
+// every (interval, region) bucket.
 func requireSameIndex(t *testing.T, want, got *Index) {
 	t.Helper()
 	if len(want.Temporal) != len(got.Temporal) || len(want.Intervals) != len(got.Intervals) {
@@ -59,11 +59,6 @@ func requireSameIndex(t *testing.T, want, got *Index) {
 		w, werr := want.TemporalEntries(j)
 		g, gerr := got.TemporalEntries(j)
 		same(fmt.Sprintf("temporal[%d]", j), w, g, werr, gerr)
-		for re := roadnet.RegionID(0); re < cells; re++ {
-			w, werr := want.TrajRegion(j, re)
-			g, gerr := got.TrajRegion(j, re)
-			same(fmt.Sprintf("trajRegion (%d,%d)", j, re), w, g, werr, gerr)
-		}
 	}
 	for id := range want.Intervals {
 		if got.Intervals[id] == nil {
@@ -83,12 +78,8 @@ func requireSameIndex(t *testing.T, want, got *Index) {
 // touchAll drives every accessor over every section of ix, ignoring
 // errors: hostile layouts must surface as errors, never as panics.
 func touchAll(ix *Index) {
-	cells := roadnet.RegionID(ix.Opts.GridNX * ix.Opts.GridNY)
 	for j := range ix.Temporal {
 		_, _ = ix.TemporalEntries(j)
-		for re := roadnet.RegionID(0); re < cells; re++ {
-			_, _ = ix.TrajRegion(j, re)
-		}
 	}
 	for id := range ix.Intervals {
 		_, _ = ix.Candidates(id)
@@ -263,67 +254,75 @@ func TestEFSetRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Sidecar returns an index's sidecar with its header relabelled as
-// version 1, the layout readers no longer accept.
-func v1Sidecar(t *testing.T, ix *Index, archiveSize int64) []byte {
+// retiredVersions are the sidecar versions readers no longer accept.
+var retiredVersions = []uint16{1, 2}
+
+// relabelledSidecar returns an index's sidecar with its header relabelled
+// as version v.
+func relabelledSidecar(t *testing.T, ix *Index, archiveSize int64, v uint16) []byte {
 	t.Helper()
 	enc, err := ix.EncodeSidecar(archiveSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(enc[4:]); v != 2 {
-		t.Fatalf("encoder writes version %d, want 2", v)
+	if got := binary.LittleEndian.Uint16(enc[4:]); got != sidecarVersion {
+		t.Fatalf("encoder writes version %d, want %d", got, sidecarVersion)
 	}
-	v1 := bytes.Clone(enc)
-	binary.LittleEndian.PutUint16(v1[4:], 1)
-	return v1
+	out := bytes.Clone(enc)
+	binary.LittleEndian.PutUint16(out[4:], v)
+	return out
 }
 
 // TestSidecarV1RoundTrip pins the version policy: the encoder writes
-// version 2, and a version-1 sidecar no longer round-trips — it fails
-// DecodeSidecar with a versioned error, so a store rebuilds the index
-// from its archive instead.
+// version 3, and a version-1 or version-2 sidecar no longer round-trips —
+// it fails DecodeSidecar with a versioned error, so a store rebuilds the
+// index from its archive instead.
 func TestSidecarV1RoundTrip(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
 	const archiveSize = 123456
-	v1 := v1Sidecar(t, ix, archiveSize)
-	_, err := DecodeSidecar(v1, a.Graph, len(a.Trajs), archiveSize, opts)
-	if err == nil || !strings.Contains(err.Error(), "unsupported sidecar version 1") {
-		t.Fatalf("v1 sidecar: err = %v, want unsupported sidecar version 1", err)
+	for _, v := range retiredVersions {
+		old := relabelledSidecar(t, ix, archiveSize, v)
+		_, err := DecodeSidecar(old, a.Graph, len(a.Trajs), archiveSize, opts)
+		if want := fmt.Sprintf("unsupported sidecar version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d sidecar: err = %v, want %s", v, err, want)
+		}
 	}
 }
 
 // TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1
-// sidecar at every offset: each variant must fail DecodeSidecar, never
-// decode and never panic.
+// and a version-2 sidecar at every offset: each variant must fail
+// DecodeSidecar, never decode and never panic.
 func TestSidecarV1CorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
-	v1 := v1Sidecar(t, ix, 7)
-	for cut := 0; cut <= len(v1); cut += 7 {
-		if _, err := DecodeSidecar(v1[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
-			t.Fatalf("v1 sidecar cut at %d decoded", cut)
+	for _, v := range retiredVersions {
+		old := relabelledSidecar(t, ix, 7, v)
+		want := fmt.Sprintf("unsupported sidecar version %d", v)
+		for cut := 0; cut <= len(old); cut += 7 {
+			if _, err := DecodeSidecar(old[:cut], a.Graph, len(a.Trajs), 7, opts); err == nil {
+				t.Fatalf("v%d sidecar cut at %d decoded", v, cut)
+			}
 		}
-	}
-	for cut := sidecarHdrLen; cut <= len(v1); cut += 7 {
-		_, err := DecodeSidecar(v1[:cut], a.Graph, len(a.Trajs), 7, opts)
-		if err == nil || !strings.Contains(err.Error(), "unsupported sidecar version 1") {
-			t.Fatalf("v1 sidecar cut at %d: err = %v, want unsupported sidecar version 1", cut, err)
+		for cut := sidecarHdrLen; cut <= len(old); cut += 7 {
+			_, err := DecodeSidecar(old[:cut], a.Graph, len(a.Trajs), 7, opts)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d sidecar cut at %d: err = %v, want %s", v, cut, err, want)
+			}
 		}
-	}
-	for off := 0; off < len(v1); off += 11 {
-		mut := bytes.Clone(v1)
-		mut[off] ^= 0x40
-		if _, err := DecodeSidecar(mut, a.Graph, len(a.Trajs), 7, opts); err == nil {
-			t.Fatalf("v1 sidecar with byte %d flipped decoded", off)
+		for off := 0; off < len(old); off += 11 {
+			mut := bytes.Clone(old)
+			mut[off] ^= 0x40
+			if _, err := DecodeSidecar(mut, a.Graph, len(a.Trajs), 7, opts); err == nil {
+				t.Fatalf("v%d sidecar with byte %d flipped decoded", v, off)
+			}
 		}
 	}
 }
 
 // TestSidecarSectionBytes pins the per-section split of IndexStats: the
-// temporal, interval and trajectory-region spans are each nonempty and
-// add up to the sidecar minus its header, for built and decoded indexes.
+// temporal and interval spans are each nonempty and add up to the
+// sidecar minus its header, for built and decoded indexes.
 func TestSidecarSectionBytes(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
@@ -336,16 +335,16 @@ func TestSidecarSectionBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range map[string]IndexStats{"built": ix.Stats(), "decoded": dec.Stats()} {
-		if st.TemporalBytes <= 0 || st.IntervalBytes <= 0 || st.TrajRegionBytes <= 0 {
+		if st.TemporalBytes <= 0 || st.IntervalBytes <= 0 {
 			t.Fatalf("%s: empty section in %+v", name, st)
 		}
-		if sum := st.TemporalBytes + st.IntervalBytes + st.TrajRegionBytes; sum != int64(len(enc)-sidecarHdrLen) {
+		if sum := st.TemporalBytes + st.IntervalBytes; sum != int64(len(enc)-sidecarHdrLen) {
 			t.Fatalf("%s: sections sum to %d, want %d", name, sum, len(enc)-sidecarHdrLen)
 		}
 	}
 }
 
-// TestSidecarV2LazyTemporal pins the tentpole behavior: decoding a v2
+// TestSidecarV2LazyTemporal pins the lazy temporal path: decoding a
 // sidecar touches no temporal section, each section decodes exactly once
 // on first touch, and the entries match the built index.
 func TestSidecarV2LazyTemporal(t *testing.T) {
@@ -402,7 +401,7 @@ func TestSidecarV2SuccinctStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dec.Stats().SuccinctBytes == 0 {
-		t.Fatal("SuccinctBytes = 0 after v2 decode")
+		t.Fatal("SuccinctBytes = 0 after decode")
 	}
 
 	// Find an occupied pair and an unoccupied region in the same interval.

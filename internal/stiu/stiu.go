@@ -105,13 +105,6 @@ type Interval struct {
 	layout
 }
 
-// trLayout is one trajectory's region layout, parsed from the
-// trajectory-region directory on the trajectory's first When touch.
-type trLayout struct {
-	hdr lazyBlock // data unused; done/err guard the parse
-	layout
-}
-
 // lazyBlock defers decoding of one section.  The done flag is the
 // lock-free fast path: its release store happens after the decoded value
 // is written under mu, so an acquire load observing true also observes it.
@@ -137,15 +130,12 @@ type Index struct {
 	tempDir      []byte // (numTrajs+1) × u32 offsets into tempBlob
 	tempBlob     []byte
 	lazyTemporal []lazyBlock // parallel to Temporal
-	trDir        []byte      // (numTrajs+1) × u32 offsets into trBlob
-	trBlob       []byte
-	trajRegions  []trLayout // parallel to Temporal
 
 	// raw is the buffer every section aliases; EncodeSidecar returns it.
 	raw []byte
 
-	// Byte spans of the three sections in raw, fixed at parse.
-	temporalBytes, intervalBytes, trajRegionBytes int64
+	// Byte spans of the two sections in raw, fixed at parse.
+	temporalBytes, intervalBytes int64
 
 	// Observability (Stats): how often the occupancy bitvectors answered
 	// without decoding vs. how many buckets and temporal sections were
@@ -159,9 +149,9 @@ type Index struct {
 
 // IndexStats is a snapshot of the succinct-layer counters.
 type IndexStats struct {
-	// RegionBlocksDecoded counts (interval,region) and (trajectory,region)
-	// buckets decoded from the index bytes; RegionPrunedNoTouch counts
-	// probes the occupancy bitvectors answered empty without decoding.
+	// RegionBlocksDecoded counts (interval, region) buckets decoded from
+	// the index bytes; RegionPrunedNoTouch counts probes the occupancy
+	// bitvectors answered empty without decoding.
 	RegionBlocksDecoded int64
 	RegionPrunedNoTouch int64
 	// TemporalSectionsForced counts per-trajectory temporal sections
@@ -170,11 +160,10 @@ type IndexStats struct {
 	// SuccinctBytes is the resident footprint of the rank/select
 	// directories (bitvector words + superblocks + offset tables).
 	SuccinctBytes int64
-	// TemporalBytes, IntervalBytes and TrajRegionBytes split the sidecar
-	// body by section; they sum to its length minus the 35-byte header.
-	TemporalBytes   int64
-	IntervalBytes   int64
-	TrajRegionBytes int64
+	// TemporalBytes and IntervalBytes split the sidecar body by section;
+	// they sum to its length minus the 35-byte header.
+	TemporalBytes int64
+	IntervalBytes int64
 }
 
 // Add accumulates o into s.
@@ -185,7 +174,6 @@ func (s *IndexStats) Add(o IndexStats) {
 	s.SuccinctBytes += o.SuccinctBytes
 	s.TemporalBytes += o.TemporalBytes
 	s.IntervalBytes += o.IntervalBytes
-	s.TrajRegionBytes += o.TrajRegionBytes
 }
 
 // Stats returns the succinct-layer counters.  Safe to call concurrently
@@ -198,7 +186,6 @@ func (ix *Index) Stats() IndexStats {
 		SuccinctBytes:          ix.succinctBytes.Load(),
 		TemporalBytes:          ix.temporalBytes,
 		IntervalBytes:          ix.intervalBytes,
-		TrajRegionBytes:        ix.trajRegionBytes,
 	}
 }
 
@@ -277,35 +264,15 @@ func (ix *Index) FindTemporalByNo(j, k int) (TemporalEntry, bool) {
 
 // Buckets returns the bucket of (interval, region), or nil.  An absent
 // region answers from the occupancy bitvector without decoding anything;
-// a present region decodes only its own bucket, once.  The only error
-// source is a corrupt sidecar.
+// a present region decodes only its own bucket, once.  Concurrent decoders
+// may duplicate the work; both results are identical and the last store
+// wins.  The only error source is a corrupt sidecar.
 func (ix *Index) Buckets(interval int, re roadnet.RegionID) (*RegionBucket, error) {
 	iv := ix.Intervals[interval]
 	if iv == nil {
 		return nil, nil
 	}
-	return ix.bucket(&iv.layout, re)
-}
-
-// TrajRegion returns the aggregated bucket of trajectory j and region re.
-// The trajectory's bitvector answers absent regions without decoding,
-// giving the When path's Lemma-1 gate a zero-cost miss.
-func (ix *Index) TrajRegion(j int, re roadnet.RegionID) (*RegionBucket, error) {
-	tr := &ix.trajRegions[j]
-	if !tr.hdr.done.Load() {
-		if err := ix.forceTRHeader(j); err != nil {
-			return nil, err
-		}
-	} else if tr.hdr.err != nil {
-		return nil, tr.hdr.err
-	}
-	return ix.bucket(&tr.layout, re)
-}
-
-// bucket looks region re up in one layout, decoding and publishing its
-// bucket on first touch.  Concurrent decoders may duplicate the work; both
-// results are identical and the last store wins.
-func (ix *Index) bucket(l *layout, re roadnet.RegionID) (*RegionBucket, error) {
+	l := &iv.layout
 	if uint(re) >= uint(l.occ.nbits) || !l.occ.get(int(re)) {
 		ix.prunedNoTouch.Add(1)
 		return nil, nil
@@ -326,34 +293,6 @@ func (ix *Index) bucket(l *layout, re roadnet.RegionID) (*RegionBucket, error) {
 	l.decoded[k].Store(b)
 	ix.regionsDecoded.Add(1)
 	return b, nil
-}
-
-// forceTRHeader parses trajectory j's region layout (bitvector, offset
-// table, bucket blob) from its slot in the trajectory-region directory.
-// Slicing only — no bucket decodes.
-func (ix *Index) forceTRHeader(j int) error {
-	tr := &ix.trajRegions[j]
-	tr.hdr.mu.Lock()
-	defer tr.hdr.mu.Unlock()
-	if tr.hdr.done.Load() {
-		return tr.hdr.err
-	}
-	r, err := dirSpan(ix.trDir, ix.trBlob, j)
-	if err == nil {
-		var l layout
-		if l, err = r.layout(ix.Opts.GridNX * ix.Opts.GridNY); err == nil && r.remaining() != 0 {
-			err = fmt.Errorf("%d trailing bytes", r.remaining())
-		}
-		if err == nil {
-			tr.layout = l
-			ix.succinctBytes.Add(int64(l.occ.sizeBytes() + len(l.offs)))
-		}
-	}
-	if err != nil {
-		tr.hdr.err = fmt.Errorf("stiu: sidecar trajRegion[%d]: %w", j, err)
-	}
-	tr.hdr.done.Store(true)
-	return tr.hdr.err
 }
 
 // Candidates returns the trajectories active in the interval, decoding

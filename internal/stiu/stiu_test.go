@@ -121,28 +121,42 @@ func TestSpatialTuples(t *testing.T) {
 }
 
 func TestTrajRegionAggregation(t *testing.T) {
-	fx, _, ix := buildFixtureIndex(t, Options{GridNX: 8, GridNY: 8, IntervalDur: 1800})
-	// The region of v9 (only Tu13 goes there, p = 0.05).
+	_, _, ix := buildFixtureIndex(t, Options{GridNX: 8, GridNY: 8, IntervalDur: 1800})
+	// The region of v9 (only Tu13 goes there, p = 0.05), aggregated over
+	// the buckets of trajectory 0's interval span as the When gate reads it.
 	re9 := ix.Grid.CellOf(6400, -790)
-	b, err := ix.TrajRegion(0, re9)
+	entries, err := ix.TemporalEntries(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b == nil {
-		t.Fatalf("no tuples for the v9 region")
-	}
 	var maxPMax float32
-	for _, rt := range b.Refs {
-		if rt.PMax > maxPMax {
-			maxPMax = rt.PMax
+	refs := 0
+	for iv := ix.IntervalOf(entries[0].Start); iv <= ix.IntervalOf(entries[len(entries)-1].Start); iv++ {
+		b, err := ix.Buckets(iv, re9)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if b == nil {
+			continue
+		}
+		for _, rt := range b.Refs {
+			if rt.Traj != 0 {
+				continue
+			}
+			refs++
+			if rt.PMax > maxPMax {
+				maxPMax = rt.PMax
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatalf("no tuples for the v9 region")
 	}
 	// Only the non-reference Tu13 (p=0.05) enters re9: Lemma 1 uses this
 	// pmax to skip decompression for alpha > 0.05.
 	if maxPMax <= 0 || maxPMax > 0.06 {
 		t.Errorf("pmax at v9 region = %g, want ~0.05", maxPMax)
 	}
-	_ = fx
 }
 
 func TestIndexSizes(t *testing.T) {

@@ -167,7 +167,7 @@ func BenchmarkStoreFirstQuery(b *testing.B) {
 }
 
 // BenchmarkStoreWhenCold measures the first When on a freshly opened
-// store: lazy Open, then one temporal-section-touching query.  With a v2
+// store: lazy Open, then one temporal-section-touching query.  With a
 // sidecar the open decodes no temporal entries, so this is the pin that
 // keeps the per-trajectory lazy path from regressing back to eager
 // decode-at-open.

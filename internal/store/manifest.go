@@ -14,7 +14,7 @@ import (
 // shard catalogue (ids, kinds, tombstones, bounds), the global→shard
 // assignment (the only state that cannot be rederived from the shard
 // archives), the index granularity every shard was built with, the dataset
-// time span used by load generators and /stats, and — since the store
+// time span used by load generators and /v1/stats, and — since the store
 // became writable — a generation number and the WAL high-water mark that
 // make ingestion crash-recoverable.  It is framed with the same
 // little-endian field codec as the archive container

@@ -9,7 +9,7 @@ import (
 	"utcq/internal/gen"
 )
 
-// TestColdOpenTemporalLaziness pins the v2 scaling property: an eager
+// TestColdOpenTemporalLaziness pins the sidecar's scaling property: an eager
 // open decodes zero temporal sections regardless of how many records the
 // store holds (4x the trajectories, still zero), and a single query
 // forces exactly the one section it touches.  This is the counter-level
@@ -31,7 +31,7 @@ func TestColdOpenTemporalLaziness(t *testing.T) {
 			t.Fatalf("n=%d: eager open forced %d temporal sections, want 0", n, st.Succinct.TemporalSectionsForced)
 		}
 		if st.Succinct.SuccinctBytes == 0 {
-			t.Fatalf("n=%d: no resident succinct bytes after a v2 open", n)
+			t.Fatalf("n=%d: no resident succinct bytes after an open", n)
 		}
 
 		// One Where touches exactly one trajectory's temporal section,
@@ -47,7 +47,7 @@ func TestColdOpenTemporalLaziness(t *testing.T) {
 }
 
 // TestSidecarV2CorruptionSweepRebuilds sweeps byte flips and truncations
-// across a v2 sidecar file: every mutation must be caught (manifest CRC
+// across a v3 sidecar file: every mutation must be caught (manifest CRC
 // or section bounds), silently rebuilt from the archive, and answer the
 // full query workload identically to the reference engine.
 func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
@@ -58,8 +58,8 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(raw[4:]); v != 2 {
-		t.Fatalf("persisted sidecar version = %d, want 2", v)
+	if v := binary.LittleEndian.Uint16(raw[4:]); v != 3 {
+		t.Fatalf("persisted sidecar version = %d, want 3", v)
 	}
 
 	check := func(t *testing.T, mut []byte) {

@@ -206,7 +206,7 @@ type IngestStats struct {
 
 // EngineStats mirrors the query engine's aggregated counters
 // (internal/query.EngineStats) field for field — deliberately untagged,
-// so the JSON keys stay the Go field names the /stats payload has
+// so the JSON keys stay the Go field names the stats payload has
 // always used, and the server can convert the internal struct directly.
 type EngineStats struct {
 	PathsDecoded     int64
@@ -258,11 +258,10 @@ type SuccinctStats struct {
 	// SuccinctBytes is the resident footprint of the rank/select
 	// directories themselves.
 	SuccinctBytes int64 `json:"succinctBytes"`
-	// TemporalBytes, IntervalBytes and TrajRegionBytes split the open
-	// shards' index bytes by sidecar section.
-	TemporalBytes   int64 `json:"temporalBytes"`
-	IntervalBytes   int64 `json:"intervalBytes"`
-	TrajRegionBytes int64 `json:"trajRegionBytes"`
+	// TemporalBytes and IntervalBytes split the open shards' index bytes
+	// by sidecar section.
+	TemporalBytes int64 `json:"temporalBytes"`
+	IntervalBytes int64 `json:"intervalBytes"`
 }
 
 // StatsResponse is the /v1/stats payload: store shape, aggregated
