@@ -76,11 +76,9 @@ func indexDigest(t *testing.T, ix *stiu.Index) string {
 			}
 			fmt.Fprintf(h, "R%d:", re)
 			for _, rt := range b.Refs {
-				fmt.Fprintf(h, "(%d,%d,%d,%d,%d,%g,%g)", rt.Traj, rt.Orig, rt.FV, rt.FVNo, rt.DPos, rt.PTotal, rt.PMax)
+				fmt.Fprintf(h, "(%d,%d,%t,%g,%g)", rt.Traj, rt.Orig, rt.Enters, rt.PTotal, rt.PMax)
 			}
-			for _, nt := range b.NonRefs {
-				fmt.Fprintf(h, "(%d,%d,%d,%d,%d,%d)", nt.Traj, nt.Orig, nt.RefOrig, nt.RV, nt.RVNo, nt.MaPos)
-			}
+			fmt.Fprintf(h, "N%d", b.NonRefs)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -119,8 +117,8 @@ func TestGoldenPaperExample(t *testing.T) {
 	}
 }
 
-// TestGoldenDatasets pins archive and StIU digests on the three synthetic
-// paper profiles.
+// TestGoldenDatasets pins archive and StIU digests, and the index's Fig 9
+// size accounting, on the three synthetic paper profiles.
 func TestGoldenDatasets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden datasets are slow")
@@ -146,7 +144,9 @@ func TestGoldenDatasets(t *testing.T) {
 		}
 		lines = append(lines,
 			fmt.Sprintf("%s archive %s", bu.Profile.Name, shortSHA(ab)),
-			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix)))
+			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix)),
+			fmt.Sprintf("%s sizebits temporal=%d spatial=%d", bu.Profile.Name,
+				ix.TemporalSizeBits(), ix.SpatialSizeBits(a.VertexBits)))
 	}
 	got := ""
 	for _, l := range lines {

@@ -10,8 +10,8 @@
 // docs/FORMAT.md.
 //
 // Both Writer and Reader track their absolute bit position.  The StIU index
-// stores such positions (t.pos, d.pos, ma.pos) so that query processing can
-// resume decoding mid-stream (partial decompression, Section 5.1).
+// stores such positions (t.pos) so that query processing can resume
+// decoding mid-stream (partial decompression, Section 5.1).
 //
 // The hot paths are word-level: the Writer packs MSB-first into a 64-bit
 // accumulator flushed eight bytes at a time, and the Reader extracts fields

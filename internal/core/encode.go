@@ -281,11 +281,9 @@ func writeEFactors(w *bitio.Writer, factors []EFactor, refLen, edgeBits int) err
 	return nil
 }
 
-// readEFactors decodes an E factor list into dst's backing array and, when
-// pos is non-nil, the bit position of each factor (ma.pos for the StIU
-// index) into *pos.  Reusing dst and *pos across calls makes the decode
-// allocation-free.
-func readEFactors(r *bitio.Reader, refLen, edgeBits int, dst []EFactor, pos *[]int) ([]EFactor, error) {
+// readEFactors decodes an E factor list into dst's backing array.  Reusing
+// dst across calls makes the decode allocation-free.
+func readEFactors(r *bitio.Reader, refLen, edgeBits int, dst []EFactor) ([]EFactor, error) {
 	sBits := bitio.WidthFor(refLen)
 	lBits := bitio.WidthFor(refLen - 1)
 	h, err := r.ReadCount()
@@ -297,13 +295,7 @@ func readEFactors(r *bitio.Reader, refLen, edgeBits int, dst []EFactor, pos *[]i
 		return dst, err
 	}
 	factors := growTo(dst, h)
-	if pos != nil {
-		*pos = growTo(*pos, h)
-	}
 	for i := 0; i < h; i++ {
-		if pos != nil {
-			(*pos)[i] = r.Pos()
-		}
 		s, err := r.ReadBits(sBits)
 		if err != nil {
 			return factors, err

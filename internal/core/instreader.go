@@ -106,7 +106,7 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if _, err := r.ReadCount(); err != nil { // refPos
 		return err
 	}
-	if c.ef, err = readEFactors(r, refLen, a.EdgeBits, c.ef, nil); err != nil {
+	if c.ef, err = readEFactors(r, refLen, a.EdgeBits, c.ef); err != nil {
 		return err
 	}
 	c.n, c.fi, c.fo = 0, 0, 0

@@ -114,8 +114,8 @@ func (a *Archive) readRefSkeleton(r *bitio.Reader) (roadnet.VertexID, int, error
 	return roadnet.VertexID(sv), eCount, err
 }
 
-// DPos returns the bit position of every relative-distance code (the d.pos
-// values the StIU index stores), building them on first use.  Errors on a
+// DPos returns the bit position of every relative-distance code (the
+// paper's d.pos values), building them on first use.  Errors on a
 // (corrupted) stream surface through DecodeD/D instead.
 func (v *RefView) DPos() []int {
 	v.dPosOnce.Do(func() {
@@ -259,18 +259,16 @@ func (v *RefView) Instance(numPoints int) (*traj.Instance, error) {
 }
 
 // NonRefView is a parsed non-reference record: the factor lists of its
-// referential representation plus the bit position of each E factor
-// (ma.pos for the StIU index).
+// referential representation.
 type NonRefView struct {
-	Orig       int
-	RefOrig    int
-	P          float64
-	EFactors   []EFactor
-	EFactorPos []int
-	TFSame     bool
-	TFRaw      []bool // verbatim stored bits when the encoder chose raw mode
-	TFFactors  []TFFactor
-	DFactors   []DFactor
+	Orig      int
+	RefOrig   int
+	P         float64
+	EFactors  []EFactor
+	TFSame    bool
+	TFRaw     []bool // verbatim stored bits when the encoder chose raw mode
+	TFFactors []TFFactor
+	DFactors  []DFactor
 
 	eCount int // derived: length of the expanded E sequence
 }
@@ -298,7 +296,7 @@ func (a *Archive) NonRefView(j, orig int, ref *RefView) (*NonRefView, error) {
 		return nil, err
 	}
 	v := &NonRefView{Orig: orig, RefOrig: ref.Orig, P: p}
-	v.EFactors, err = readEFactors(r, len(ref.E), a.EdgeBits, nil, &v.EFactorPos)
+	v.EFactors, err = readEFactors(r, len(ref.E), a.EdgeBits, nil)
 	if err != nil {
 		return nil, err
 	}

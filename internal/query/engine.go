@@ -416,7 +416,7 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 					sc.pstamp[gi] = sc.epoch
 					sc.plan[gi] = 0
 				}
-				if rt.FV != roadnet.NoVertex && rec.Insts[rt.Orig].P >= alpha {
+				if rt.Enters && rec.Insts[rt.Orig].P >= alpha {
 					sc.plan[gi] |= planRef
 				}
 				if float64(rt.PMax) >= alpha {

@@ -136,7 +136,7 @@ func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
 				if e.isRef {
 					bk.Refs = append(bk.Refs, e.ref)
 				} else {
-					bk.NonRefs = append(bk.NonRefs, e.nonRef)
+					bk.NonRefs++
 				}
 			}
 		}
@@ -175,18 +175,14 @@ type instWalk struct {
 // visit is one region entry event.
 type visit struct {
 	re       roadnet.RegionID
-	first    bool             // the instance starts in this region
-	fv       roadnet.VertexID // final vertex (SV when first)
-	fvNo     int              // entry index of the edge arriving at fv (0 when first)
-	dNo      int              // γ[fvNo]: index of the first point after fv
-	pointIdx int              // last point index at or before entering
+	first    bool // the instance starts in this region
+	fvNo     int  // entry index of the edge arriving at the final vertex (0 when first)
+	pointIdx int  // last point index at or before entering
 }
 
 // factorSpan maps E-entry offsets to factors of a non-reference.
 type factorSpan struct {
 	start, end int // entry offsets [start, end)
-	rv         roadnet.VertexID
-	maPos      int
 }
 
 // trajBatch is the output of one trajectory's walk phase: everything the
@@ -199,13 +195,13 @@ type trajBatch struct {
 	emits           []spatialEmit
 }
 
-// spatialEmit is one tuple append destined for an (interval, region) cell.
+// spatialEmit is one tuple destined for an (interval, region) cell: a
+// reference tuple to append, or a non-reference tuple to count.
 type spatialEmit struct {
 	interval int
 	re       roadnet.RegionID
 	isRef    bool
 	ref      RefTuple
-	nonRef   NonRefTuple
 }
 
 // walkTrajectory decodes trajectory j and produces its tuple batch.  It
@@ -254,7 +250,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 			return nil, err
 		}
 		refViews[orig] = rv
-		w, err := ix.walkInstance(a, rv.SV, rv.E, rv.FullTF(), nil, nil)
+		w, err := ix.walkInstance(a, rv.SV, rv.E, rv.FullTF(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +274,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := ix.walkInstance(a, ref.SV, e, tf, nv.EFactors, nv.EFactorPos)
+		w, err := ix.walkInstance(a, ref.SV, e, tf, nv.EFactors)
 		if err != nil {
 			return nil, err
 		}
@@ -304,14 +300,14 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	sort.Ints(groupKeys)
 
 	for _, refOrig := range groupKeys {
-		ix.emitGroupTuples(b, j, refOrig, groups[refOrig], refViews[refOrig], T)
+		ix.emitGroupTuples(b, j, refOrig, groups[refOrig], T)
 	}
 	return b, nil
 }
 
-// walkInstance decodes the traversal: region visits with final vertices and
-// point counts, plus factor spans for non-references.
-func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, tf []bool, factors []core.EFactor, factorPos []int) (*instWalk, error) {
+// walkInstance decodes the traversal: region visits with entry positions
+// and point counts, plus factor spans for non-references.
+func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, tf []bool, factors []core.EFactor) (*instWalk, error) {
 	g := a.Graph
 	w := &instWalk{}
 	curVertex := sv
@@ -319,17 +315,12 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 	lastEdgeEntry := 0
 	ones := 0
 
-	// Vertex before each entry (for factor spans).
-	vertexAt := make([]roadnet.VertexID, len(E))
-
 	for i, no := range E {
-		vertexAt[i] = curVertex
 		if no != 0 {
 			e, ok := g.OutEdge(curVertex, int(no))
 			if !ok {
 				return nil, fmt.Errorf("stiu: no outgoing edge %d at vertex %d", no, curVertex)
 			}
-			arrivedFrom := curVertex
 			prevEdgeEntry := lastEdgeEntry
 			lastEdgeEntry = i
 			curVertex = g.Edge(e).To
@@ -338,17 +329,14 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 					continue
 				}
 				if curRegion == roadnet.NoRegion {
-					// First region: the (SV, 0, 0) form.
-					w.visits = append(w.visits, visit{re: re, first: true, fv: sv, fvNo: 0, dNo: 0, pointIdx: 0})
+					// First region: the instance starts here.
+					w.visits = append(w.visits, visit{re: re, first: true})
 				} else {
-					dNo := ones // points seen so far = index of the next point
 					pi := ones - 1
 					if pi < 0 {
 						pi = 0
 					}
-					w.visits = append(w.visits, visit{
-						re: re, fv: arrivedFrom, fvNo: prevEdgeEntry, dNo: dNo, pointIdx: pi,
-					})
+					w.visits = append(w.visits, visit{re: re, fvNo: prevEdgeEntry, pointIdx: pi})
 				}
 				curRegion = re
 			}
@@ -360,7 +348,7 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 
 	// Factor spans for non-references.
 	off := 0
-	for h, f := range factors {
+	for _, f := range factors {
 		flen := 1
 		if !f.NotInRef {
 			flen = f.L
@@ -368,37 +356,25 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 				flen++
 			}
 		}
-		span := factorSpan{start: off, end: off + flen, maPos: factorPos[h]}
-		// rv: the vertex resolving the factor's first non-zero entry.
-		span.rv = roadnet.NoVertex
-		for i := span.start; i < span.end && i < len(E); i++ {
-			if E[i] != 0 {
-				span.rv = vertexAt[i]
-				break
-			}
-		}
-		if span.rv == roadnet.NoVertex && span.start < len(vertexAt) {
-			span.rv = vertexAt[span.start]
-		}
-		w.factors = append(w.factors, span)
+		w.factors = append(w.factors, factorSpan{start: off, end: off + flen})
 		off += flen
 	}
 	return w, nil
 }
 
 // emitGroupTuples aggregates the group's visits into per-(interval, region)
-// reference and non-reference tuples, appending them to the batch's emit
-// list.
-func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWalk, refView *core.RefView, T []int64) {
+// reference tuples and non-reference counts, appending them to the batch's
+// emit list.
+func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWalk, T []int64) {
 	type key struct {
 		interval int
 		re       roadnet.RegionID
 	}
 	type agg struct {
-		refVisit *visit
-		seen     map[int]bool // Ω is a set: each instance counts once
-		pTotal   float64
-		pMax     float64 // max non-reference probability (0 when none)
+		enters bool         // the reference itself visits the region
+		seen   map[int]bool // Ω is a set: each instance counts once
+		pTotal float64
+		pMax   float64 // max non-reference probability (0 when none)
 	}
 	aggs := make(map[key]*agg)
 	var keysInOrder []key
@@ -438,8 +414,8 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 						ag.pMax = m.p
 					}
 				}
-				if m.refOrig < 0 && ag.refVisit == nil {
-					ag.refVisit = v
+				if m.refOrig < 0 {
+					ag.enters = true
 				}
 			}
 		}
@@ -451,29 +427,15 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 		rt := RefTuple{
 			Traj:   int32(j),
 			Orig:   int32(refOrig),
-			FV:     roadnet.NoVertex, // fv.id = ∞ when the reference skips re
+			Enters: ag.enters,
 			PTotal: float32(ag.pTotal),
 			PMax:   float32(ag.pMax),
-		}
-		if ag.refVisit != nil {
-			rt.FV = ag.refVisit.fv
-			rt.FVNo = int32(ag.refVisit.fvNo)
-			dpos := refView.DPos()
-			dNo := ag.refVisit.dNo
-			if dNo >= len(dpos) {
-				dNo = len(dpos) - 1
-			}
-			if ag.refVisit.first {
-				rt.DPos = 0
-			} else {
-				rt.DPos = int32(dpos[dNo])
-			}
 		}
 		b.emits = append(b.emits, spatialEmit{interval: k.interval, re: k.re, isRef: true, ref: rt})
 	}
 
-	// Non-reference tuples, with the factor-crossing rule: one tuple per
-	// (instance, factor), kept for the first region traversed.
+	// Non-reference tuples are counted under the factor-crossing rule: one
+	// tuple per (instance, factor), kept for the first region traversed.
 	for _, m := range members {
 		if m.refOrig < 0 {
 			continue
@@ -481,25 +443,15 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 		usedFactor := make(map[int]bool)
 		for vi := range m.visits {
 			v := &m.visits[vi]
-			var nt NonRefTuple
-			if v.first {
-				nt = NonRefTuple{
-					Traj: int32(j), Orig: int32(m.orig), RefOrig: int32(m.refOrig),
-					RV: v.fv, RVNo: 0, MaPos: 0,
-				}
-			} else {
+			if !v.first {
 				h := factorOf(m.factors, v.fvNo)
 				if h < 0 || usedFactor[h] {
 					continue
 				}
 				usedFactor[h] = true
-				nt = NonRefTuple{
-					Traj: int32(j), Orig: int32(m.orig), RefOrig: int32(m.refOrig),
-					RV: m.factors[h].rv, RVNo: int32(m.factors[h].start), MaPos: int32(m.factors[h].maPos),
-				}
 			}
 			for _, iv := range intervalsOf(v) {
-				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re, isRef: false, nonRef: nt})
+				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re})
 			}
 		}
 	}

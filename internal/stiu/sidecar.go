@@ -42,7 +42,7 @@ import (
 
 const (
 	sidecarMagic   = "UTCI"
-	sidecarVersion = 3
+	sidecarVersion = 4
 	sidecarHdrLen  = 35
 )
 
@@ -389,29 +389,22 @@ func (r *sidecarReader) intervalID(first bool, prev *int64) (int, error) {
 
 // --- region bucket codec ---
 
-// appendBucket emits one region bucket (refs then non-refs), the unit the
-// layout addresses individually through its offset tables.
+// appendBucket emits one region bucket (ref tuples, then the non-reference
+// count), the unit the layout addresses individually through its offset
+// tables.  enters rides in the low bit of orig.
 func appendBucket(buf []byte, b *RegionBucket) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
 	for _, rt := range b.Refs {
 		buf = binary.AppendVarint(buf, int64(rt.Traj))
-		buf = binary.AppendVarint(buf, int64(rt.Orig))
-		buf = binary.AppendVarint(buf, int64(rt.FV))
-		buf = binary.AppendVarint(buf, int64(rt.FVNo))
-		buf = binary.AppendVarint(buf, int64(rt.DPos))
+		orig := uint64(rt.Orig) << 1
+		if rt.Enters {
+			orig |= 1
+		}
+		buf = binary.AppendUvarint(buf, orig)
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rt.PTotal))
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rt.PMax))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.NonRefs)))
-	for _, nt := range b.NonRefs {
-		buf = binary.AppendVarint(buf, int64(nt.Traj))
-		buf = binary.AppendVarint(buf, int64(nt.Orig))
-		buf = binary.AppendVarint(buf, int64(nt.RefOrig))
-		buf = binary.AppendVarint(buf, int64(nt.RV))
-		buf = binary.AppendVarint(buf, int64(nt.RVNo))
-		buf = binary.AppendVarint(buf, int64(nt.MaPos))
-	}
-	return buf
+	return binary.AppendUvarint(buf, uint64(b.NonRefs))
 }
 
 // decodeBucket decodes one region bucket from exactly data.
@@ -429,27 +422,24 @@ func decodeBucket(data []byte) (*RegionBucket, error) {
 		b.Refs = make([]RefTuple, nr)
 	}
 	for k := range b.Refs {
-		var traj, orig, fv, fvNo, dPos int64
+		var traj int64
+		var orig uint64
 		var pt, pm uint32
 		if traj, err = r.varint(); err == nil {
-			if orig, err = r.varint(); err == nil {
-				if fv, err = r.varint(); err == nil {
-					if fvNo, err = r.varint(); err == nil {
-						if dPos, err = r.varint(); err == nil {
-							if pt, err = r.u32(); err == nil {
-								pm, err = r.u32()
-							}
-						}
-					}
+			if orig, err = r.uvarint(); err == nil {
+				if pt, err = r.u32(); err == nil {
+					pm, err = r.u32()
 				}
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
+		if orig>>1 > math.MaxInt32 {
+			return nil, fmt.Errorf("ref orig %d overflows int32", orig>>1)
+		}
 		b.Refs[k] = RefTuple{
-			Traj: int32(traj), Orig: int32(orig),
-			FV: roadnet.VertexID(fv), FVNo: int32(fvNo), DPos: int32(dPos),
+			Traj: int32(traj), Orig: int32(orig >> 1), Enters: orig&1 != 0,
 			PTotal: math.Float32frombits(pt), PMax: math.Float32frombits(pm),
 		}
 	}
@@ -457,33 +447,10 @@ func decodeBucket(data []byte) (*RegionBucket, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nn > uint64(r.remaining()) {
-		return nil, fmt.Errorf("nonref count %d overflows block", nn)
+	if nn > math.MaxInt32 {
+		return nil, fmt.Errorf("nonref count %d overflows int32", nn)
 	}
-	if nn > 0 {
-		b.NonRefs = make([]NonRefTuple, nn)
-	}
-	for k := range b.NonRefs {
-		var traj, orig, refOrig, rv, rvNo, maPos int64
-		if traj, err = r.varint(); err == nil {
-			if orig, err = r.varint(); err == nil {
-				if refOrig, err = r.varint(); err == nil {
-					if rv, err = r.varint(); err == nil {
-						if rvNo, err = r.varint(); err == nil {
-							maPos, err = r.varint()
-						}
-					}
-				}
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.NonRefs[k] = NonRefTuple{
-			Traj: int32(traj), Orig: int32(orig), RefOrig: int32(refOrig),
-			RV: roadnet.VertexID(rv), RVNo: int32(rvNo), MaPos: int32(maPos),
-		}
-	}
+	b.NonRefs = int(nn)
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
 	}

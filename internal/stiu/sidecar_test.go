@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -254,8 +255,30 @@ func TestEFSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBucketRejectsOverflow: a bucket whose ref orig or non-reference
+// count does not fit an int32 is corrupt, not truncated to a wrong value.
+func TestDecodeBucketRejectsOverflow(t *testing.T) {
+	ok := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{Traj: 3, Orig: math.MaxInt32, Enters: true}}, NonRefs: math.MaxInt32})
+	if b, err := decodeBucket(ok); err != nil || b.Refs[0].Orig != math.MaxInt32 || !b.Refs[0].Enters || b.NonRefs != math.MaxInt32 {
+		t.Fatalf("largest fields: %+v, %v", b, err)
+	}
+	// One ref tuple (traj 3, orig 2³¹, enters) and no non-references.
+	ref := binary.AppendUvarint(nil, 1)
+	ref = binary.AppendVarint(ref, 3)
+	ref = binary.AppendUvarint(ref, (math.MaxInt32+1)<<1|1)
+	ref = append(ref, make([]byte, 8)...) // pTotal, pMax
+	ref = binary.AppendUvarint(ref, 0)
+	// No ref tuples and 2³¹ non-references.
+	count := binary.AppendUvarint(binary.AppendUvarint(nil, 0), math.MaxInt32+1)
+	for name, data := range map[string][]byte{"orig": ref, "nonref count": count} {
+		if _, err := decodeBucket(data); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+			t.Errorf("%s past int32: err = %v", name, err)
+		}
+	}
+}
+
 // retiredVersions are the sidecar versions readers no longer accept.
-var retiredVersions = []uint16{1, 2}
+var retiredVersions = []uint16{1, 2, 3}
 
 // relabelledSidecar returns an index's sidecar with its header relabelled
 // as version v.
@@ -274,8 +297,8 @@ func relabelledSidecar(t *testing.T, ix *Index, archiveSize int64, v uint16) []b
 }
 
 // TestSidecarV1RoundTrip pins the version policy: the encoder writes
-// version 3, and a version-1 or version-2 sidecar no longer round-trips —
-// it fails DecodeSidecar with a versioned error, so a store rebuilds the
+// version 4, and a version-1, -2 or -3 sidecar no longer round-trips — it
+// fails DecodeSidecar with a versioned error, so a store rebuilds the
 // index from its archive instead.
 func TestSidecarV1RoundTrip(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
@@ -290,8 +313,8 @@ func TestSidecarV1RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1
-// and a version-2 sidecar at every offset: each variant must fail
+// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1,
+// -2 and -3 sidecar at every offset: each variant must fail
 // DecodeSidecar, never decode and never panic.
 func TestSidecarV1CorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}

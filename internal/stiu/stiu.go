@@ -7,10 +7,12 @@
 // in T̂ where decoding can resume (partial decompression).
 //
 // The spatial part partitions the road network with a uniform grid and
-// stores, per interval and region, reference tuples
-// (fv.id, fv.no, d.pos, ptotal, pmax) and non-reference tuples
-// (rv.id, rv.no, ma.pos), exactly the fields Definition 9 and Section 5.2
-// prescribe.  ptotal and pmax drive the filtering Lemmas 1-4.
+// stores, per interval and region, one tuple (traj, orig, enters, ptotal,
+// pmax) per reference group, plus the number of non-reference tuples
+// Definition 9 would add.  ptotal and pmax drive the filtering Lemmas 1-4;
+// enters is the paper's fv.id ≠ ∞.  The position fields (fv.no, d.pos,
+// ma.pos) and the non-reference tuples themselves are not stored: queries
+// decode each instance from its start, so nothing would read them.
 //
 // An Index has one in-memory form, the succinct sidecar layout of
 // FORMAT.md §5: occupancy bitvectors, offset tables and directories over
@@ -56,33 +58,23 @@ type TemporalEntry struct {
 	Pos   int32 // bit position of the code of timestamp No+1; -1 at the end
 }
 
-// RefTuple is the spatial tuple of a reference w.r.t. one region.
+// RefTuple is the spatial tuple of a reference group w.r.t. one region.
 type RefTuple struct {
 	Traj int32
 	Orig int32
-	// FV is the final vertex; NoVertex encodes the paper's fv.id = ∞ case
-	// (the reference itself never enters the region).
-	FV     roadnet.VertexID
-	FVNo   int32 // position of the region-entering edge in E(Ref)
-	DPos   int32 // bit position of the d.no-th relative distance code
+	// Enters reports whether the reference itself enters the region; false
+	// is the paper's fv.id = ∞ case (only its non-references do).
+	Enters bool
 	PTotal float32
 	PMax   float32
 }
 
-// NonRefTuple is the spatial tuple of a non-reference w.r.t. one region.
-type NonRefTuple struct {
-	Traj    int32
-	Orig    int32
-	RefOrig int32
-	RV      roadnet.VertexID
-	RVNo    int32 // position of RV's edge in E(Nref)
-	MaPos   int32 // bit position of the covering factor in ComE
-}
-
-// RegionBucket groups the tuples of one (interval, region) pair.
+// RegionBucket groups the tuples of one (interval, region) pair.  NonRefs
+// counts the non-reference tuples Definition 9 would store there; only
+// the size accounting reads it.
 type RegionBucket struct {
 	Refs    []RefTuple
-	NonRefs []NonRefTuple
+	NonRefs int
 }
 
 // layout is one succinct bucket group (FORMAT.md §5.3): occupancy is a
@@ -332,14 +324,6 @@ func (ix *Index) forceCandidates(interval int, iv *Interval) error {
 	return iv.cand.err
 }
 
-// CandidateTrajs returns the trajectories active in the interval.
-// Decode errors (unreachable behind the sidecar CRC) yield nil; callers
-// that need them use Candidates.
-func (ix *Index) CandidateTrajs(interval int) []int32 {
-	trajs, _ := ix.Candidates(interval)
-	return trajs
-}
-
 // Bounds returns a conservative bounding rectangle of the indexed
 // geometry: the union of every grid cell an interval's occupancy
 // bitvector marks.  Cells cover the full edge geometry, so no position of
@@ -366,8 +350,9 @@ func (ix *Index) Bounds() roadnet.Rect {
 
 // Tuple bit widths used for index size accounting (Fig 9): temporal
 // entries store a 17-bit seconds-of-day start, a 12-bit ordinal and a
-// 32-bit stream position; spatial tuples store vertex ids, 12-bit
-// ordinals, 32-bit positions and 16-bit probability summaries.
+// 32-bit stream position; spatial tuples are counted as Definition 9 lays
+// them out, with vertex ids, 12-bit ordinals, 32-bit positions and 16-bit
+// probability summaries, although the index stores fewer fields.
 const (
 	startBits = 17
 	noBits    = 12
@@ -403,7 +388,7 @@ func (ix *Index) SpatialSizeBits(vertexBits int) int64 {
 				return
 			}
 			n += int64(len(b.Refs)) * int64(vertexBits+1+noBits+posBits+2*probBits)
-			n += int64(len(b.NonRefs)) * int64(vertexBits+noBits+posBits)
+			n += int64(b.NonRefs) * int64(vertexBits+noBits+posBits)
 		})
 	}
 	if failed {

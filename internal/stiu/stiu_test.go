@@ -85,31 +85,40 @@ func TestSpatialTuples(t *testing.T) {
 	var refTuples []RefTuple
 	for _, b := range occupiedBuckets(t, ix) {
 		refTuples = append(refTuples, b.Refs...)
-		total += len(b.Refs) + len(b.NonRefs)
+		total += len(b.Refs) + b.NonRefs
 	}
 	if total == 0 {
 		t.Fatal("no spatial tuples built")
 	}
-	// Reference tuples of the group (instance 0 is the reference): ptotal
-	// for regions all three instances traverse must be ~1.
-	g := fx.Graph
-	startRe := ix.Grid.RegionOfPosition(g, roadnet.Position{Edge: fx.Edge("v1", "v2"), NDist: 0})
-	found := false
 	for _, rt := range refTuples {
 		if rt.Orig != 0 {
 			t.Errorf("unexpected reference group %d", rt.Orig)
 		}
-		re := startRe
-		_ = re
-		if rt.FV == fx.IDs["v1"] && rt.FVNo == 0 {
+	}
+	// The group (instance 0 is the reference) starts in the region of v1:
+	// the reference enters it, and all three instances do, so ptotal ~1.
+	startRe := ix.Grid.RegionOfPosition(fx.Graph, roadnet.Position{Edge: fx.Edge("v1", "v2"), NDist: 0})
+	found := false
+	for iv := range ix.Intervals {
+		b, err := ix.Buckets(iv, startRe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			continue
+		}
+		for _, rt := range b.Refs {
 			found = true
+			if !rt.Enters {
+				t.Errorf("interval %d: start-region tuple does not enter", iv)
+			}
 			if rt.PTotal < 0.95 || rt.PTotal > 1.05 {
-				t.Errorf("start-region ptotal = %g, want ~1", rt.PTotal)
+				t.Errorf("interval %d: start-region ptotal = %g, want ~1", iv, rt.PTotal)
 			}
 		}
 	}
 	if !found {
-		t.Error("no (SV, 0, 0) tuple for the start region")
+		t.Error("no tuple for the start region")
 	}
 	// Every reference tuple's pmax must be below the group's total and
 	// equal the best non-reference probability when present.
@@ -206,8 +215,12 @@ func TestBuildOnGeneratedDataset(t *testing.T) {
 		}
 		// The trajectory must appear in its intervals' candidate lists.
 		iv := ix.IntervalOf(u.T[0])
+		cands, err := ix.Candidates(iv)
+		if err != nil {
+			t.Fatal(err)
+		}
 		foundSelf := false
-		for _, cj := range ix.CandidateTrajs(iv) {
+		for _, cj := range cands {
 			if int(cj) == j {
 				foundSelf = true
 			}

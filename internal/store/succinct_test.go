@@ -47,7 +47,7 @@ func TestColdOpenTemporalLaziness(t *testing.T) {
 }
 
 // TestSidecarV2CorruptionSweepRebuilds sweeps byte flips and truncations
-// across a v3 sidecar file: every mutation must be caught (manifest CRC
+// across a v4 sidecar file: every mutation must be caught (manifest CRC
 // or section bounds), silently rebuilt from the archive, and answer the
 // full query workload identically to the reference engine.
 func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
@@ -58,8 +58,8 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(raw[4:]); v != 3 {
-		t.Fatalf("persisted sidecar version = %d, want 3", v)
+	if v := binary.LittleEndian.Uint16(raw[4:]); v != 4 {
+		t.Fatalf("persisted sidecar version = %d, want 4", v)
 	}
 
 	check := func(t *testing.T, mut []byte) {
