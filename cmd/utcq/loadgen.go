@@ -15,9 +15,9 @@ import (
 )
 
 // loadgenConfig drives the load-generator mode: a closed-loop pool of
-// workers firing a where/when/range mix at a running utcqd (or a utcqr
-// router — the wire API is identical, so pointing -addr at a router
-// load-tests the whole cluster).
+// workers firing a where/when/range mix at a running utcqd (a node or a
+// utcqd -members router — the wire API is identical, so pointing -addr at
+// a router load-tests the whole cluster).
 type loadgenConfig struct {
 	addr     string
 	duration time.Duration

@@ -16,10 +16,17 @@
 //
 // Cluster modes (see docs/ARCHITECTURE.md §10): -cluster-node/-cluster-nodes
 // filter the built dataset down to the trajectories a placement assigns this
-// member, so N members behind a cmd/utcqr router jointly serve the full
-// dataset; -follow runs the process as a replication follower that
-// bootstraps a snapshot from a leader and replays its WAL (reads only —
-// /v1/ingest answers 503 not_leader).
+// member, so N members behind a router jointly serve the full dataset;
+// -members runs the process as that router, and -follow as a replication
+// follower that bootstraps a snapshot from a leader and replays its WAL
+// (reads only — /v1/ingest answers 503 not_leader).
+//
+// A router holds no data and no durable state: it rebuilds the global id
+// maps from member stats at startup (retrying for up to -sync-timeout while
+// members come up), routes point queries to the owning member,
+// scatter-gathers ranges, and splits ingest batches by placement.  Clients
+// speak to it exactly as to a single node (same endpoints, bodies and error
+// envelope); /v1/stats adds a "cluster" section with per-node detail.
 //
 // Usage:
 //
@@ -27,6 +34,7 @@
 //	utcqd -addr :8723 -profile CD -n 500 -shards 4 -dir /var/lib/utcq/cd500
 //	utcqd -addr :8723 -profile CD -dir /var/lib/utcq/cd500 -wal /var/lib/utcq/cd500/ingest.wal
 //	utcqd -addr :8724 -profile CD -n 500 -cluster-node 1 -cluster-nodes 3
+//	utcqd -addr :8800 -members http://localhost:8801,http://localhost:8802,http://localhost:8803
 //	utcqd -addr :8725 -profile CD -dir /var/lib/utcq/replica -follow http://leader:8723
 //
 // Endpoints (see README "Serving" for request/response bodies):
@@ -47,6 +55,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -81,8 +90,16 @@ func main() {
 	follow := flag.String("follow", "", "leader base URL: run as a replication follower of that utcqd (requires -dir; clients get reads only)")
 	clusterNode := flag.Int("cluster-node", -1, "this member's index in a cluster placement: keep only the trajectories the placement assigns it (requires -cluster-nodes)")
 	clusterNodes := flag.Int("cluster-nodes", 0, "total cluster member count for -cluster-node filtering (0 = not a cluster member)")
-	clusterPartitions := flag.Int("cluster-partitions", cluster.DefaultPartitions, "cluster placement partitions (must match the router's -partitions)")
+	clusterPartitions := flag.Int("cluster-partitions", cluster.DefaultPartitions, "cluster placement partitions (members and router must agree)")
+	members := flag.String("members", "", "comma-separated member base URLs in placement order: run as the cluster router over them")
+	syncTimeout := flag.Duration("sync-timeout", 60*time.Second, "router: how long to wait for every member to come up at startup")
+	refresh := flag.Duration("refresh", 2*time.Second, "router: member stats refresh cadence (bounds pruning, quarantine healing)")
 	flag.Parse()
+
+	if *members != "" {
+		route(*members, *addr, *clusterPartitions, *parallel, *maxBatch, *syncTimeout, *refresh, *drain)
+		return
+	}
 
 	p, err := gen.ProfileByName(*profile)
 	if err != nil {
@@ -155,7 +172,7 @@ func main() {
 			// Cluster member: keep only the trajectories the shared placement
 			// assigns this node.  Global id order is preserved, so a member's
 			// local id k is the k-th global id it owns — exactly the map the
-			// router (cmd/utcqr) rebuilds at sync.
+			// router (utcqd -members) rebuilds at sync.
 			if *clusterNode < 0 || *clusterNode >= *clusterNodes {
 				log.Fatalf("-cluster-node %d out of range [0, %d)", *clusterNode, *clusterNodes)
 			}
@@ -232,9 +249,48 @@ func main() {
 	})
 }
 
+// route runs the cluster router over the comma-separated member URLs.
+func route(memberURLs, addr string, partitions, parallel, maxBatch int, syncTimeout, refresh, drain time.Duration) {
+	var ms []cluster.Member
+	for i, u := range strings.Split(memberURLs, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
+		}
+		ms = append(ms, cluster.Member{Name: cluster.NodeNames(i + 1)[i], URL: u})
+	}
+	if len(ms) == 0 {
+		log.Fatalf("-members %q lists no base URLs", memberURLs)
+	}
+	rt := cluster.NewRouter(ms, cluster.RouterOptions{
+		Partitions:   partitions,
+		Parallelism:  parallel,
+		MaxBatch:     maxBatch,
+		RefreshEvery: refresh,
+	})
+	// Members may still be building their datasets; retry the sync until
+	// the budget runs out so "start everything at once" just works.
+	ctx, cancel := context.WithTimeout(context.Background(), syncTimeout)
+	for {
+		err := rt.Sync(ctx)
+		if err == nil {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			log.Fatalf("cluster sync: %v", err)
+		case <-time.After(time.Second):
+		}
+	}
+	cancel()
+	log.Printf("synced %d members, %d trajectories, %d partitions", len(ms), rt.NumTrajectories(), partitions)
+	rt.Start()
+	serveUntilSignal(rt.Server, addr, drain, rt.Close)
+}
+
 // serveUntilSignal runs the server until SIGINT/SIGTERM, drains in-flight
 // requests within the budget, then runs cleanup (WAL drain, follower
-// shutdown).
+// shutdown, router refresher stop).
 func serveUntilSignal(srv *server.Server, addr string, drain time.Duration, cleanup func()) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,7 +1,8 @@
 // Package cluster turns N single-node utcqd processes into one logical
 // store: a consistent-hash placement of trajectories over member nodes,
-// a query router (cmd/utcqr) that owns the global id space and fans
-// queries out by ownership, and a WAL-shipping replication follower
+// a query router (utcqd -members) that owns the global id space and fans
+// queries out by ownership, serving them through internal/server's
+// handler set as its Backend, and a WAL-shipping replication follower
 // that replays a leader's log against its own store.
 //
 // The division of labor with the rest of the system is deliberate:

@@ -2,18 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"utcq/internal/par"
+	"utcq/internal/server"
 	"utcq/pkg/client"
 )
 
@@ -52,9 +50,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.VNodes <= 0 {
 		o.VNodes = DefaultVNodes
-	}
-	if o.MaxBatch < 1 {
-		o.MaxBatch = 256
 	}
 	if o.QuarantineBackoff <= 0 {
 		o.QuarantineBackoff = time.Second
@@ -143,18 +138,19 @@ func (m *member) desynced() string {
 }
 
 // Router owns the cluster's global trajectory id space and serves the
-// single-node HTTP API over N members.  Where/When route point queries
-// to the owner; Range scatter-gathers with per-member bounds pruning
-// and a deterministic (sorted) merge; Ingest splits a batch by
-// placement and forwards each slice to its owner.  All routing state is
-// soft: Sync rebuilds it from member stats.
+// single-node HTTP API over N members: it is the server.Backend of the
+// handler set it embeds, so requests decode, fail and batch exactly as
+// on a node.  Where/When route point queries to the owner; Range
+// scatter-gathers with per-member bounds pruning and a deterministic
+// (sorted) merge; Ingest splits a batch by placement and forwards each
+// slice to its owner.  All routing state is soft: Sync rebuilds it from
+// member stats.
 type Router struct {
+	*server.Server
+
 	place   *Placement
 	members []*member
 	opts    RouterOptions
-	mux     *http.ServeMux
-	hs      *http.Server
-	started time.Time
 
 	// mu guards the id maps.  node[gid] is the owning member ordinal
 	// (-1: a hole burned by a partially failed routed ingest),
@@ -170,10 +166,6 @@ type Router struct {
 	// records in arrival order.
 	ingestMu sync.Mutex
 
-	requests atomic.Int64
-	failures atomic.Int64
-	degraded atomic.Int64
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -188,12 +180,10 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 		names[i] = m.Name
 	}
 	rt := &Router{
-		place:   NewPlacement(names, opts.Partitions, opts.VNodes),
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		place: NewPlacement(names, opts.Partitions, opts.VNodes),
+		opts:  opts,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	for i, m := range members {
 		rt.members = append(rt.members, &member{
@@ -205,45 +195,21 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 			c: client.New(m.URL, client.Options{HTTPClient: opts.HTTPClient, RetryAttempts: 2}),
 		})
 	}
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("POST /v1/where", rt.handleWhere)
-	rt.mux.HandleFunc("POST /v1/when", rt.handleWhen)
-	rt.mux.HandleFunc("POST /v1/range", rt.handleRange)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("POST /v1/ingest", rt.handleIngest)
-	rt.mux.HandleFunc("POST /v1/compact", rt.handleCompact)
-	rt.mux.HandleFunc("GET /v1/watch/range", rt.handleWatch)
-	rt.hs = &http.Server{Handler: rt.mux, ReadTimeout: 10 * time.Second, WriteTimeout: 30 * time.Second}
+	// Routed queries have no evaluation timeout: a slow member fails or
+	// is skipped by the scatter-gather, it does not pile up on a timer.
+	rt.Server = server.NewHandler(rt, server.Options{
+		MaxBatch:         opts.MaxBatch,
+		BatchParallelism: opts.Parallelism,
+		QueryTimeout:     -1,
+	})
 	return rt
-}
-
-// Handler returns the route table (tests, embedding).
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Serve accepts connections on l until Shutdown.
-func (rt *Router) Serve(l net.Listener) error {
-	err := rt.hs.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (rt *Router) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(l)
 }
 
 // Shutdown stops the listener, drains in-flight requests and stops the
 // background refresher.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.Close()
-	return rt.hs.Shutdown(ctx)
+	return rt.Server.Shutdown(ctx)
 }
 
 // Start launches the background stats refresher (quarantine healing and
@@ -286,6 +252,13 @@ func (rt *Router) refreshMember(ctx context.Context, m *member) error {
 		}
 		return err
 	}
+	rt.observe(m, st)
+	return nil
+}
+
+// observe caches a member's fresh stats, heals its quarantine and gives
+// a desynced member the chance to reconcile.
+func (rt *Router) observe(m *member, st client.StatsResponse) {
 	m.mu.Lock()
 	m.gen = st.Generation
 	m.trajs = st.Trajectories
@@ -300,7 +273,6 @@ func (rt *Router) refreshMember(ctx context.Context, m *member) error {
 	m.mu.Unlock()
 	m.heal()
 	rt.reconcile(m, st)
-	return nil
 }
 
 // reconcile clears a member's ingest-desync latch when fresh stats
@@ -429,32 +401,25 @@ func (rt *Router) locate(gid int) (*member, int, error) {
 	return rt.members[rt.node[gid]], int(rt.local[gid]), nil
 }
 
-// routeErr is an error the router answers with verbatim: either a
-// member's own classified failure forwarded through, or the router's
-// own condition (node quarantined, unknown trajectory, bad request).
-type routeErr struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter int
+// Router errors are *client.APIError values, which the handler set
+// answers verbatim: the router's own conditions (unknown gid, member
+// quarantined or desynced) and a member's classified failure forwarded
+// as the member answered it.
+
+func errUnknownGID(detail string) *client.APIError {
+	return &client.APIError{Status: http.StatusBadRequest, Code: client.CodeUnknownTrajectory,
+		Message: "unknown trajectory: " + detail}
 }
 
-func (e *routeErr) Error() string { return e.msg }
-
-func errUnknownGID(gid int, detail string) *routeErr {
-	return &routeErr{status: http.StatusBadRequest, code: client.CodeUnknownTrajectory,
-		msg: fmt.Sprintf("unknown trajectory: %s", detail)}
+func errNodeDown(m *member, err error) *client.APIError {
+	return &client.APIError{Status: http.StatusServiceUnavailable, Code: client.CodeNodeQuarantined,
+		Message: fmt.Sprintf("node %s is quarantined: %v", m.name, err), RetryAfter: 2 * time.Second}
 }
 
-func errNodeDown(m *member, err error) *routeErr {
-	return &routeErr{status: http.StatusServiceUnavailable, code: client.CodeNodeQuarantined,
-		msg: fmt.Sprintf("node %s is quarantined: %v", m.name, err), retryAfter: 2}
-}
-
-func errNodeDesynced(m *member, reason string) *routeErr {
-	return &routeErr{status: http.StatusServiceUnavailable, code: client.CodeNodeDesynced,
-		msg:        fmt.Sprintf("node %s is desynced (%s); ingest refused until a reconcile — do not blindly resubmit, records may already be durable there", m.name, reason),
-		retryAfter: 5}
+func errNodeDesynced(m *member, reason string) *client.APIError {
+	return &client.APIError{Status: http.StatusServiceUnavailable, Code: client.CodeNodeDesynced,
+		Message:    fmt.Sprintf("node %s is desynced (%s); ingest refused until a reconcile — do not blindly resubmit, records may already be durable there", m.name, reason),
+		RetryAfter: 5 * time.Second}
 }
 
 // memberErr classifies a failed member call: a classified APIError is
@@ -462,107 +427,68 @@ func errNodeDesynced(m *member, reason string) *routeErr {
 // that data); a transport-level failure quarantines the member and
 // answers node_quarantined so clients back off while the router fails
 // fast.
-func (rt *Router) memberErr(m *member, err error) *routeErr {
+func (rt *Router) memberErr(m *member, err error) *client.APIError {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return &routeErr{status: ae.Status, code: ae.Code, msg: ae.Message,
-			retryAfter: int(ae.RetryAfter / time.Second)}
+		return ae
 	}
 	m.quarantine(rt.opts.QuarantineBackoff)
 	return errNodeDown(m, err)
 }
 
-// decode mirrors the single-node server: bounded body, unknown fields
-// rejected.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	rt.requests.Add(1)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-			msg: fmt.Sprintf("decode request: %v", err)})
-		return false
+// Reader serves queries at the current generation only: generations
+// are per-member state, so a pin is only meaningful against one node.
+func (rt *Router) Reader(gen uint64) (server.Reader, error) {
+	if gen != 0 {
+		return nil, &client.APIError{Status: http.StatusBadRequest, Code: client.CodeBadRequest,
+			Message: "generation pins are per-node state; pin against a member node directly"}
 	}
-	return true
+	return rt, nil
 }
 
-// noGenPin rejects ?gen= on routed queries: generations are per-member
-// state, so a pin is only meaningful against one node.
-func (rt *Router) noGenPin(w http.ResponseWriter, r *http.Request) bool {
-	if r.URL.Query().Get("gen") == "" {
-		return true
-	}
-	rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-		msg: "generation pins are per-node state; pin against a member node directly"})
-	return false
-}
-
-func (rt *Router) reply(w http.ResponseWriter, payload any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(payload); err != nil {
-		rt.failures.Add(1)
-	}
-}
-
-func (rt *Router) fail(w http.ResponseWriter, re *routeErr) {
-	rt.failures.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	if re.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(re.retryAfter))
-	}
-	w.WriteHeader(re.status)
-	env := client.ErrorResponse{Code: re.code, Error: re.msg, RetryAfter: re.retryAfter}
-	if err := json.NewEncoder(w).Encode(env); err != nil {
-		rt.failures.Add(1)
-	}
-}
-
-// whereGlobal evaluates one where-query by ownership.
-func (rt *Router) whereGlobal(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, *routeErr) {
+// Where evaluates one where-query by ownership.
+func (rt *Router) Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error) {
 	m, local, err := rt.locate(req.Traj)
 	if err != nil {
-		return nil, errUnknownGID(req.Traj, err.Error())
+		return nil, errUnknownGID(err.Error())
 	}
 	if m.quarantined() {
 		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
 	}
-	sub := req
-	sub.Traj, sub.Gen = local, 0
-	rs, cerr := m.c.Where(ctx, sub)
-	if cerr != nil {
-		return nil, rt.memberErr(m, cerr)
+	req.Traj = local
+	rs, err := m.c.Where(ctx, req)
+	if err != nil {
+		return nil, rt.memberErr(m, err)
 	}
 	return rs, nil
 }
 
-// whenGlobal evaluates one when-query by ownership.
-func (rt *Router) whenGlobal(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, *routeErr) {
+// When evaluates one when-query by ownership.
+func (rt *Router) When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error) {
 	m, local, err := rt.locate(req.Traj)
 	if err != nil {
-		return nil, errUnknownGID(req.Traj, err.Error())
+		return nil, errUnknownGID(err.Error())
 	}
 	if m.quarantined() {
 		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
 	}
-	sub := req
-	sub.Traj, sub.Gen = local, 0
-	rs, cerr := m.c.When(ctx, sub)
-	if cerr != nil {
-		return nil, rt.memberErr(m, cerr)
+	req.Traj = local
+	rs, err := m.c.When(ctx, req)
+	if err != nil {
+		return nil, rt.memberErr(m, err)
 	}
 	return rs, nil
 }
 
-// rangeGlobal scatter-gathers a range query: members that cannot hold a
+// Range scatter-gathers a range query: members that cannot hold a
 // matching trajectory (empty, or fresh bounds disjoint from the query
 // rectangle — the same geometry pruning the store applies per shard)
 // are never contacted; quarantined or failing members are skipped and
 // counted, degrading the result to a lower bound instead of failing it.
 // The merge translates member-local ids to gids and sorts, so the
 // answer is deterministic and ≡ a single-node store over the same data.
-func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (client.RangeResult, *routeErr) {
-	req.Gen = 0
-	// Copy the inner slice headers under the lock: handleIngest reassigns
+func (rt *Router) Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error) {
+	// Copy the inner slice headers under the lock: Ingest reassigns
 	// rt.perNode[owner] when it commits.  The arrays behind them are only
 	// appended to, so indices below the copied lengths never change.
 	rt.mu.RLock()
@@ -621,9 +547,9 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 			if localID < 0 {
 				// Negative ids cannot come from a store; surface loudly
 				// rather than mistranslate.
-				return client.RangeResult{}, &routeErr{status: http.StatusInternalServerError,
-					code: client.CodeInternal,
-					msg:  fmt.Sprintf("member %s returned invalid local id %d", rt.members[i].name, localID)}
+				return client.RangeResult{}, &client.APIError{Status: http.StatusInternalServerError,
+					Code:    client.CodeInternal,
+					Message: fmt.Sprintf("member %s returned invalid local id %d", rt.members[i].name, localID)}
 			}
 			if len(perNode) <= i || localID >= len(perNode[i]) {
 				// The member holds records newer than this query's map
@@ -642,117 +568,18 @@ func (rt *Router) rangeGlobal(ctx context.Context, req client.RangeRequest) (cli
 	if out.NodesSkipped > 0 || out.ShardsSkipped > 0 {
 		out.Degraded = true
 	}
-	if out.Degraded {
-		rt.degraded.Add(1)
-	}
 	sort.Ints(out.Trajs)
 	return out, nil
 }
 
-func (rt *Router) handleWhere(w http.ResponseWriter, r *http.Request) {
-	var req client.WhereRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	rs, rerr := rt.whereGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, map[string]any{"results": rs})
-}
-
-func (rt *Router) handleWhen(w http.ResponseWriter, r *http.Request) {
-	var req client.WhenRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	rs, rerr := rt.whenGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, map[string]any{"results": rs})
-}
-
-func (rt *Router) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req client.RangeRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	res, rerr := rt.rangeGlobal(r.Context(), req)
-	if rerr != nil {
-		rt.fail(w, rerr)
-		return
-	}
-	rt.reply(w, res)
-}
-
-// handleBatch decomposes a batch onto the scatter workers; per-query
-// failures stay in-band with their codes, exactly like the single-node
-// server.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req client.BatchRequest
-	if !rt.decode(w, r, &req) || !rt.noGenPin(w, r) {
-		return
-	}
-	if len(req.Queries) > rt.opts.MaxBatch {
-		rt.fail(w, &routeErr{status: http.StatusRequestEntityTooLarge, code: client.CodeTooLarge,
-			msg: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), rt.opts.MaxBatch)})
-		return
-	}
-	results := make([]client.BatchResult, len(req.Queries))
-	_ = par.Do(par.Workers(rt.opts.Parallelism), len(req.Queries), func(i int) error {
-		q := req.Queries[i]
-		switch {
-		case q.Kind == "where" && q.Where != nil:
-			rs, rerr := rt.whereGlobal(r.Context(), *q.Where)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].Where = rs
-		case q.Kind == "when" && q.When != nil:
-			rs, rerr := rt.whenGlobal(r.Context(), *q.When)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].When = rs
-		case q.Kind == "range" && q.Range != nil:
-			res, rerr := rt.rangeGlobal(r.Context(), *q.Range)
-			if rerr != nil {
-				results[i].Error, results[i].Code = rerr.msg, rerr.code
-				return nil
-			}
-			results[i].Trajs = res.Trajs
-			results[i].Degraded = res.Degraded
-		default:
-			results[i].Error = fmt.Sprintf("query %d: kind %q without a matching body", i, q.Kind)
-			results[i].Code = client.CodeBadRequest
-		}
-		return nil
-	})
-	rt.reply(w, map[string]any{"results": results})
-}
-
-// handleIngest splits the batch by placement over freshly assigned gids
-// and forwards each slice to its owner.  The global assignment is
+// Ingest splits the batch by placement over freshly assigned gids and
+// forwards each slice to its owner.  The global assignment is
 // provisional until the owner acknowledges: a slice whose owner fails
 // burns its gids as holes (they answer unknown_trajectory until
 // re-ingested) rather than shifting every later assignment — routed
 // ingest is at-most-once per node, and the response's nodes section
 // tells the client exactly which slices need resubmitting.
-func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req client.IngestRequest
-	if !rt.decode(w, r, &req) {
-		return
-	}
-	if len(req.Trajectories) == 0 {
-		rt.fail(w, &routeErr{status: http.StatusBadRequest, code: client.CodeBadRequest,
-			msg: "invalid request: no trajectories"})
-		return
-	}
+func (rt *Router) Ingest(ctx context.Context, req client.IngestRequest) (client.IngestResponse, error) {
 	rt.ingestMu.Lock()
 	defer rt.ingestMu.Unlock()
 
@@ -799,7 +626,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// fold outcome (which records the matcher dropped) is the only
 		// way to keep the router's id maps exact, and it is only
 		// reported on synchronous flushes.
-		resp, err := m.c.Ingest(r.Context(), slices[i].trajs, true)
+		resp, err := m.c.Ingest(ctx, slices[i].trajs, true)
 		if err != nil {
 			var ae *client.APIError
 			if !errors.As(err, &ae) {
@@ -835,18 +662,14 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RUnlock()
 
 	okNode := make([]bool, len(rt.members))
-	nodeErr := make([]*routeErr, len(rt.members))
+	nodeErr := make([]*client.APIError, len(rt.members))
 	dropSet := make([]map[int]bool, len(rt.members))
 	for i, m := range rt.members {
 		if len(slices[i].trajs) == 0 {
 			continue
 		}
 		if acks[i].err != nil {
-			if re, ok := acks[i].err.(*routeErr); ok {
-				nodeErr[i] = re
-			} else {
-				nodeErr[i] = rt.memberErr(m, acks[i].err)
-			}
+			nodeErr[i] = rt.memberErr(m, acks[i].err)
 			continue
 		}
 		resp := acks[i].resp
@@ -882,7 +705,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	anyOK := false
-	var firstErr *routeErr
+	var firstErr *client.APIError
 	for i := range rt.members {
 		if len(slices[i].trajs) == 0 {
 			continue
@@ -898,10 +721,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// a retried batch (e.g. after backlog shedding) does not burn a
 		// fresh gid range as holes on every attempt.
 		if firstErr == nil {
-			firstErr = &routeErr{status: http.StatusInternalServerError, code: client.CodeInternal, msg: "no member accepted the batch"}
+			firstErr = &client.APIError{Status: http.StatusInternalServerError, Code: client.CodeInternal, Message: "no member accepted the batch"}
 		}
-		rt.fail(w, firstErr)
-		return
+		return client.IngestResponse{}, firstErr
 	}
 
 	// Commit the assignment: verified slices extend the maps; failed
@@ -939,7 +761,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		n := client.NodeIngestResult{Name: m.name}
 		if !okNode[i] {
-			n.Error, n.Code = nodeErr[i].msg, nodeErr[i].code
+			n.Error, n.Code = nodeErr[i].Message, nodeErr[i].Code
 		} else {
 			n.Accepted = acks[i].resp.Accepted
 			n.FirstSeq = acks[i].resp.FirstSeq
@@ -957,43 +779,32 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Nodes = append(out.Nodes, n)
 	}
-	rt.reply(w, out)
+	return out, nil
 }
 
-// handleCompact fans compaction out to every member.
-func (rt *Router) handleCompact(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Compact fans compaction out to every member.
+func (rt *Router) Compact(ctx context.Context) (client.CompactResponse, error) {
 	resps := make([]client.CompactResponse, len(rt.members))
 	errs := make([]error, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		resps[i], errs[i] = rt.members[i].c.Compact(r.Context())
+		resps[i], errs[i] = rt.members[i].c.Compact(ctx)
 		return nil
 	})
 	out := client.CompactResponse{}
 	for i, m := range rt.members {
 		if errs[i] != nil {
-			rt.fail(w, rt.memberErr(m, errs[i]))
-			return
+			return client.CompactResponse{}, rt.memberErr(m, errs[i])
 		}
 		out.Folded += resps[i].Folded
 		out.Generation = max(out.Generation, resps[i].Generation)
 	}
-	rt.reply(w, out)
+	return out, nil
 }
 
-// handleWatch: subscriptions need per-member cursor state the router
-// does not hold; clients subscribe to members directly.
-func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
-	rt.fail(w, &routeErr{status: http.StatusNotImplemented, code: client.CodeUnsupported,
-		msg: "watch subscriptions are not routed; subscribe to a member node directly"})
-}
-
-// handleHealthz reports the cluster's aggregate liveness: always 200
-// (the router itself is alive), "degraded" when any member is
-// quarantined or unreachable, with a per-node breakdown.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Health reports the cluster's aggregate liveness: "degraded" when any
+// member is quarantined, unreachable or desynced, with a per-node
+// breakdown.
+func (rt *Router) Health(context.Context) client.Health {
 	resp := client.Health{Status: "ok"}
 	for _, m := range rt.members {
 		nh := client.NodeHealth{Name: m.name, Status: "ok"}
@@ -1012,28 +823,19 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Nodes = append(resp.Nodes, nh)
 	}
-	rt.reply(w, resp)
+	return resp
 }
 
-// handleStats aggregates member stats (fetched live, in parallel) into
-// the single-node shape plus a cluster section, so loadgen and
-// dashboards work unchanged against a router.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.requests.Add(1)
+// Stats aggregates member stats (fetched live, in parallel) into the
+// single-node shape plus a cluster section, so loadgen and dashboards
+// work unchanged against a router.
+func (rt *Router) Stats(ctx context.Context) client.StatsResponse {
 	stats := make([]client.StatsResponse, len(rt.members))
 	errs := make([]error, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
-		stats[i], errs[i] = rt.members[i].c.Stats(r.Context())
+		stats[i], errs[i] = rt.members[i].c.Stats(ctx)
 		if errs[i] == nil {
-			m := rt.members[i]
-			m.mu.Lock()
-			m.gen = stats[i].Generation
-			m.trajs = stats[i].Trajectories
-			m.bounds = stats[i].DataBounds
-			m.dirty = false
-			m.statErr = ""
-			m.mu.Unlock()
-			m.heal()
+			rt.observe(rt.members[i], stats[i])
 		}
 		return nil
 	})
@@ -1049,15 +851,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RUnlock()
 
 	out := client.StatsResponse{
-		Assignment:      fmt.Sprintf("cluster(%d nodes x %d partitions)", len(rt.members), rt.place.Partitions()),
-		Trajectories:    total,
-		Bounds:          client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
-		DataBounds:      client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
-		Cluster:         &client.ClusterStats{Partitions: rt.place.Partitions(), Holes: holes},
-		Requests:        rt.requests.Load(),
-		Failures:        rt.failures.Load(),
-		DegradedQueries: rt.degraded.Load(),
-		UptimeSeconds:   time.Since(rt.started).Seconds(),
+		Assignment:   fmt.Sprintf("cluster(%d nodes x %d partitions)", len(rt.members), rt.place.Partitions()),
+		Trajectories: total,
+		Bounds:       client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
+		DataBounds:   client.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0},
+		Cluster:      &client.ClusterStats{Partitions: rt.place.Partitions(), Holes: holes},
 	}
 	firstSpan := true
 	var ingestAgg client.IngestStats
@@ -1137,7 +935,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if anyIngest {
 		out.Ingest = &ingestAgg
 	}
-	rt.reply(w, out)
+	return out
 }
 
 // unionRect merges two rectangles, treating the inverted marker as

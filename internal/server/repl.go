@@ -48,21 +48,21 @@ const (
 // wal_truncated: the follower must re-snapshot from the manifest.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	if s.ing == nil {
+	if s.node.ing == nil {
 		err := fmt.Errorf("%w: this node has no WAL to replicate", errIngestDisabled)
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: from %q is not an unsigned integer", errBadInput, q.Get("from")))
+		s.Fail(w, fmt.Errorf("%w: from %q is not an unsigned integer", errBadInput, q.Get("from")))
 		return
 	}
 	maxRecs := replDefaultMax
 	if v := q.Get("max"); v != "" {
 		if maxRecs, err = strconv.Atoi(v); err != nil || maxRecs < 1 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: max %q is not a positive integer", errBadInput, v))
+			s.Fail(w, fmt.Errorf("%w: max %q is not a positive integer", errBadInput, v))
 			return
 		}
 	}
@@ -70,7 +70,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("wait"); v != "" {
 		secs, err := strconv.Atoi(v)
 		if err != nil || secs < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: wait %q is not a non-negative integer", errBadInput, v))
+			s.Fail(w, fmt.Errorf("%w: wait %q is not a non-negative integer", errBadInput, v))
 			return
 		}
 		wait = min(time.Duration(secs)*time.Second, replMaxWait)
@@ -84,8 +84,8 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(wait)
 	var batch ingest.ShipBatch
 	for {
-		if batch, err = s.ing.ShipFrom(from, maxRecs); err != nil {
-			s.fail(w, statusFor(err), err)
+		if batch, err = s.node.ing.ShipFrom(from, maxRecs); err != nil {
+			s.Fail(w, err)
 			return
 		}
 		if len(batch.Records) > 0 || !time.Now().Before(deadline) {
@@ -114,9 +114,9 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 // artifacts embody, and the artifact list to fetch.
 func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	data, err := s.st.ReadArtifact(store.ManifestName)
+	data, err := s.node.st.ReadArtifact(store.ManifestName)
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -134,19 +134,19 @@ func (s *Server) handleReplFile(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	name := r.PathValue("name")
 	if !store.IsArtifactName(name) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: %q is not a store artifact name", errBadInput, name))
+		s.Fail(w, fmt.Errorf("%w: %q is not a store artifact name", errBadInput, name))
 		return
 	}
-	data, err := s.st.ReadArtifact(name)
+	data, err := s.node.st.ReadArtifact(name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			// Not a shard-open failure (those stay 500 on the query
 			// path): the follower asked for a file a newer manifest no
 			// longer has.
-			s.failWith(w, http.StatusNotFound, client.CodeNotFound, err)
+			s.Fail(w, &client.APIError{Status: http.StatusNotFound, Code: client.CodeNotFound, Message: err.Error()})
 			return
 		}
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

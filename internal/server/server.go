@@ -1,17 +1,20 @@
-// Package server exposes a sharded trajectory store (internal/store) over
-// HTTP/JSON: the network query front-end of the UTCQ system.  It serves
-// the paper's three probabilistic queries — where (Definition 10), when
-// (Definition 11) and range (Definition 12) — as single-query endpoints
-// and as one batched endpoint that fans a request's queries across a
-// bounded worker pool, plus /healthz for liveness and /v1/stats for the
-// store's aggregated engine counters.  With an ingester
-// attached (Options.Ingester) the server also accepts live traffic:
-// POST /v1/ingest acknowledges raw trajectories into the WAL and
-// POST /v1/compact folds accumulated delta shards into a base shard.
+// Package server is the HTTP/JSON surface of the UTCQ system.  One
+// handler set serves the paper's three probabilistic queries — where
+// (Definition 10), when (Definition 11) and range (Definition 12) — as
+// single-query endpoints and as one batched endpoint that fans a
+// request's queries across a bounded worker pool, plus POST /v1/ingest,
+// POST /v1/compact, /healthz and /v1/stats, over a Backend.
+//
+// New serves one store (a node): queries read store snapshots, and with
+// an ingester attached (Options.Ingester) /v1/ingest acknowledges raw
+// trajectories into the WAL; a node also serves the watch and
+// replication routes.  internal/cluster's Router is the other Backend:
+// it embeds the Server NewHandler builds, so a cluster answers through
+// the same decode, error envelope, limits and batch dispatch as a node.
 //
 // The handlers hold no per-request state beyond the decoded bodies; all
-// concurrency control lives in the store and its per-shard engines, so one
-// Server instance serves any number of connections.
+// concurrency control lives in the backend, so one Server instance
+// serves any number of connections.
 package server
 
 import (
@@ -27,9 +30,7 @@ import (
 
 	"utcq/internal/ingest"
 	"utcq/internal/par"
-	"utcq/internal/roadnet"
 	"utcq/internal/store"
-	"utcq/internal/traj"
 	"utcq/pkg/client"
 )
 
@@ -77,10 +78,37 @@ func DefaultOptions() Options {
 	}
 }
 
-// Server is the HTTP query service over one store.
+// Reader answers the three queries against one generation of the data.
+// One Reader answers a whole /v1/batch, so every query in it sees the
+// same generation.
+type Reader interface {
+	Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error)
+	When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error)
+	Range(ctx context.Context, req RangeRequest) (RangeResult, error)
+}
+
+// Backend is what the handler set serves: one store (New) or a cluster
+// router.  Errors are classified by statusFor/codeFor, except a
+// *client.APIError, which is answered verbatim.
+type Backend interface {
+	// Reader resolves the data a query request runs against: the current
+	// generation for gen 0, the retained generation gen otherwise.
+	Reader(gen uint64) (Reader, error)
+	// Ingest admits a non-empty batch of raw trajectories.  A response
+	// with FlushError set was acknowledged but not applied (202).
+	Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error)
+	Compact(ctx context.Context) (CompactResponse, error)
+	// Stats reports everything but the handler set's own counters
+	// (requests, failures, degraded queries, uptime), which the stats
+	// handler fills in; timeouts and watch counters it adds on top.
+	Stats(ctx context.Context) StatsResponse
+	Health(ctx context.Context) Health
+}
+
+// Server is the HTTP handler set over one Backend.
 type Server struct {
-	st   *store.Store
-	ing  *ingest.Ingester
+	b    Backend
+	node *node // b when it is a store: the watch and replication routes read it
 	opts Options
 	mux  *http.ServeMux
 	hs   *http.Server
@@ -89,10 +117,8 @@ type Server struct {
 	requests atomic.Int64
 	failures atomic.Int64
 
-	// Degradation counters: admission rejections (429), abandoned slow
-	// queries (504) and range queries answered without their quarantined
-	// shards.
-	rejected atomic.Int64
+	// Degradation counters: abandoned slow queries (504) and range
+	// answers flagged degraded (skipped shards or members).
 	timeouts atomic.Int64
 	degraded atomic.Int64
 
@@ -104,6 +130,16 @@ type Server struct {
 
 // New returns a server over st.  Zero-valued options select defaults.
 func New(st *store.Store, opts Options) *Server {
+	if opts.MaxPending == 0 {
+		opts.MaxPending = DefaultOptions().MaxPending
+	}
+	return NewHandler(&node{st: st, ing: opts.Ingester, maxPending: opts.MaxPending, follower: opts.Follower}, opts)
+}
+
+// NewHandler returns the handler set over b.  Zero-valued options select
+// defaults; MaxPending, Ingester and Follower configure a store's
+// backend and are ignored here.
+func NewHandler(b Backend, opts Options) *Server {
 	def := DefaultOptions()
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = def.MaxBatch
@@ -117,10 +153,7 @@ func New(st *store.Store, opts Options) *Server {
 	if opts.QueryTimeout == 0 {
 		opts.QueryTimeout = def.QueryTimeout
 	}
-	if opts.MaxPending == 0 {
-		opts.MaxPending = def.MaxPending
-	}
-	s := &Server{st: st, ing: opts.Ingester, opts: opts, mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{b: b, opts: opts, mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/where", s.handleWhere)
@@ -130,9 +163,12 @@ func New(st *store.Store, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
-	s.mux.HandleFunc("GET /v1/repl/wal", s.handleReplWAL)
-	s.mux.HandleFunc("GET /v1/repl/manifest", s.handleReplManifest)
-	s.mux.HandleFunc("GET /v1/repl/file/{name}", s.handleReplFile)
+	if n, ok := b.(*node); ok {
+		s.node = n
+		s.mux.HandleFunc("GET /v1/repl/wal", s.handleReplWAL)
+		s.mux.HandleFunc("GET /v1/repl/manifest", s.handleReplManifest)
+		s.mux.HandleFunc("GET /v1/repl/file/{name}", s.handleReplFile)
+	}
 	// The http.Server exists from construction so Shutdown is effective
 	// even if it races server start (a Serve call after Shutdown returns
 	// ErrServerClosed immediately instead of leaking a live listener).
@@ -198,6 +234,11 @@ type (
 	ErrorResponse     = client.ErrorResponse
 	Health            = client.Health
 )
+
+// results is the {"results": [...]} body of where, when and batch.
+type results[T any] struct {
+	Results T `json:"results"`
+}
 
 // Sentinels the handlers wrap so statusFor/codeFor can classify
 // failures without string matching.  errBadInput marks
@@ -280,21 +321,44 @@ func codeFor(err error) string {
 	return client.CodeInternal
 }
 
-// snapshotFor resolves the store view a query request runs against: the
-// current generation, or — with ?gen=N — the retained generation N, so a
-// client can re-read exactly what an earlier response (or watch update)
-// was computed from.  Every helper below takes the snapshot explicitly,
-// which also gives multi-query requests (/v1/batch) one consistent view.
-func (s *Server) snapshotFor(r *http.Request) (store.Snapshot, error) {
-	q := r.URL.Query().Get("gen")
-	if q == "" {
-		return s.st.Snapshot(), nil
+// envelope renders err as the v1 error envelope and its status: a
+// *client.APIError (a router's own condition, or a member's answer it
+// forwards) verbatim, anything else through statusFor/codeFor.
+// Transient conditions carry a Retry-After: admission rejections clear
+// as soon as the drain catches up; quarantined shards and read-only mode
+// take operator time.
+func envelope(err error) (int, ErrorResponse) {
+	var ae *client.APIError
+	if errors.As(err, &ae) {
+		return ae.Status, ErrorResponse{Code: ae.Code, Error: ae.Message, RetryAfter: int(ae.RetryAfter / time.Second)}
 	}
-	gen, err := strconv.ParseUint(q, 10, 64)
-	if err != nil {
-		return store.Snapshot{}, fmt.Errorf("%w: gen %q is not an unsigned integer", errBadInput, q)
+	status := statusFor(err)
+	env := ErrorResponse{Code: codeFor(err), Error: err.Error()}
+	switch status {
+	case http.StatusTooManyRequests:
+		env.RetryAfter = 1
+	case http.StatusServiceUnavailable:
+		env.RetryAfter = 2
 	}
-	return s.st.SnapshotAt(gen)
+	return status, env
+}
+
+// reader resolves the Reader a query request runs against: the current
+// generation, or — with ?gen=N — the retained generation N, so a client
+// can re-read exactly what an earlier response (or watch update) was
+// computed from.
+func (s *Server) reader(r *http.Request) (Reader, error) {
+	var gen uint64
+	if r.URL.RawQuery != "" {
+		if q := r.URL.Query().Get("gen"); q != "" {
+			g, err := strconv.ParseUint(q, 10, 64)
+			if err != nil || g == 0 {
+				return nil, fmt.Errorf("%w: gen %q is not a positive integer", errBadInput, q)
+			}
+			gen = g
+		}
+	}
+	return s.b.Reader(gen)
 }
 
 // timed evaluates fn under the server's query timeout.  The store's query
@@ -328,119 +392,53 @@ func timed[T any](s *Server, fn func() (T, error)) (T, error) {
 	}
 }
 
-func (s *Server) whereJSON(sn store.Snapshot, req WhereRequest) ([]WhereResultJSON, error) {
-	rs, err := sn.Where(req.Traj, req.T, req.Alpha)
+// answer runs one single-query request: decode the body into a Q,
+// resolve the Reader, and evaluate under the query timeout.  On failure
+// it has already answered the error.
+func answer[Q, R any](s *Server, w http.ResponseWriter, r *http.Request, eval func(Reader, context.Context, Q) (R, error)) (R, bool) {
+	var req Q
+	var out R
+	if !s.decode(w, r, &req) {
+		return out, false
+	}
+	rd, err := s.reader(r)
+	if err == nil {
+		out, err = timed(s, func() (R, error) { return eval(rd, r.Context(), req) })
+	}
 	if err != nil {
-		return nil, err
+		s.Fail(w, err)
+		return out, false
 	}
-	g := s.st.Graph()
-	out := make([]WhereResultJSON, len(rs))
-	for i, r := range rs {
-		x, y := g.Coords(r.Loc)
-		out[i] = WhereResultJSON{
-			Inst: r.Inst, P: r.P,
-			Edge: int(r.Loc.Edge), NDist: r.Loc.NDist,
-			X: x, Y: y,
-		}
-	}
-	return out, nil
-}
-
-func (s *Server) whenJSON(sn store.Snapshot, req WhenRequest) ([]WhenResultJSON, error) {
-	if n := s.st.Graph().NumEdges(); req.Loc.Edge < 0 || req.Loc.Edge >= n {
-		return nil, fmt.Errorf("%w: edge %d outside [0, %d)", errBadInput, req.Loc.Edge, n)
-	}
-	loc := roadnet.Position{Edge: roadnet.EdgeID(req.Loc.Edge), NDist: req.Loc.NDist}
-	rs, err := sn.When(req.Traj, loc, req.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WhenResultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = WhenResultJSON{Inst: r.Inst, P: r.P, T: r.T}
-	}
-	return out, nil
-}
-
-// rangeJSON evaluates a range query over every healthy shard.  skipped
-// reports live shards that could not be consulted because they are
-// quarantined after open failures: the result is then a lower bound and
-// the response is flagged degraded rather than failed (a scatter query
-// losing one shard still has value; a 500 would have none).
-func (s *Server) rangeJSON(sn store.Snapshot, req RangeRequest) (trajs []int, skipped int, err error) {
-	re := roadnet.Rect{MinX: req.Rect.MinX, MinY: req.Rect.MinY, MaxX: req.Rect.MaxX, MaxY: req.Rect.MaxY}
-	trajs, skipped, err = sn.RangeDegraded(re, req.T, req.Alpha)
-	if err != nil {
-		return nil, 0, err
-	}
-	if skipped > 0 {
-		s.degraded.Add(1)
-	}
-	if trajs == nil {
-		trajs = []int{}
-	}
-	return trajs, skipped, nil
+	return out, true
 }
 
 func (s *Server) handleWhere(w http.ResponseWriter, r *http.Request) {
-	var req WhereRequest
-	if !s.decode(w, r, &req) {
-		return
+	if rs, ok := answer(s, w, r, Reader.Where); ok {
+		s.reply(w, results[[]WhereResultJSON]{rs})
 	}
-	sn, err := s.snapshotFor(r)
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	rs, err := timed(s, func() ([]WhereResultJSON, error) { return s.whereJSON(sn, req) })
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	s.reply(w, map[string]any{"results": rs})
 }
 
 func (s *Server) handleWhen(w http.ResponseWriter, r *http.Request) {
-	var req WhenRequest
-	if !s.decode(w, r, &req) {
-		return
+	if rs, ok := answer(s, w, r, Reader.When); ok {
+		s.reply(w, results[[]WhenResultJSON]{rs})
 	}
-	sn, err := s.snapshotFor(r)
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	rs, err := timed(s, func() ([]WhenResultJSON, error) { return s.whenJSON(sn, req) })
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	s.reply(w, map[string]any{"results": rs})
 }
 
+// handleRange answers a range query.  A backend that could not consult
+// every shard or member flags the result degraded (a lower bound) rather
+// than failing it: a scatter query losing one part still has value; a
+// 500 would have none.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req RangeRequest
-	if !s.decode(w, r, &req) {
-		return
+	if res, ok := answer(s, w, r, Reader.Range); ok {
+		s.countDegraded(res)
+		s.reply(w, res)
 	}
-	sn, err := s.snapshotFor(r)
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
+}
+
+func (s *Server) countDegraded(res RangeResult) {
+	if res.Degraded {
+		s.degraded.Add(1)
 	}
-	type rangeOut struct {
-		trajs   []int
-		skipped int
-	}
-	out, err := timed(s, func() (rangeOut, error) {
-		trajs, skipped, err := s.rangeJSON(sn, req)
-		return rangeOut{trajs, skipped}, err
-	})
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	s.reply(w, RangeResult{Trajs: out.trajs, Degraded: out.skipped > 0, ShardsSkipped: out.skipped})
 }
 
 // handleBatch evaluates the request's queries on a bounded worker pool and
@@ -452,240 +450,119 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Queries) > s.opts.MaxBatch {
-		err := fmt.Errorf("%w: batch of %d exceeds limit %d", errTooLarge, len(req.Queries), s.opts.MaxBatch)
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, fmt.Errorf("%w: batch of %d exceeds limit %d", errTooLarge, len(req.Queries), s.opts.MaxBatch))
 		return
 	}
-	// One snapshot for the whole batch: every query answers at the same
-	// generation even while ingestion mutates the store mid-batch.
-	sn, err := s.snapshotFor(r)
+	// One Reader for the whole batch: every query answers at the same
+	// generation even while ingestion mutates the data mid-batch.
+	rd, err := s.reader(r)
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
-	results, err := timed(s, func() ([]BatchResult, error) {
-		results := make([]BatchResult, len(req.Queries))
-		// Errors land in results; par.Do never sees one.
+	out, err := timed(s, func() ([]BatchResult, error) {
+		out := make([]BatchResult, len(req.Queries))
+		// Errors land in out; par.Do never sees one.
 		_ = par.Do(par.Workers(s.opts.BatchParallelism), len(req.Queries), func(i int) error {
-			q := req.Queries[i]
-			switch {
-			case q.Kind == "where" && q.Where != nil:
-				rs, err := s.whereJSON(sn, *q.Where)
-				if err != nil {
-					results[i].Error, results[i].Code = err.Error(), codeFor(err)
-					return nil
-				}
-				results[i].Where = rs
-			case q.Kind == "when" && q.When != nil:
-				rs, err := s.whenJSON(sn, *q.When)
-				if err != nil {
-					results[i].Error, results[i].Code = err.Error(), codeFor(err)
-					return nil
-				}
-				results[i].When = rs
-			case q.Kind == "range" && q.Range != nil:
-				trajs, skipped, err := s.rangeJSON(sn, *q.Range)
-				if err != nil {
-					results[i].Error, results[i].Code = err.Error(), codeFor(err)
-					return nil
-				}
-				results[i].Trajs = trajs
-				results[i].Degraded = skipped > 0
-			default:
-				results[i].Error = fmt.Sprintf("query %d: kind %q without a matching body", i, q.Kind)
-				results[i].Code = client.CodeBadRequest
-			}
+			s.batchOne(r.Context(), rd, i, req.Queries[i], &out[i])
 			return nil
 		})
-		return results, nil
+		return out, nil
 	})
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
-	s.reply(w, map[string]any{"results": results})
+	s.reply(w, results[[]BatchResult]{out})
 }
 
-// handleIngest acknowledges raw trajectories.  The whole batch is
-// validated before anything touches the WAL, then appended and fsynced
-// under one group commit (SubmitBatch), so the request is atomic from the
-// client's view: a 400 means nothing was acknowledged, a 200 means the
-// entire batch survives a crash.
+// batchOne evaluates query i of a batch into res, with a failure's
+// message and code in-band.
+func (s *Server) batchOne(ctx context.Context, rd Reader, i int, q BatchQuery, res *BatchResult) {
+	var err error
+	switch {
+	case q.Kind == "where" && q.Where != nil:
+		res.Where, err = rd.Where(ctx, *q.Where)
+	case q.Kind == "when" && q.When != nil:
+		res.When, err = rd.When(ctx, *q.When)
+	case q.Kind == "range" && q.Range != nil:
+		var rr RangeResult
+		if rr, err = rd.Range(ctx, *q.Range); err == nil {
+			s.countDegraded(rr)
+			res.Trajs, res.Degraded = rr.Trajs, rr.Degraded
+		}
+	default:
+		err = fmt.Errorf("%w: query %d: kind %q without a matching body", errBadInput, i, q.Kind)
+	}
+	if err != nil {
+		_, env := envelope(err)
+		res.Error, res.Code = env.Error, env.Code
+	}
+}
+
+// handleIngest admits raw trajectories.  The backend decides what an
+// acknowledgement means (a node: durable in its WAL; a router: durable
+// on the owning members); a response carrying a flush error was
+// acknowledged but not applied and answers 202, so the client does not
+// resubmit and duplicate the records.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if s.ing == nil {
-		err := fmt.Errorf("%w: utcqd started without -wal", errIngestDisabled)
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	if s.opts.Follower {
-		err := fmt.Errorf("%w: this node is a replication follower; submit writes to the leader", errNotLeader)
-		s.fail(w, statusFor(err), err)
-		return
-	}
 	if len(req.Trajectories) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: no trajectories", errBadInput))
+		s.Fail(w, fmt.Errorf("%w: no trajectories", errBadInput))
 		return
 	}
-	// Bounded admission: past the pending limit the WAL keeps growing
-	// faster than the drain empties it, so shed load here — the batch was
-	// not acknowledged and the client retries after backoff.
-	if limit := s.opts.MaxPending; limit > 0 {
-		if pending := s.ing.Pending(); pending >= limit {
-			s.rejected.Add(1)
-			err := fmt.Errorf("%w: %d acknowledged records pending (limit %d)", errBacklog, pending, limit)
-			s.fail(w, statusFor(err), err)
-			return
-		}
-	}
-	raws := make([]traj.RawTrajectory, len(req.Trajectories))
-	for i, rt := range req.Trajectories {
-		pts := make([]traj.RawPoint, len(rt.Points))
-		for k, p := range rt.Points {
-			pts[k] = traj.RawPoint{X: p.X, Y: p.Y, T: p.T}
-		}
-		raws[i] = traj.RawTrajectory{Points: pts}
-	}
-	first, err := s.ing.SubmitBatch(raws)
+	// A synchronous flush map-matches and compresses the batch before
+	// replying (a routed ingest always flushes on the members); lift the
+	// connection's write deadline so a large batch is not cut off
+	// mid-mutation.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	resp, err := s.b.Ingest(r.Context(), req)
 	if err != nil {
-		// ErrRejected is the client's mistake (400); ErrReadOnly is the
-		// WAL failure latch — reads keep working, writes answer 503 until
-		// the operator intervenes.
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
-	resp := IngestResponse{Accepted: len(raws), FirstSeq: first}
-	if req.Flush {
-		// A synchronous flush map-matches and compresses the batch before
-		// replying; lift the connection's write deadline so a large batch
-		// is not cut off mid-mutation.
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-		gen, err := s.ing.Flush()
-		if err != nil {
-			// The batch IS durably acknowledged — only the synchronous
-			// application failed; it will drain later.  A plain 500 would
-			// invite a resubmit and duplicate the records, so answer 202
-			// with the acknowledgement and the flush failure in-band.
-			s.failures.Add(1)
-			resp.Generation = s.st.Generation()
-			resp.Pending = uint64(s.ing.Pending())
-			resp.FlushError = err.Error()
-			s.replyStatus(w, http.StatusAccepted, resp)
-			return
-		}
-		resp.Generation = gen
-		// The batch has folded; report which records the matcher dropped
-		// so sequence-to-id mapping callers (the cluster router) can
-		// account for the ids that were never created, and the post-flush
-		// trajectory count so those callers can verify their id maps
-		// before committing an assignment.
-		for _, seq := range s.ing.DroppedIn(first, first+uint64(len(raws))) {
-			resp.Dropped = append(resp.Dropped, int(seq-first))
-		}
-		resp.Trajectories = s.st.NumTrajectories()
-	} else {
-		resp.Generation = s.st.Generation()
+	if resp.FlushError != "" {
+		s.failures.Add(1)
+		s.replyStatus(w, http.StatusAccepted, resp)
+		return
 	}
-	resp.Pending = uint64(s.ing.Pending())
 	s.reply(w, resp)
 }
 
-// handleCompact drains pending ingestion and folds the live delta shards
-// into a base shard.  Without an ingester the store compacts directly
-// (useful after offline bulk loads).
+// handleCompact folds accumulated delta shards into base shards.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	// Compaction duration scales with the delta population; don't let the
 	// server's write timeout cut the response while the merge completes.
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-	var folded int
-	var err error
-	if s.ing != nil {
-		folded, err = s.ing.Compact()
-	} else {
-		folded, err = s.st.Compact()
-	}
+	resp, err := s.b.Compact(r.Context())
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		s.Fail(w, err)
 		return
-	}
-	s.reply(w, CompactResponse{Folded: folded, Generation: s.st.Generation()})
-}
-
-// handleHealthz is liveness plus degradation visibility: the process is
-// alive (200) as long as it can answer, but the body reports "degraded"
-// with the reasons — quarantined shards, a read-only write path — so
-// operators and load balancers see partial failure without scraping
-// /v1/stats.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := Health{Status: "ok"}
-	if q := s.st.QuarantinedShards(); q > 0 {
-		resp.Status = "degraded"
-		resp.QuarantinedShards = q
-	}
-	if s.ing != nil && s.ing.ReadOnly() != nil {
-		resp.Status = "degraded"
-		resp.ReadOnly = true
 	}
 	s.reply(w, resp)
 }
 
+// handleHealthz is liveness plus degradation visibility: the process is
+// alive (200) as long as it can answer, but the body reports "degraded"
+// with the reasons, so operators and load balancers see partial failure
+// without scraping /v1/stats.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	s.reply(w, s.b.Health(r.Context()))
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.st.Stats()
-	b := s.st.Bounds()
-	db := s.st.DataBounds()
-	resp := StatsResponse{
-		Shards:            st.Shards,
-		BaseShards:        st.BaseShards,
-		DeltaShards:       st.DeltaShards,
-		Tombstones:        st.Tombstones,
-		OpenShards:        st.OpenShards,
-		Trajectories:      st.Trajectories,
-		Assignment:        st.Assignment,
-		Generation:        st.Generation,
-		Compactions:       st.Compactions,
-		TimeMin:           st.TimeMin,
-		TimeMax:           st.TimeMax,
-		Bounds:            RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY},
-		DataBounds:        RectJSON{MinX: db.MinX, MinY: db.MinY, MaxX: db.MaxX, MaxY: db.MaxY},
-		Engine:            client.EngineStats(st.Engine),
-		Succinct:          client.SuccinctStats(st.Succinct),
-		SidecarLoads:      st.SidecarLoads,
-		SidecarRebuilds:   st.SidecarRebuilds,
-		MappedBytes:       st.MappedBytes,
-		RSSBytes:          st.RSSBytes,
-		QuarantinedShards: st.QuarantinedShards,
-		ShardOpenFailures: st.ShardOpenFailures,
-		Rejected:          s.rejected.Load(),
-		Timeouts:          s.timeouts.Load(),
-		DegradedQueries:   s.degraded.Load(),
-		Watchers:          s.watchers.Load(),
-		WatchNotifies:     s.watchNotifies.Load(),
-		Requests:          s.requests.Load(),
-		Failures:          s.failures.Load(),
-		UptimeSeconds:     time.Since(s.started).Seconds(),
-	}
-	if s.ing != nil {
-		is := s.ing.Stats()
-		resp.Ingest = &IngestStatsJSON{
-			Acked:        is.Acked,
-			Applied:      is.Applied,
-			Pending:      is.Pending,
-			PendingLimit: max(s.opts.MaxPending, 0),
-			Matched:      is.Matched,
-			Dropped:      is.Dropped,
-			Batches:      is.Batches,
-			Compactions:  is.Compactions,
-			WALBytes:     is.WALBytes,
-			ReadOnly:     is.ReadOnly,
-			SimplifyEps:  is.SimplifyEps,
-			PointsIn:     is.PointsIn,
-			PointsKept:   is.PointsKept,
-		}
-	}
+	resp := s.b.Stats(r.Context())
+	resp.Requests = s.requests.Load()
+	resp.Failures = s.failures.Load()
+	resp.DegradedQueries = s.degraded.Load()
+	resp.Timeouts += s.timeouts.Load()
+	resp.Watchers += s.watchers.Load()
+	resp.WatchNotifies += s.watchNotifies.Load()
+	resp.UptimeSeconds = time.Since(s.started).Seconds()
 	s.reply(w, resp)
 }
 
@@ -696,7 +573,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		s.Fail(w, fmt.Errorf("%w: decode request: %v", errBadInput, err))
 		return false
 	}
 	return true
@@ -720,35 +597,14 @@ func (s *Server) replyStatus(w http.ResponseWriter, status int, payload any) {
 	}
 }
 
-// fail answers with the v1 error envelope {code, error, retryAfter?}.
-// Transient conditions carry a Retry-After header (duplicated in the
-// envelope for clients that cannot reach headers) so off-the-shelf
-// clients back off: admission rejections clear as soon as the drain
-// catches up; quarantined shards and read-only mode take operator time.
-func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	s.failWith(w, status, codeFor(err), err)
-}
-
-// failWith is fail with an explicit envelope code, for the few places
-// (the replication file endpoint's not_found) where the code is not a
-// sentinel classification.
-func (s *Server) failWith(w http.ResponseWriter, status int, code string, err error) {
+// Fail answers err with the v1 error envelope {code, error, retryAfter?}
+// (see envelope), duplicating Retry-After as a header for off-the-shelf
+// clients, and counts the failure.
+func (s *Server) Fail(w http.ResponseWriter, err error) {
 	s.failures.Add(1)
-	env := ErrorResponse{Code: code, Error: err.Error()}
-	switch status {
-	case http.StatusTooManyRequests:
-		env.RetryAfter = 1
-	case http.StatusServiceUnavailable:
-		env.RetryAfter = 2
-	}
-	w.Header().Set("Content-Type", "application/json")
+	status, env := envelope(err)
 	if env.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(env.RetryAfter))
 	}
-	w.WriteHeader(status)
-	if eerr := json.NewEncoder(w).Encode(env); eerr != nil {
-		// The envelope itself failed to reach the client; count it so
-		// the drop is visible (this was silently ignored before).
-		s.failures.Add(1)
-	}
+	s.replyStatus(w, status, env)
 }

@@ -178,8 +178,8 @@ func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, er
 		// Load the signal BEFORE the snapshot: swap publishes the view
 		// first, so a channel from before our snapshot is always closed by
 		// any mutation the snapshot missed — no lost wakeups.
-		_, ch := s.st.GenerationChanged()
-		sn := s.st.Snapshot()
+		_, ch := s.node.st.GenerationChanged()
+		sn := s.node.st.Snapshot()
 		if req.hasGen && req.gen > sn.Generation() {
 			return WatchResponse{}, fmt.Errorf("%w: watch gen %d is beyond current generation %d",
 				store.ErrGenerationUnknown, req.gen, sn.Generation())
@@ -205,9 +205,16 @@ func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, er
 // handleWatchRange serves GET /v1/watch/range.
 func (s *Server) handleWatchRange(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
+	if s.node == nil {
+		// Subscriptions resume from one store's generation and shard
+		// watermark; a router holds neither.
+		s.Fail(w, &client.APIError{Status: http.StatusNotImplemented, Code: client.CodeUnsupported,
+			Message: "watch subscriptions are not routed; subscribe to a member node directly"})
+		return
+	}
 	req, err := parseWatchRequest(r)
 	if err != nil {
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
 	s.watchers.Add(1)
@@ -225,7 +232,7 @@ func (s *Server) handleWatchRange(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to answer
 		}
-		s.fail(w, statusFor(err), err)
+		s.Fail(w, err)
 		return
 	}
 	s.reply(w, resp)
@@ -244,8 +251,8 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, rc *http.Respo
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
-		_, ch := s.st.GenerationChanged() // before the snapshot; see watchOnce
-		sn := s.st.Snapshot()
+		_, ch := s.node.st.GenerationChanged() // before the snapshot; see watchOnce
+		sn := s.node.st.Snapshot()
 		if req.hasGen && req.gen > sn.Generation() {
 			return // nothing sane to stream from the future; client must resubscribe
 		}

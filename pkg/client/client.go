@@ -96,7 +96,7 @@ type Options struct {
 	OnRetry func(attempt int, err error, delay time.Duration)
 }
 
-// Client talks to one utcqd or utcqr base URL.  It is safe for
+// Client talks to one utcqd base URL, a node or a router.  It is safe for
 // concurrent use.
 type Client struct {
 	base string

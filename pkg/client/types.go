@@ -1,4 +1,4 @@
-// Package client is the typed Go client of the utcqd/utcqr HTTP API: the
+// Package client is the typed Go client of the utcqd HTTP API: the
 // wire types of every /v1 endpoint, a context-aware Client with
 // capped-backoff retry that honors Retry-After, and a cursor-resuming
 // Watcher for /v1/watch/range.  The server (internal/server) aliases
@@ -318,7 +318,7 @@ type StatsResponse struct {
 	// ingester attached.
 	Ingest *IngestStats `json:"ingest,omitempty"`
 
-	// Cluster is present only on a router (cmd/utcqr).
+	// Cluster is present only on a router (utcqd -members).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 
 	Requests      int64   `json:"requests"`
