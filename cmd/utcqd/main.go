@@ -79,7 +79,7 @@ func main() {
 	dir := flag.String("dir", "", "store directory (open if it holds a manifest, else build and save)")
 	parallel := flag.Int("parallel", 0, "build/scatter worker count (0 = one per CPU)")
 	maxBatch := flag.Int("max-batch", 0, "maximum queries per /v1/batch request (0 = default)")
-	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request query evaluation budget; requests past it answer 504 (<0 disables)")
+	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "node mode: per-request query deadline; requests past it stop at the next shard and answer 504 (<0 disables; a -members router always uses the 30s default)")
 	maxPending := flag.Int("max-pending", 0, "ingest admission limit: pending WAL records past which /v1/ingest answers 429 (0 = default 4096, <0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 	wal := flag.String("wal", "", "write-ahead log path: enables live ingestion via POST /v1/ingest")

@@ -195,12 +195,11 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 			c: client.New(m.URL, client.Options{HTTPClient: opts.HTTPClient, RetryAttempts: 2}),
 		})
 	}
-	// Routed queries have no evaluation timeout: a slow member fails or
-	// is skipped by the scatter-gather, it does not pile up on a timer.
+	// Routed queries run under the handler's default query timeout;
+	// member calls inherit its deadline.
 	rt.Server = server.NewHandler(rt, server.Options{
 		MaxBatch:         opts.MaxBatch,
 		BatchParallelism: opts.Parallelism,
-		QueryTimeout:     -1,
 	})
 	return rt
 }
@@ -388,17 +387,22 @@ func (rt *Router) NumTrajectories() int {
 	return len(rt.node)
 }
 
-// locate resolves a gid to (member, member-local id).
+// locate resolves a gid to (member, member-local id), failing fast on
+// an unknown gid or a quarantined owner.
 func (rt *Router) locate(gid int) (*member, int, error) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	if gid < 0 || gid >= len(rt.node) {
-		return nil, 0, fmt.Errorf("unknown trajectory %d (have %d)", gid, len(rt.node))
+		return nil, 0, errUnknownGID(fmt.Sprintf("unknown trajectory %d (have %d)", gid, len(rt.node)))
 	}
 	if rt.node[gid] < 0 {
-		return nil, 0, fmt.Errorf("trajectory %d was lost to a failed ingest (hole)", gid)
+		return nil, 0, errUnknownGID(fmt.Sprintf("trajectory %d was lost to a failed ingest (hole)", gid))
 	}
-	return rt.members[rt.node[gid]], int(rt.local[gid]), nil
+	m := rt.members[rt.node[gid]]
+	if m.quarantined() {
+		return nil, 0, errNodeDown(m, errors.New("recent failures, backing off"))
+	}
+	return m, int(rt.local[gid]), nil
 }
 
 // Router errors are *client.APIError values, which the handler set
@@ -422,15 +426,23 @@ func errNodeDesynced(m *member, reason string) *client.APIError {
 		RetryAfter: 5 * time.Second}
 }
 
-// memberErr classifies a failed member call: a classified APIError is
-// forwarded verbatim (the member's 400/404/410/500 is the truth about
-// that data); a transport-level failure quarantines the member and
-// answers node_quarantined so clients back off while the router fails
-// fast.
-func (rt *Router) memberErr(m *member, err error) *client.APIError {
+// memberErr classifies the outcome of a member call made under ctx (nil
+// stays nil): a classified APIError is forwarded verbatim (the member's
+// 400/404/410/500 is the truth about that data); a call cut short by
+// the caller's own context returns that context's error and leaves the
+// member alone; any other transport-level failure quarantines the
+// member and answers node_quarantined so clients back off while the
+// router fails fast.
+func (rt *Router) memberErr(ctx context.Context, m *member, err error) error {
+	if err == nil {
+		return nil
+	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		return ae
+	}
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
 	m.quarantine(rt.opts.QuarantineBackoff)
 	return errNodeDown(m, err)
@@ -450,34 +462,22 @@ func (rt *Router) Reader(gen uint64) (server.Reader, error) {
 func (rt *Router) Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error) {
 	m, local, err := rt.locate(req.Traj)
 	if err != nil {
-		return nil, errUnknownGID(err.Error())
-	}
-	if m.quarantined() {
-		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
+		return nil, err
 	}
 	req.Traj = local
 	rs, err := m.c.Where(ctx, req)
-	if err != nil {
-		return nil, rt.memberErr(m, err)
-	}
-	return rs, nil
+	return rs, rt.memberErr(ctx, m, err)
 }
 
 // When evaluates one when-query by ownership.
 func (rt *Router) When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error) {
 	m, local, err := rt.locate(req.Traj)
 	if err != nil {
-		return nil, errUnknownGID(err.Error())
-	}
-	if m.quarantined() {
-		return nil, errNodeDown(m, errors.New("recent failures, backing off"))
+		return nil, err
 	}
 	req.Traj = local
 	rs, err := m.c.When(ctx, req)
-	if err != nil {
-		return nil, rt.memberErr(m, err)
-	}
-	return rs, nil
+	return rs, rt.memberErr(ctx, m, err)
 }
 
 // Range scatter-gathers a range query: members that cannot hold a
@@ -485,6 +485,7 @@ func (rt *Router) When(ctx context.Context, req client.WhenRequest) ([]client.Wh
 // rectangle — the same geometry pruning the store applies per shard)
 // are never contacted; quarantined or failing members are skipped and
 // counted, degrading the result to a lower bound instead of failing it.
+// A query whose own context ends fails with that context's error.
 // The merge translates member-local ids to gids and sorts, so the
 // answer is deterministic and ≡ a single-node store over the same data.
 func (rt *Router) Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error) {
@@ -498,7 +499,6 @@ func (rt *Router) Range(ctx context.Context, req client.RangeRequest) (client.Ra
 	type nodeOut struct {
 		res     client.RangeResult
 		skipped bool
-		err     error
 	}
 	outs := make([]nodeOut, len(rt.members))
 	_ = par.Do(par.Workers(rt.opts.Parallelism), len(rt.members), func(i int) error {
@@ -517,21 +517,21 @@ func (rt *Router) Range(ctx context.Context, req client.RangeRequest) (client.Ra
 			return nil
 		}
 		if m.quarantined() {
-			outs[i] = nodeOut{skipped: true, err: errors.New("quarantined")}
+			outs[i] = nodeOut{skipped: true}
 			return nil
 		}
 		res, err := m.c.Range(ctx, req)
 		if err != nil {
-			var ae *client.APIError
-			if !errors.As(err, &ae) {
-				m.quarantine(rt.opts.QuarantineBackoff)
-			}
-			outs[i] = nodeOut{skipped: true, err: err}
+			_ = rt.memberErr(ctx, m, err) // quarantines m on a transport failure
+			outs[i] = nodeOut{skipped: true}
 			return nil
 		}
 		outs[i] = nodeOut{res: res}
 		return nil
 	})
+	if err := ctx.Err(); err != nil {
+		return client.RangeResult{}, err
+	}
 
 	out := client.RangeResult{Trajs: []int{}}
 	for i, o := range outs {
@@ -669,7 +669,11 @@ func (rt *Router) Ingest(ctx context.Context, req client.IngestRequest) (client.
 			continue
 		}
 		if acks[i].err != nil {
-			nodeErr[i] = rt.memberErr(m, acks[i].err)
+			// A transport failure already quarantined and latched the
+			// member above.
+			if !errors.As(acks[i].err, &nodeErr[i]) {
+				nodeErr[i] = errNodeDown(m, acks[i].err)
+			}
 			continue
 		}
 		resp := acks[i].resp
@@ -793,7 +797,7 @@ func (rt *Router) Compact(ctx context.Context) (client.CompactResponse, error) {
 	out := client.CompactResponse{}
 	for i, m := range rt.members {
 		if errs[i] != nil {
-			return client.CompactResponse{}, rt.memberErr(m, errs[i])
+			return client.CompactResponse{}, rt.memberErr(ctx, m, errs[i])
 		}
 		out.Folded += resps[i].Folded
 		out.Generation = max(out.Generation, resps[i].Generation)

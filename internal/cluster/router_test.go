@@ -401,6 +401,37 @@ func TestRouterRejectsGenPins(t *testing.T) {
 	}
 }
 
+// TestRouterCallerCancelDoesNotQuarantine pins that a member call cut
+// short by the caller's own context is not a member failure: a
+// cancelled Range and Where fail with the context's error, no member is
+// quarantined, health stays ok, and the next query routes normally.
+func TestRouterCallerCancelDoesNotQuarantine(t *testing.T) {
+	f := newEquivFixture(t, gen.CD(), 18)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := f.ds.Graph.Bounds()
+	tq := f.ds.Trajectories[0].T[0]
+	rr := client.RangeRequest{Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq, Alpha: 0.2}
+	if res, err := f.rt.Range(ctx, rr); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Range: %+v, %v; want context.Canceled", res, err)
+	}
+	wr := client.WhereRequest{Traj: 0, T: tq, Alpha: 0.2}
+	if _, err := f.rt.Where(ctx, wr); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Where: %v, want context.Canceled", err)
+	}
+	for _, m := range f.rt.members {
+		if m.quarantined() {
+			t.Errorf("member %s quarantined by the caller's cancel", m.name)
+		}
+	}
+	if h := f.rt.Health(context.Background()); h.Status != "ok" {
+		t.Errorf("health after caller cancels: %+v, want ok", h)
+	}
+	if _, err := f.routed.Where(context.Background(), wr); err != nil {
+		t.Errorf("where after caller cancels: %v", err)
+	}
+}
+
 // TestPlacementDeterminism: the placement is a pure function of its
 // configuration — two independently built instances agree on every owner.
 func TestPlacementDeterminism(t *testing.T) {

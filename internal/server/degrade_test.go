@@ -2,12 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"utcq/internal/stiu"
 	"utcq/internal/store"
 	"utcq/internal/traj"
+	"utcq/pkg/client"
 )
 
 // postRaw round-trips a JSON body against a test server and returns the
@@ -284,31 +286,101 @@ func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 	}
 }
 
-// TestQueryTimeoutAbandonsSlowQueries pins the timed wrapper: a query
-// slower than the budget is dropped with errQueryTimeout (mapped to 504),
-// counted, and a fast query is unaffected.
-func TestQueryTimeoutAbandonsSlowQueries(t *testing.T) {
-	s := &Server{opts: Options{QueryTimeout: 10 * time.Millisecond}}
-	_, err := timed(s, func() (int, error) {
-		time.Sleep(500 * time.Millisecond)
-		return 1, nil
-	})
-	if !errors.Is(err, errQueryTimeout) {
-		t.Fatalf("slow query: got %v, want errQueryTimeout", err)
+// slowBackend is a Backend whose queries on trajectory (or at time) 0
+// answer at once and all others block until their context ends; it
+// records whether the last query's context carried a deadline.
+type slowBackend struct{ hadDeadline atomic.Bool }
+
+func (b *slowBackend) Reader(uint64) (Reader, error) { return b, nil }
+
+func (b *slowBackend) wait(ctx context.Context, key int64) error {
+	_, ok := ctx.Deadline()
+	b.hadDeadline.Store(ok)
+	if key == 0 {
+		return nil
 	}
-	if statusFor(err) != http.StatusGatewayTimeout {
-		t.Fatalf("timeout status = %d, want 504", statusFor(err))
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (b *slowBackend) Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error) {
+	return []WhereResultJSON{}, b.wait(ctx, int64(req.Traj))
+}
+
+func (b *slowBackend) When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error) {
+	return []WhenResultJSON{}, b.wait(ctx, int64(req.Traj))
+}
+
+func (b *slowBackend) Range(ctx context.Context, req RangeRequest) (RangeResult, error) {
+	return RangeResult{Trajs: []int{}}, b.wait(ctx, req.T)
+}
+
+func (b *slowBackend) Ingest(context.Context, IngestRequest) (IngestResponse, error) {
+	return IngestResponse{}, errIngestDisabled
+}
+
+func (b *slowBackend) Compact(context.Context) (CompactResponse, error) {
+	return CompactResponse{}, nil
+}
+
+func (b *slowBackend) Stats(context.Context) StatsResponse { return StatsResponse{} }
+
+func (b *slowBackend) Health(context.Context) Health { return Health{Status: "ok"} }
+
+// TestQueryTimeoutAnswers504 pins the query deadline: the backend runs
+// under the request's context bounded by QueryTimeout, a where, range or
+// batch request that outlives it answers 504 timeout and counts once in
+// timeouts, a fast request is unaffected, and a negative QueryTimeout
+// sets no deadline at all.
+func TestQueryTimeoutAnswers504(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	b := &slowBackend{}
+	ts := httptest.NewServer(NewHandler(b, Options{QueryTimeout: budget}).Handler())
+	defer ts.Close()
+
+	slow := []struct {
+		path string
+		body any
+	}{
+		{"/v1/where", WhereRequest{Traj: 1}},
+		{"/v1/range", RangeRequest{T: 1}},
+		{"/v1/batch", BatchRequest{Queries: []BatchQuery{
+			{Kind: "where", Where: &WhereRequest{Traj: 0}},
+			{Kind: "range", Range: &RangeRequest{T: 1}},
+		}}},
 	}
-	if s.timeouts.Load() != 1 {
-		t.Fatalf("timeout counter = %d, want 1", s.timeouts.Load())
+	for i, c := range slow {
+		var env ErrorResponse
+		start := time.Now()
+		resp := postRaw(t, ts, c.path, c.body, &env)
+		if resp.StatusCode != http.StatusGatewayTimeout || env.Code != client.CodeTimeout {
+			t.Fatalf("%s past its deadline: status %d code %q, want 504 %q", c.path, resp.StatusCode, env.Code, client.CodeTimeout)
+		}
+		if el := time.Since(start); el > 20*budget {
+			t.Fatalf("%s answered after %v, deadline %v", c.path, el, budget)
+		}
+		var stats StatsResponse
+		getJSON(t, ts, "/v1/stats", &stats)
+		if stats.Timeouts != int64(i+1) {
+			t.Fatalf("after %s: timeouts = %d, want %d", c.path, stats.Timeouts, i+1)
+		}
 	}
-	v, err := timed(s, func() (int, error) { return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("fast query: %v, %v", v, err)
+
+	var out results[[]WhereResultJSON]
+	if resp := postRaw(t, ts, "/v1/where", WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fast where: status %d, want 200", resp.StatusCode)
 	}
-	// Disabled budget runs inline.
-	s2 := &Server{opts: Options{QueryTimeout: -1}}
-	if v, err := timed(s2, func() (int, error) { return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("disabled budget: %v, %v", v, err)
+	if !b.hadDeadline.Load() {
+		t.Fatal("fast where ran without the query deadline")
+	}
+
+	nb := &slowBackend{}
+	nts := httptest.NewServer(NewHandler(nb, Options{QueryTimeout: -1}).Handler())
+	defer nts.Close()
+	if resp := postRaw(t, nts, "/v1/where", WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("where without a budget: status %d, want 200", resp.StatusCode)
+	}
+	if nb.hadDeadline.Load() {
+		t.Fatal("QueryTimeout < 0 still set a deadline")
 	}
 }

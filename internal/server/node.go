@@ -39,8 +39,8 @@ func (n *node) Reader(gen uint64) (Reader, error) {
 	return &snapReader{sn, n.st.Graph()}, nil
 }
 
-func (r *snapReader) Where(_ context.Context, req WhereRequest) ([]WhereResultJSON, error) {
-	rs, err := r.sn.Where(req.Traj, req.T, req.Alpha)
+func (r *snapReader) Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error) {
+	rs, err := r.sn.Where(ctx, req.Traj, req.T, req.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -56,12 +56,12 @@ func (r *snapReader) Where(_ context.Context, req WhereRequest) ([]WhereResultJS
 	return out, nil
 }
 
-func (r *snapReader) When(_ context.Context, req WhenRequest) ([]WhenResultJSON, error) {
+func (r *snapReader) When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error) {
 	if n := r.g.NumEdges(); req.Loc.Edge < 0 || req.Loc.Edge >= n {
 		return nil, fmt.Errorf("%w: edge %d outside [0, %d)", errBadInput, req.Loc.Edge, n)
 	}
 	loc := roadnet.Position{Edge: roadnet.EdgeID(req.Loc.Edge), NDist: req.Loc.NDist}
-	rs, err := r.sn.When(req.Traj, loc, req.Alpha)
+	rs, err := r.sn.When(ctx, req.Traj, loc, req.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +75,9 @@ func (r *snapReader) When(_ context.Context, req WhenRequest) ([]WhenResultJSON,
 // Range evaluates a range query over every healthy shard.  Live shards
 // that could not be consulted because they are quarantined after open
 // failures are counted in ShardsSkipped and flag the result degraded.
-func (r *snapReader) Range(_ context.Context, req RangeRequest) (RangeResult, error) {
+func (r *snapReader) Range(ctx context.Context, req RangeRequest) (RangeResult, error) {
 	re := roadnet.Rect{MinX: req.Rect.MinX, MinY: req.Rect.MinY, MaxX: req.Rect.MaxX, MaxY: req.Rect.MaxY}
-	trajs, skipped, err := r.sn.RangeDegraded(re, req.T, req.Alpha)
+	trajs, skipped, err := r.sn.RangeDegraded(ctx, re, req.T, req.Alpha)
 	if err != nil {
 		return RangeResult{}, err
 	}

@@ -45,11 +45,12 @@ type Options struct {
 	// ReadTimeout/WriteTimeout guard slow clients (defaults 10s/30s).
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
-	// QueryTimeout bounds the evaluation of one query request (where /
-	// when / range / batch).  A request still running at the deadline is
-	// abandoned and answered 504, so one shard stuck in slow I/O cannot
-	// pile up every client connection behind it (default 30s; <0
-	// disables).
+	// QueryTimeout bounds one query request (where / when / range /
+	// batch): the backend runs under the request's context with this
+	// deadline, stops at its next shard (or member) boundary once it
+	// passes, and the request answers 504 — so one shard stuck in slow
+	// I/O cannot pile up every client connection behind it (default 30s;
+	// <0 sets no deadline beyond the request's own context).
 	QueryTimeout time.Duration
 	// MaxPending bounds the ingest admission queue: while at least this
 	// many acknowledged records await application, /v1/ingest answers
@@ -117,7 +118,7 @@ type Server struct {
 	requests atomic.Int64
 	failures atomic.Int64
 
-	// Degradation counters: abandoned slow queries (504) and range
+	// Degradation counters: queries past QueryTimeout (504) and range
 	// answers flagged degraded (skipped shards or members).
 	timeouts atomic.Int64
 	degraded atomic.Int64
@@ -242,7 +243,7 @@ type results[T any] struct {
 
 // Sentinels the handlers wrap so statusFor/codeFor can classify
 // failures without string matching.  errBadInput marks
-// request-validation failures (400); errQueryTimeout a query abandoned
+// request-validation failures (400); errQueryTimeout a query stopped
 // at Options.QueryTimeout (504); errTooLarge an oversized batch (413);
 // errBacklog admission shedding (429); errIngestDisabled a server
 // without a WAL (503); errNotLeader a replication follower refusing a
@@ -260,7 +261,7 @@ var (
 // trajectory, invalid location) are 400; transient degradation — a
 // quarantined shard, a read-only write path, a follower refusing a
 // write — is 503 so well-behaved clients back off and retry (or
-// redirect to the leader); an abandoned slow query is 504.  A
+// redirect to the leader); a query past its deadline is 504.  A
 // generation pin outside the retention window is 410 Gone (permanent:
 // re-query at the current generation, do not retry) and a pin the store
 // never reached is 404; a replication cursor checkpointed away is also
@@ -361,40 +362,27 @@ func (s *Server) reader(r *http.Request) (Reader, error) {
 	return s.b.Reader(gen)
 }
 
-// timed evaluates fn under the server's query timeout.  The store's query
-// path takes no context (its engines compute over mapped memory without
-// cancellation points), so on expiry the evaluation goroutine is
-// abandoned — it finishes against its own view of the store and its
-// result is dropped — and the client gets 504 instead of a connection
-// held until the write timeout kills it.
-func timed[T any](s *Server, fn func() (T, error)) (T, error) {
-	if s.opts.QueryTimeout <= 0 {
-		return fn()
+// query runs eval under the request's context, bounded by QueryTimeout
+// unless that is negative.  An evaluation that ran past the deadline
+// fails with errQueryTimeout (504) and counts in timeouts.
+func (s *Server) query(r *http.Request, eval func(context.Context) error) error {
+	ctx := r.Context()
+	if s.opts.QueryTimeout >= 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
+		defer cancel()
 	}
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := fn()
-		ch <- outcome{v, err}
-	}()
-	tm := time.NewTimer(s.opts.QueryTimeout)
-	defer tm.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-tm.C:
+	err := eval(ctx)
+	if errors.Is(err, context.DeadlineExceeded) {
 		s.timeouts.Add(1)
-		var zero T
-		return zero, errQueryTimeout
+		return errQueryTimeout
 	}
+	return err
 }
 
 // answer runs one single-query request: decode the body into a Q,
-// resolve the Reader, and evaluate under the query timeout.  On failure
-// it has already answered the error.
+// resolve the Reader, and evaluate it under the query deadline.  On
+// failure it has already answered the error.
 func answer[Q, R any](s *Server, w http.ResponseWriter, r *http.Request, eval func(Reader, context.Context, Q) (R, error)) (R, bool) {
 	var req Q
 	var out R
@@ -403,7 +391,10 @@ func answer[Q, R any](s *Server, w http.ResponseWriter, r *http.Request, eval fu
 	}
 	rd, err := s.reader(r)
 	if err == nil {
-		out, err = timed(s, func() (R, error) { return eval(rd, r.Context(), req) })
+		err = s.query(r, func(ctx context.Context) (err error) {
+			out, err = eval(rd, ctx, req)
+			return err
+		})
 	}
 	if err != nil {
 		s.Fail(w, err)
@@ -460,14 +451,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.Fail(w, err)
 		return
 	}
-	out, err := timed(s, func() ([]BatchResult, error) {
-		out := make([]BatchResult, len(req.Queries))
+	out := make([]BatchResult, len(req.Queries))
+	err = s.query(r, func(ctx context.Context) error {
 		// Errors land in out; par.Do never sees one.
 		_ = par.Do(par.Workers(s.opts.BatchParallelism), len(req.Queries), func(i int) error {
-			s.batchOne(r.Context(), rd, i, req.Queries[i], &out[i])
+			s.batchOne(ctx, rd, i, req.Queries[i], &out[i])
 			return nil
 		})
-		return out, nil
+		// A batch that ran past its deadline fails whole: its tail
+		// answered only with context errors.
+		return ctx.Err()
 	})
 	if err != nil {
 		s.Fail(w, err)

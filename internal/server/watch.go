@@ -20,6 +20,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -143,15 +144,16 @@ func parseWatchRequest(r *http.Request) (watchRequest, error) {
 	return req, nil
 }
 
-// evaluate computes one update against sn: the full result set in
-// non-incremental mode, only the shards at or past the cursor otherwise.
-func (s *Server) evaluate(sn store.Snapshot, req watchRequest) (WatchResponse, error) {
+// evaluate computes one update against sn under the subscriber's
+// context: the full result set in non-incremental mode, only the shards
+// at or past the cursor otherwise.
+func (s *Server) evaluate(ctx context.Context, sn store.Snapshot, req watchRequest) (WatchResponse, error) {
 	var trajs []int
 	var err error
 	if req.hasGen {
-		trajs, err = sn.RangeSince(req.cursor, req.re, req.t, req.alpha)
+		trajs, err = sn.RangeSince(ctx, req.cursor, req.re, req.t, req.alpha)
 	} else {
-		trajs, err = sn.Range(req.re, req.t, req.alpha)
+		trajs, err = sn.Range(ctx, req.re, req.t, req.alpha)
 	}
 	if err != nil {
 		return WatchResponse{}, err
@@ -172,8 +174,8 @@ func (s *Server) evaluate(sn store.Snapshot, req watchRequest) (WatchResponse, e
 // generation advances or the poll window closes (then answer with an
 // empty delta, which the client treats as a heartbeat).
 func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, error) {
-	deadline := time.NewTimer(req.wait)
-	defer deadline.Stop()
+	poll, cancel := context.WithTimeout(r.Context(), req.wait)
+	defer cancel()
 	for {
 		// Load the signal BEFORE the snapshot: swap publishes the view
 		// first, so a channel from before our snapshot is always closed by
@@ -185,7 +187,7 @@ func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, er
 				store.ErrGenerationUnknown, req.gen, sn.Generation())
 		}
 		if !req.hasGen || sn.Generation() > req.gen {
-			resp, err := s.evaluate(sn, req)
+			resp, err := s.evaluate(r.Context(), sn, req)
 			if err == nil {
 				s.watchNotifies.Add(1)
 			}
@@ -193,11 +195,12 @@ func (s *Server) watchOnce(r *http.Request, req watchRequest) (WatchResponse, er
 		}
 		select {
 		case <-ch:
-		case <-deadline.C:
+		case <-poll.Done():
+			if err := r.Context().Err(); err != nil {
+				return WatchResponse{}, err
+			}
 			// Nothing changed inside the window: empty heartbeat delta.
 			return WatchResponse{Gen: sn.Generation(), Watermark: sn.ShardWatermark(), Added: []int{}}, nil
-		case <-r.Context().Done():
-			return WatchResponse{}, r.Context().Err()
 		}
 	}
 }
@@ -238,47 +241,32 @@ func (s *Server) handleWatchRange(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, resp)
 }
 
-// watchSSE streams updates as Server-Sent Events: one "update" event per
-// generation batch, comment-line heartbeats while idle, until the client
-// disconnects.  Every event carries the same WatchResponse JSON as the
-// long-poll exchange, so a dropped stream resumes by reconnecting (either
-// mode) with the last event's gen and watermark.
+// watchSSE streams updates as Server-Sent Events: a loop of long-poll
+// exchanges with the heartbeat interval as the poll window, sending one
+// "update" event per generation batch and a comment-line heartbeat per
+// idle window, until the client disconnects.  Every event carries the
+// same WatchResponse JSON as the long-poll exchange, so a dropped stream
+// resumes by reconnecting (either mode) with the last event's gen and
+// watermark.
 func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, req watchRequest) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-
-	hb := time.NewTicker(sseHeartbeat)
-	defer hb.Stop()
+	req.wait = sseHeartbeat
 	for {
-		_, ch := s.node.st.GenerationChanged() // before the snapshot; see watchOnce
-		sn := s.node.st.Snapshot()
-		if req.hasGen && req.gen > sn.Generation() {
-			return // nothing sane to stream from the future; client must resubscribe
+		resp, err := s.watchOnce(r, req)
+		if err != nil {
+			return // client gone, or nothing sane to stream: the client resubscribes
 		}
-		if !req.hasGen || sn.Generation() > req.gen {
-			resp, err := s.evaluate(sn, req)
-			if err != nil {
-				return // stream is torn anyway; the client re-resolves on reconnect
-			}
+		msg := ": heartbeat\n\n" // nothing changed inside the window
+		if !req.hasGen || resp.Gen > req.gen {
 			data, _ := json.Marshal(resp)
-			if _, err := fmt.Fprintf(w, "event: update\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			_ = rc.Flush()
-			s.watchNotifies.Add(1)
+			msg = fmt.Sprintf("event: update\ndata: %s\n\n", data)
 			req.hasGen, req.gen, req.cursor = true, resp.Gen, resp.Watermark
-			continue
 		}
-		select {
-		case <-ch:
-		case <-hb.C:
-			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
-				return
-			}
-			_ = rc.Flush()
-		case <-r.Context().Done():
+		if _, err := fmt.Fprint(w, msg); err != nil {
 			return
 		}
+		_ = rc.Flush()
 	}
 }

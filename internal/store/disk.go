@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -248,7 +249,7 @@ func Open(dir string, g *roadnet.Graph, opts OpenOptions) (*Store, error) {
 			if v.shards[slot] == nil {
 				return nil
 			}
-			_, err := s.engine(v, slot)
+			_, err := s.engine(context.Background(), v, slot)
 			return err
 		})
 		if err != nil {
@@ -264,8 +265,7 @@ func releaseMap(m *mmapio.Map) { m.Release() }
 
 // openShard maps a shard's archive from the store directory and attaches
 // its StIU index — decoded from the sidecar when the manifest checksum
-// vouches for it, rebuilt from the archive otherwise.  Callers hold the
-// shard lock.
+// vouches for it, rebuilt from the archive otherwise.
 //
 // The archive decode is zero-copy: record bitstreams alias the mapping,
 // so pages fault in when queries touch them, not at open.  Because

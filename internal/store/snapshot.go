@@ -15,6 +15,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -135,34 +136,39 @@ func (sn Snapshot) ShardWatermark() uint32 { return sn.v.man.nextID }
 // NumTrajectories returns the snapshot's global trajectory count.
 func (sn Snapshot) NumTrajectories() int { return len(sn.v.man.shardOf) }
 
-// Where answers the probabilistic where query at this generation.
-func (sn Snapshot) Where(j int, t int64, alpha float64) ([]query.WhereResult, error) {
-	eng, local, err := sn.s.locate(sn.v, j)
+// Where answers the probabilistic where query at this generation; ctx
+// bounds the wait for the owning shard's lazy open.
+func (sn Snapshot) Where(ctx context.Context, j int, t int64, alpha float64) ([]query.WhereResult, error) {
+	eng, local, err := sn.s.locate(ctx, sn.v, j)
 	if err != nil {
 		return nil, err
 	}
 	return eng.Where(local, t, alpha)
 }
 
-// When answers the probabilistic when query at this generation.
-func (sn Snapshot) When(j int, loc roadnet.Position, alpha float64) ([]query.WhenResult, error) {
-	eng, local, err := sn.s.locate(sn.v, j)
+// When answers the probabilistic when query at this generation (ctx as
+// for Where).
+func (sn Snapshot) When(ctx context.Context, j int, loc roadnet.Position, alpha float64) ([]query.WhenResult, error) {
+	eng, local, err := sn.s.locate(ctx, sn.v, j)
 	if err != nil {
 		return nil, err
 	}
 	return eng.When(local, loc, alpha)
 }
 
-// Range answers the probabilistic range query at this generation.
-func (sn Snapshot) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := sn.s.rangeView(sn.v, re, t, alpha, false, 0)
+// Range answers the probabilistic range query at this generation.  Once
+// ctx is done no further shard is opened or evaluated, and the query
+// fails with ctx's error.
+func (sn Snapshot) Range(ctx context.Context, re roadnet.Rect, t int64, alpha float64) ([]int, error) {
+	out, _, err := sn.s.rangeView(ctx, sn.v, re, t, alpha, false, 0)
 	return out, err
 }
 
-// RangeDegraded is Range with quarantined shards skipped; the second
-// return value counts the shards not consulted (see Store.RangeDegraded).
-func (sn Snapshot) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
-	return sn.s.rangeView(sn.v, re, t, alpha, true, 0)
+// RangeDegraded is Range with quarantined shards skipped instead of
+// failing the query; the second return value counts the live shards not
+// consulted (0: the result is complete).
+func (sn Snapshot) RangeDegraded(ctx context.Context, re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
+	return sn.s.rangeView(ctx, sn.v, re, t, alpha, true, 0)
 }
 
 // RangeSince answers the range query consulting only shards with id >=
@@ -174,7 +180,7 @@ func (sn Snapshot) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int
 // generation G and RangeSince(watermark(G)) at generation H > G equals
 // the full Range at H.  TestWatchMatchesFullRequery pins this identity
 // under live ingest and compaction.
-func (sn Snapshot) RangeSince(since uint32, re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := sn.s.rangeView(sn.v, re, t, alpha, false, since)
+func (sn Snapshot) RangeSince(ctx context.Context, since uint32, re roadnet.Rect, t int64, alpha float64) ([]int, error) {
+	out, _, err := sn.s.rangeView(ctx, sn.v, re, t, alpha, false, since)
 	return out, err
 }

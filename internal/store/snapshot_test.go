@@ -1,12 +1,17 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"utcq/internal/faultfs"
 	"utcq/internal/gen"
 )
 
@@ -51,7 +56,7 @@ func TestSnapshotPinsGeneration(t *testing.T) {
 		re := randomRect(ds.Graph, rng)
 		tq := tus[i].T[0]
 		alpha := []float64{0, 0.2}[i%2]
-		q := func(sn Snapshot) ([]int, error) { return sn.Range(re, tq, alpha) }
+		q := func(sn Snapshot) ([]int, error) { return sn.Range(context.Background(), re, tq, alpha) }
 		queries = append(queries, q)
 		got, err := q(snap1)
 		if err != nil {
@@ -89,7 +94,7 @@ func TestSnapshotPinsGeneration(t *testing.T) {
 		}
 	}
 	// Pinned single-trajectory queries reject ids born after the pin.
-	if _, err := pin1.Where(20, tus[20].T[0], 0.2); !errors.Is(err, ErrUnknownTrajectory) {
+	if _, err := pin1.Where(context.Background(), 20, tus[20].T[0], 0.2); !errors.Is(err, ErrUnknownTrajectory) {
 		t.Fatalf("pinned Where on a later trajectory: %v, want ErrUnknownTrajectory", err)
 	}
 	if _, err := s.Where(20, tus[20].T[0], 0.2); err != nil {
@@ -133,7 +138,7 @@ func TestRangeSinceIncremental(t *testing.T) {
 		alpha := []float64{0, 0.2, 0.4}[trial%3]
 
 		snap := s.Snapshot()
-		full, err := snap.Range(re, tq, alpha)
+		full, err := snap.Range(context.Background(), re, tq, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +154,7 @@ func TestRangeSinceIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap = s.Snapshot()
-			added, err := snap.RangeSince(cursor, re, tq, alpha)
+			added, err := snap.RangeSince(context.Background(), cursor, re, tq, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +162,7 @@ func TestRangeSinceIncremental(t *testing.T) {
 				have[j] = true
 			}
 			cursor = snap.ShardWatermark()
-			want, err := snap.Range(re, tq, alpha)
+			want, err := snap.Range(context.Background(), re, tq, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,5 +209,92 @@ func TestGenerationChanged(t *testing.T) {
 	}
 	if gen1, _ := s.GenerationChanged(); gen1 != 2 {
 		t.Fatalf("generation %d after delta, want 2", gen1)
+	}
+}
+
+// TestRangeCancelledOpensNothing pins the shard-boundary cancellation: a
+// range under an already-cancelled context fails with the context's
+// error without opening a cold shard or evaluating a warm one.
+func TestRangeCancelledOpensNothing(t *testing.T) {
+	ds, s := snapshotFixture(t)
+	st, err := Open(saveStore(t, s), s.Graph(), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	re, tq := st.Bounds(), ds.Trajectories[0].T[len(ds.Trajectories[0].T)/2]
+	if _, err := st.Snapshot().Range(ctx, re, tq, 0.3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cold range: %v, want context.Canceled", err)
+	}
+	if n := st.OpenShards(); n != 0 {
+		t.Fatalf("cancelled range opened %d shards", n)
+	}
+	if _, err := st.Range(re, tq, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats().Engine.PathsDecoded
+	if before == 0 || st.OpenShards() != st.NumShards() {
+		t.Fatalf("warm-up range decoded %d paths over %d of %d shards", before, st.OpenShards(), st.NumShards())
+	}
+	if _, err := st.Snapshot().Range(ctx, re, tq, 0.3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled warm range: %v, want context.Canceled", err)
+	}
+	if after := st.Stats().Engine.PathsDecoded; after != before {
+		t.Fatalf("cancelled range decoded %d paths", after-before)
+	}
+}
+
+// gateFS holds every read of a shard archive until gate closes, counting
+// the reads.
+type gateFS struct {
+	faultfs.FS
+	gate  chan struct{}
+	opens atomic.Int32
+}
+
+func (g *gateFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, ".utcq") {
+		g.opens.Add(1)
+		<-g.gate
+	}
+	return g.FS.ReadFile(name)
+}
+
+// TestColdOpenTimeoutAbandonsWait pins the waitable lazy open: a query
+// parked behind a stuck shard open returns at its deadline, and once the
+// disk answers the same open serves the next query — no second open.
+func TestColdOpenTimeoutAbandonsWait(t *testing.T) {
+	ds, s := snapshotFixture(t)
+	gfs := &gateFS{FS: faultfs.OS, gate: make(chan struct{})}
+	st, err := Open(saveStore(t, s), s.Graph(), OpenOptions{FS: gfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tq := ds.Trajectories[0].T[0]
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	if _, err := st.Snapshot().Where(ctx, 0, tq, 0.2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("where behind a stuck open: %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el > 2*deadline {
+		t.Fatalf("where behind a stuck open returned after %v, deadline %v", el, deadline)
+	}
+	close(gfs.gate)
+	got, err := st.Where(0, tq, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Where(0, tq, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("where after the open completed: %v, want %v", got, want)
+	}
+	if n := gfs.opens.Load(); n != 1 {
+		t.Fatalf("shard archive read %d times, want 1", n)
 	}
 }

@@ -34,6 +34,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -127,13 +128,14 @@ func DefaultOptions(ts int64) Options {
 // shard is one independently compressed + indexed partition.  eng is nil
 // until the shard is opened (lazily, for stores opened from disk); it is
 // an atomic pointer so residency probes (Stats, OpenShards) never block
-// behind an in-flight multi-second open, which only the mutex serializes.
-// A shard's identity and membership never change after construction:
-// mutations replace shards (tombstoning the old ones), they do not edit
-// them, so any number of views can share one shard.
+// behind an in-flight multi-second open.  A shard's identity and
+// membership never change after construction: mutations replace shards
+// (tombstoning the old ones), they do not edit them, so any number of
+// views can share one shard.
 type shard struct {
 	id      uint32
-	mu      sync.Mutex // serializes lazy opening
+	mu      sync.Mutex    // guards opening and the quarantine transitions
+	opening chan struct{} // closes when the in-flight lazy open ends; nil when none runs
 	eng     atomic.Pointer[query.Engine]
 	globals []int32 // local trajectory index -> global id (ascending)
 
@@ -146,8 +148,8 @@ type shard struct {
 	// concurrent mutations.  All fields are atomics: the fast path reads
 	// them without the shard mutex.
 	openFails atomic.Int32
-	retryAt   atomic.Int64 // unixnano deadline gating the next open attempt; 0 = healthy
-	openErr   atomic.Pointer[string]
+	retryAt   atomic.Int64          // unixnano deadline gating the next open attempt; 0 = never failed
+	openErr   atomic.Pointer[error] // the last failed open's error
 }
 
 // quarantined reports whether the shard is currently failing fast (its
@@ -155,14 +157,6 @@ type shard struct {
 func (sh *shard) quarantined() bool {
 	until := sh.retryAt.Load()
 	return until != 0 && time.Now().UnixNano() < until
-}
-
-// lastOpenErr returns the stored open failure ("unknown" before any).
-func (sh *shard) lastOpenErr() string {
-	if p := sh.openErr.Load(); p != nil {
-		return *p
-	}
-	return "unknown"
 }
 
 // view is one immutable generation of the store: the manifest plus the
@@ -500,39 +494,61 @@ func (s *Store) OpenShards() int {
 var ErrShardQuarantined = errors.New("store: shard quarantined")
 
 // engine returns the query engine of the shard in the given slot of v,
-// opening the shard from disk on first use.  Concurrent callers of an
-// unopened shard serialize on the shard mutex; the winner loads, everyone
-// else observes the stored engine.  A failed open quarantines the shard:
-// until an exponentially backed-off deadline passes, callers fail fast
-// with ErrShardQuarantined instead of retrying the disk.
-func (s *Store) engine(v *view, slot int) (*query.Engine, error) {
+// opening the shard from disk on first use.  It hands out no shard once
+// ctx is done.  One open runs per shard, on its own goroutine; callers
+// wait for it or for ctx, whichever ends first, so a query parked behind
+// a stuck open still returns at its deadline, and the open it abandoned
+// serves the next query.  A failed open quarantines the shard: until an
+// exponentially backed-off deadline passes, callers fail fast with
+// ErrShardQuarantined instead of retrying the disk.
+func (s *Store) engine(ctx context.Context, v *view, slot int) (*query.Engine, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	sh := v.shards[slot]
 	if eng := sh.eng.Load(); eng != nil {
 		return eng, nil
 	}
-	if sh.quarantined() {
-		return nil, fmt.Errorf("%w: shard %d: %s", ErrShardQuarantined, sh.id, sh.lastOpenErr())
-	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	done := sh.opening
+	if done == nil && sh.eng.Load() == nil && !sh.quarantined() && s.dirPath() != "" {
+		done = make(chan struct{})
+		sh.opening = done
+		go s.open(sh, &v.man.entries[slot], done)
+	}
+	sh.mu.Unlock()
+	if done != nil {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	if eng := sh.eng.Load(); eng != nil {
 		return eng, nil
-	}
-	if sh.quarantined() {
-		return nil, fmt.Errorf("%w: shard %d: %s", ErrShardQuarantined, sh.id, sh.lastOpenErr())
 	}
 	if s.dirPath() == "" {
 		return nil, fmt.Errorf("store: shard %d not built", sh.id)
 	}
-	eng, err := s.openShard(sh, &v.man.entries[slot])
+	if done != nil { // the open this query waited for failed
+		return nil, fmt.Errorf("store: open shard %d: %w", sh.id, *sh.openErr.Load())
+	}
+	return nil, fmt.Errorf("%w: shard %d: %v", ErrShardQuarantined, sh.id, *sh.openErr.Load())
+}
+
+// open runs the one lazy open of sh, publishes its engine or quarantines
+// the shard, and closes done.
+func (s *Store) open(sh *shard, e *shardEntry, done chan struct{}) {
+	eng, err := s.openShard(sh, e)
+	sh.mu.Lock()
 	if err != nil {
 		s.quarantine(sh, err)
-		return nil, fmt.Errorf("store: open shard %d: %w", sh.id, err)
+	} else {
+		sh.eng.Store(eng) // resident for good: the quarantine fields go unread
 	}
-	sh.openFails.Store(0)
-	sh.retryAt.Store(0)
-	sh.eng.Store(eng)
-	return eng, nil
+	sh.opening = nil
+	sh.mu.Unlock()
+	close(done)
 }
 
 // quarantine records a failed open on sh and arms its retry deadline:
@@ -553,8 +569,7 @@ func (s *Store) quarantine(sh *shard, err error) {
 	if delay > 60*base {
 		delay = 60 * base
 	}
-	msg := err.Error()
-	sh.openErr.Store(&msg)
+	sh.openErr.Store(&err)
 	sh.retryAt.Store(time.Now().Add(delay).UnixNano())
 }
 
@@ -577,11 +592,11 @@ var ErrUnknownTrajectory = errors.New("store: unknown trajectory")
 
 // locate resolves a global trajectory id to its shard engine and local
 // index within the given view.
-func (s *Store) locate(v *view, j int) (*query.Engine, int, error) {
+func (s *Store) locate(ctx context.Context, v *view, j int) (*query.Engine, int, error) {
 	if j < 0 || j >= len(v.man.shardOf) {
 		return nil, 0, fmt.Errorf("%w: %d outside [0, %d)", ErrUnknownTrajectory, j, len(v.man.shardOf))
 	}
-	eng, err := s.engine(v, int(v.slotByID[v.man.shardOf[j]]))
+	eng, err := s.engine(ctx, v, int(v.slotByID[v.man.shardOf[j]]))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -589,54 +604,39 @@ func (s *Store) locate(v *view, j int) (*query.Engine, int, error) {
 }
 
 // Where answers the probabilistic where query (Definition 10) for global
-// trajectory j, routing to the owning shard.
+// trajectory j at the current generation: Snapshot.Where without a
+// context, for callers that have none (bench's target interface).
 func (s *Store) Where(j int, t int64, alpha float64) ([]query.WhereResult, error) {
-	eng, local, err := s.locate(s.v.Load(), j)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Where(local, t, alpha)
+	return s.Snapshot().Where(context.Background(), j, t, alpha)
 }
 
-// When answers the probabilistic when query (Definition 11) for global
-// trajectory j, routing to the owning shard.
+// When is Snapshot.When (Definition 11) without a context (see Where).
 func (s *Store) When(j int, loc roadnet.Position, alpha float64) ([]query.WhenResult, error) {
-	eng, local, err := s.locate(s.v.Load(), j)
-	if err != nil {
-		return nil, err
-	}
-	return eng.When(local, loc, alpha)
+	return s.Snapshot().When(context.Background(), j, loc, alpha)
 }
 
-// Range answers the probabilistic range query (Definition 12): it scatters
-// the query to the live shards whose recorded geometry bounds intersect
-// the rectangle (skipped shards are not even opened; the pruning applies
-// for alpha > 0 — see the loop body), translates each shard's accepted
-// local ids to global ids, and merges them into one ascending list — the
-// same set a single-archive engine returns, deterministically ordered.
-// Under spatial assignment small rectangles touch few shards; under hash
-// assignment the bounds overlap and every shard is queried.
+// Range is Snapshot.Range (Definition 12) at the current generation
+// without a context, for bench's target interface and its cold-open
+// measurement.
 func (s *Store) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
-	out, _, err := s.rangeView(s.v.Load(), re, t, alpha, false, 0)
-	return out, err
+	return s.Snapshot().Range(context.Background(), re, t, alpha)
 }
 
-// RangeDegraded is Range with quarantined shards skipped instead of
-// failing the whole query: the result covers every healthy shard and the
-// second return value reports how many live shards could not be
-// consulted (0 means the result is complete).  Servers use it to keep
-// answering range queries — flagged degraded — while a shard is broken.
-func (s *Store) RangeDegraded(re roadnet.Rect, t int64, alpha float64) ([]int, int, error) {
-	return s.rangeView(s.v.Load(), re, t, alpha, true, 0)
-}
-
-// rangeView runs the scatter-gather range query against one specific view
-// (the current one for Range, a pinned one for Snapshot queries).  sinceID
+// rangeView runs the scatter-gather range query against one view: it
+// scatters the query to the live shards whose recorded geometry bounds
+// intersect the rectangle (skipped shards are not even opened; the
+// pruning applies for alpha > 0 — see the loop body), translates each
+// shard's accepted local ids to global ids, and merges them into one
+// ascending list — the same set a single-archive engine returns,
+// deterministically ordered.  Under spatial assignment small rectangles
+// touch few shards; under hash assignment every shard is queried.  sinceID
 // restricts the scan to shards with id >= sinceID — the incremental
 // re-evaluation path of watch subscriptions (Snapshot.RangeSince): shard
 // ids are monotonic, so everything older than a recorded watermark is
 // already in the subscriber's hands and need not be consulted again.
-func (s *Store) rangeView(v *view, re roadnet.Rect, t int64, alpha float64, skipQuarantined bool, sinceID uint32) ([]int, int, error) {
+// Once ctx is done no further shard is opened or evaluated and the query
+// fails with ctx's error.
+func (s *Store) rangeView(ctx context.Context, v *view, re roadnet.Rect, t int64, alpha float64, skipQuarantined bool, sinceID uint32) ([]int, int, error) {
 	gs := s.getGather(len(v.shards))
 	defer s.putGather(gs)
 	var skipped atomic.Int32
@@ -658,12 +658,12 @@ func (s *Store) rangeView(v *view, re roadnet.Rect, t int64, alpha float64, skip
 		if alpha > 0 && !re.Intersects(b) {
 			return nil // no geometry of this shard can lie inside re
 		}
-		eng, err := s.engine(v, slot)
+		eng, err := s.engine(ctx, v, slot)
 		if err != nil {
 			// A failed open quarantines the shard before returning, so
 			// checking quarantined() here also degrades the very query
 			// that discovered the failure, not just the ones after it.
-			if skipQuarantined && (errors.Is(err, ErrShardQuarantined) || sh.quarantined()) {
+			if skipQuarantined && ctx.Err() == nil && (errors.Is(err, ErrShardQuarantined) || sh.quarantined()) {
 				skipped.Add(1)
 				return nil
 			}
@@ -733,7 +733,7 @@ func (s *Store) coreOptions(v *view) (core.Options, error) {
 		if sh == nil {
 			continue
 		}
-		eng, err := s.engine(v, slot)
+		eng, err := s.engine(context.Background(), v, slot)
 		if err != nil {
 			return core.Options{}, err
 		}
@@ -849,7 +849,7 @@ func (s *Store) Compact() (int, error) {
 	var arch0 *core.Archive
 	var stats core.CompStats
 	for _, slot := range slots {
-		eng, err := s.engine(cur, slot)
+		eng, err := s.engine(context.Background(), cur, slot)
 		if err != nil {
 			return 0, err
 		}

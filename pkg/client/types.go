@@ -399,8 +399,8 @@ const (
 	// CodeBacklog: ingest admission shed the batch (pending limit);
 	// nothing was acknowledged, retry after backoff.
 	CodeBacklog = "backlog"
-	// CodeTimeout: the query was abandoned at the server's evaluation
-	// budget.
+	// CodeTimeout: the query ran past the server's query deadline and
+	// stopped there.
 	CodeTimeout = "timeout"
 	// CodeGenRetired: the pinned generation is older than the retention
 	// window; re-query at the current generation, do not retry.
