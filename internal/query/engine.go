@@ -71,7 +71,7 @@ type rangeScratch struct {
 	bound   []float64 // per trajectory: Lemma-4 probability bound
 	bstamp  []uint64
 	touched []touchedGroup
-	cells   []roadnet.RegionID
+	buckets []*stiu.RegionBucket
 }
 
 type touchedGroup struct {
@@ -106,6 +106,10 @@ func (e *Engine) getScratch() *rangeScratch {
 
 func putScratch(sc *rangeScratch) {
 	sc.touched = sc.touched[:0]
+	// Drop the bucket pointers so the shared pool does not pin decoded
+	// buckets of closed shards or retired generations.
+	clear(sc.buckets)
+	sc.buckets = sc.buckets[:0]
 	rangePool.Put(sc)
 }
 
@@ -536,27 +540,23 @@ func (e *Engine) Range(re roadnet.Rect, t int64, alpha float64) ([]int, error) {
 func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64) ([]int, error) {
 	interval := e.Ix.IntervalOf(t)
 
-	// Lemma 4 preparation: one pass over the covering cells' buckets
-	// upper-bounds each trajectory's probability mass inside them.  The
-	// accumulators are flat epoch-stamped slices from the scratch pool —
-	// no per-query maps.
+	// Lemma 4 preparation: one pass over the buckets of the occupied
+	// cells the rectangle covers upper-bounds each trajectory's
+	// probability mass inside them.  The accumulators are flat
+	// epoch-stamped slices from the scratch pool — no per-query maps.
 	sc := e.getScratch()
 	defer putScratch(sc)
 	c := getCursor()
 	defer putCursor(c)
 	sc.epoch++
 	sc.touched = sc.touched[:0]
-	cells := e.Ix.Grid.AppendCellsInRect(sc.cells[:0], re)
-	sc.cells = cells
 	if !e.DisablePruning {
-		for _, cell := range cells {
-			b, err := e.Ix.Buckets(interval, cell)
-			if err != nil {
-				return dst, err
-			}
-			if b == nil {
-				continue
-			}
+		buckets, err := e.Ix.AppendBucketsInRect(sc.buckets[:0], interval, re)
+		sc.buckets = buckets
+		if err != nil {
+			return dst, err
+		}
+		for _, b := range buckets {
 			for i := range b.Refs {
 				rt := &b.Refs[i]
 				gi := e.instOffset[rt.Traj] + int(rt.Orig)

@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"utcq/internal/core"
@@ -181,5 +182,94 @@ func TestBuiltIndexServesSeeded(t *testing.T) {
 					st.RegionBlocksDecoded, st.TemporalSectionsForced)
 			}
 		})
+	}
+}
+
+// TestRangeCountersPinned runs a fixed embedded-range-shaped query set on
+// HZ — half the rectangles centred on a trajectory, half uniform, sides
+// 5-40 % of each axis, α ∈ {0.2, 0.5, 0.8} — against a built and a
+// sidecar-decoded engine.  Every answer must equal the oracle's, and the
+// answer digest and the TrajsPruned / PathsDecoded /
+// RegionPrunedNoTouch / RegionBlocksDecoded totals must equal the values
+// the per-cell bucket probe produced before the rectangle accessor
+// replaced it: the accessor may change how the Lemma-4 bound is
+// gathered, never a decision or a count.
+func TestRangeCountersPinned(t *testing.T) {
+	ds, variants := succinctVariants(t, gen.HZ(), 25, 33)
+	oracle := NewOracle(ds.Graph, ds.Trajectories)
+	type rangeQ struct {
+		re    roadnet.Rect
+		t     int64
+		alpha float64
+	}
+	rng := rand.New(rand.NewSource(36))
+	b := ds.Graph.Bounds()
+	w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
+	tmin, tmax := ds.Trajectories[0].T[0], ds.Trajectories[0].T[0]
+	for _, u := range ds.Trajectories {
+		tmin, tmax = min(tmin, u.T[0]), max(tmax, u.T[len(u.T)-1])
+	}
+	var qs []rangeQ
+	for len(qs) < 96 {
+		fw, fh := 0.05+0.35*rng.Float64(), 0.05+0.35*rng.Float64()
+		q := rangeQ{alpha: []float64{0.2, 0.5, 0.8}[rng.Intn(3)]}
+		if len(qs)%2 == 0 {
+			j := rng.Intn(len(ds.Trajectories))
+			T := ds.Trajectories[j].T
+			q.t = T[rng.Intn(len(T))]
+			loc, err := oracle.Where(j, q.t, 0)
+			if err != nil || len(loc) == 0 {
+				t.Fatalf("oracle where(%d, %d): %v, %d results", j, q.t, err, len(loc))
+			}
+			x, y := ds.Graph.Coords(loc[0].Loc)
+			q.re = roadnet.Rect{MinX: x - fw*w/2, MinY: y - fh*h/2, MaxX: x + fw*w/2, MaxY: y + fh*h/2}
+		} else {
+			q.t = tmin + rng.Int63n(tmax-tmin+1)
+			x, y := b.MinX+rng.Float64()*(1-fw)*w, b.MinY+rng.Float64()*(1-fh)*h
+			q.re = roadnet.Rect{MinX: x, MinY: y, MaxX: x + fw*w, MaxY: y + fh*h}
+		}
+		qs = append(qs, q)
+	}
+	want := make([][]int, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = oracle.Range(q.re, q.t, q.alpha); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// rangePin is what one engine reports after the sweep: a digest of
+	// the answers and the Lemma-4 and succinct-layer work totals.
+	type rangePin struct {
+		hits, digest                       int64
+		trajsPruned, pathsDecoded          int64
+		regionPrunedNoTouch, blocksDecoded int64
+	}
+	pins := map[string]rangePin{
+		"built":   {hits: 50, digest: 7106177571886436536, trajsPruned: 103, pathsDecoded: 138, regionPrunedNoTouch: 1090},
+		"sidecar": {hits: 50, digest: 7106177571886436536, trajsPruned: 103, pathsDecoded: 138, regionPrunedNoTouch: 1090, blocksDecoded: 203},
+	}
+	for _, v := range variants {
+		var got rangePin
+		var dst []int
+		for i, q := range qs {
+			var err error
+			if dst, err = v.eng.AppendRange(dst[:0], q.re, q.t, q.alpha); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(dst, want[i]) {
+				t.Fatalf("%s query %d: %v, oracle %v", v.name, i, dst, want[i])
+			}
+			for _, j := range dst {
+				got.hits++
+				got.digest = got.digest*31 + int64(i*1000+j+1)
+			}
+		}
+		st, ix := v.eng.Stats(), v.eng.Ix.Stats()
+		got.trajsPruned, got.pathsDecoded = st.TrajsPruned, st.PathsDecoded
+		got.regionPrunedNoTouch, got.blocksDecoded = ix.RegionPrunedNoTouch, ix.RegionBlocksDecoded
+		if got != pins[v.name] {
+			t.Errorf("%s: %+v, pinned %+v", v.name, got, pins[v.name])
+		}
 	}
 }

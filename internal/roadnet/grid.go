@@ -83,24 +83,28 @@ func (gr *Grid) CellRect(id RegionID) Rect {
 	}
 }
 
-// CellsInRect returns the regions whose cells intersect rect.
-func (gr *Grid) CellsInRect(rect Rect) []RegionID {
-	return gr.AppendCellsInRect(nil, rect)
+// CellSpan returns the column span [x0, x1] and row span [y0, y1] of the
+// cells rect intersects, each clamped to the grid.  An inverted rect can
+// give x0 > x1 or y0 > y1: it then covers no cell.
+func (gr *Grid) CellSpan(rect Rect) (x0, y0, x1, y1 int) {
+	x0 = clamp(int((rect.MinX-gr.bounds.MinX)/gr.cw), 0, gr.nx-1)
+	x1 = clamp(int((rect.MaxX-gr.bounds.MinX)/gr.cw), 0, gr.nx-1)
+	y0 = clamp(int((rect.MinY-gr.bounds.MinY)/gr.ch), 0, gr.ny-1)
+	y1 = clamp(int((rect.MaxY-gr.bounds.MinY)/gr.ch), 0, gr.ny-1)
+	return x0, y0, x1, y1
 }
 
-// AppendCellsInRect appends the regions whose cells intersect rect to dst,
-// letting hot query paths reuse a scratch slice.
-func (gr *Grid) AppendCellsInRect(dst []RegionID, rect Rect) []RegionID {
-	x0 := clamp(int((rect.MinX-gr.bounds.MinX)/gr.cw), 0, gr.nx-1)
-	x1 := clamp(int((rect.MaxX-gr.bounds.MinX)/gr.cw), 0, gr.nx-1)
-	y0 := clamp(int((rect.MinY-gr.bounds.MinY)/gr.ch), 0, gr.ny-1)
-	y1 := clamp(int((rect.MaxY-gr.bounds.MinY)/gr.ch), 0, gr.ny-1)
+// CellsInRect returns the regions whose cells intersect rect, row by row
+// and each row by ascending column.
+func (gr *Grid) CellsInRect(rect Rect) []RegionID {
+	x0, y0, x1, y1 := gr.CellSpan(rect)
+	var out []RegionID
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
-			dst = append(dst, RegionID(cy*gr.nx+cx))
+			out = append(out, RegionID(cy*gr.nx+cx))
 		}
 	}
-	return dst
+	return out
 }
 
 // CellsOfEdge returns the ordered distinct regions an edge passes through,

@@ -99,6 +99,11 @@ func (r *sidecarReader) bitvec(wantBits int) (bitvec, error) {
 	return bitvec{words: words, ranks: ranks, nbits: wantBits, npop: int(np)}, nil
 }
 
+// word returns word w of the bitvector.  Callers bound w by nbits.
+func (bv *bitvec) word(w int) uint64 {
+	return binary.LittleEndian.Uint64(bv.words[8*w:])
+}
+
 // get reports bit i.  Callers bound i by nbits.
 func (bv *bitvec) get(i int) bool {
 	w := binary.LittleEndian.Uint64(bv.words[(i>>6)*8:])

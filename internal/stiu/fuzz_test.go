@@ -60,3 +60,41 @@ func FuzzSidecarDecode(f *testing.F) {
 		touchAll(dec)
 	})
 }
+
+// FuzzAppendBucketsInRect holds the row-walking rectangle accessor to
+// the per-cell probe oracle of TestAppendBucketsInRectMatchesProbe over
+// fuzzed grid dimensions (1..128 per axis), rectangle corners given as
+// fractions of the bounds (NaN, infinite, inverted and outside included)
+// and the interval, present or absent, on a built index and on two
+// decodes of its sidecar.
+func FuzzAppendBucketsInRect(f *testing.F) {
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 12, 12
+	ds, err := gen.Build(p, 12, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := core.NewCompressor(ds.Graph, core.DefaultOptions(p.Ts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	a, err := c.Compress(ds.Trajectories)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(63), uint8(63), 0.1, 0.2, 0.6, 0.9, uint8(0))
+	f.Add(uint8(36), uint8(22), -0.3, 0.2, 1.4, 0.7, uint8(1))
+	f.Add(uint8(99), uint8(2), 0.9, 0.1, 0.1, 0.9, uint8(0))
+	f.Add(uint8(0), uint8(0), 0.5, 0.5, 0.5, 0.5, uint8(255))
+	bounds := a.Graph.Bounds()
+	f.Fuzz(func(t *testing.T, nx, ny uint8, x0, y0, x1, y1 float64, pick uint8) {
+		opts := Options{GridNX: int(nx)%128 + 1, GridNY: int(ny)%128 + 1, IntervalDur: 1800}
+		_, pairs := rectVariants(t, a, opts)
+		ivs := rectIntervals(pairs[0][0])
+		iv := ivs[int(pick)%len(ivs)]
+		r := rectAt(bounds, x0, y0, x1, y1)
+		for _, pair := range pairs {
+			checkRectMatchesProbe(t, pair[0], pair[1], iv, r, nil)
+		}
+	})
+}

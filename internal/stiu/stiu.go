@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,8 +143,10 @@ type Index struct {
 // IndexStats is a snapshot of the succinct-layer counters.
 type IndexStats struct {
 	// RegionBlocksDecoded counts (interval, region) buckets decoded from
-	// the index bytes; RegionPrunedNoTouch counts probes the occupancy
-	// bitvectors answered empty without decoding.
+	// the index bytes; RegionPrunedNoTouch counts cells the occupancy
+	// bitvectors answered empty without decoding: one per empty Buckets
+	// probe, and per AppendBucketsInRect the empty cells of its span,
+	// added once per query.
 	RegionBlocksDecoded int64
 	RegionPrunedNoTouch int64
 	// TemporalSectionsForced counts per-trajectory temporal sections
@@ -269,7 +272,62 @@ func (ix *Index) Buckets(interval int, re roadnet.RegionID) (*RegionBucket, erro
 		ix.prunedNoTouch.Add(1)
 		return nil, nil
 	}
-	k := l.occ.rank1(int(re))
+	return ix.bucketAt(l, l.occ.rank1(int(re)))
+}
+
+// AppendBucketsInRect appends to dst the buckets of the interval's
+// occupied cells that rect intersects, in CellsInRect order: the same
+// buckets, in the same order, as the non-nil Buckets(interval, c) over
+// Grid.CellsInRect(rect).  It reads the interval map once, walks each
+// grid row's bit range of the occupancy words with one rank at the row's
+// first set bit, and counts the span's empty cells into
+// RegionPrunedNoTouch with one add, so the counters move exactly as the
+// per-cell probes would.  After an error dst holds the buckets found so
+// far and the empty cells are not counted.
+func (ix *Index) AppendBucketsInRect(dst []*RegionBucket, interval int, rect roadnet.Rect) ([]*RegionBucket, error) {
+	iv := ix.Intervals[interval]
+	if iv == nil {
+		return dst, nil
+	}
+	x0, y0, x1, y1 := ix.Grid.CellSpan(rect)
+	if x0 > x1 || y0 > y1 {
+		return dst, nil
+	}
+	nx, _ := ix.Grid.Dims()
+	l := &iv.layout
+	n0 := len(dst)
+	for cy := y0; cy <= y1; cy++ {
+		lo, hi := cy*nx+x0, min(cy*nx+x1+1, l.occ.nbits) // bit range [lo, hi)
+		k := -1
+		for w := lo >> 6; w<<6 < hi; w++ {
+			v := l.occ.word(w)
+			if w<<6 < lo {
+				v &^= 1<<(uint(lo)&63) - 1
+			}
+			if hi < (w+1)<<6 {
+				v &= 1<<(uint(hi)&63) - 1
+			}
+			for ; v != 0; v &= v - 1 {
+				if k < 0 {
+					k = l.occ.rank1(w<<6 + bits.TrailingZeros64(v))
+				} else {
+					k++
+				}
+				b, err := ix.bucketAt(l, k)
+				if err != nil {
+					return dst, err
+				}
+				dst = append(dst, b)
+			}
+		}
+	}
+	ix.prunedNoTouch.Add(int64((x1-x0+1)*(y1-y0+1) - (len(dst) - n0)))
+	return dst, nil
+}
+
+// bucketAt returns the bucket in rank slot k of l, decoding it on first
+// touch.
+func (ix *Index) bucketAt(l *layout, k int) (*RegionBucket, error) {
 	if b := l.decoded[k].Load(); b != nil {
 		return b, nil
 	}

@@ -91,6 +91,75 @@ func BenchmarkStoreRange(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreRangeEmbedded is the store-layer figure of the
+// embedded-range workload: 1 500 HZ trajectories at the paper's index
+// granularity, 4 shards
+// opened from disk, and a query set half of rectangles centred on where a
+// trajectory is at one of its timestamps and half of uniform rectangles
+// at uniform times, each side 5-40 % of its axis, α ∈ {0.2, 0.5, 0.8}.
+// One untimed pass over the set opens the shards and fills the decode
+// caches first; b.Loop runs the set-up once, not once per b.N ramp.
+func BenchmarkStoreRangeEmbedded(b *testing.B) {
+	p := gen.HZ()
+	ds, err := gen.Build(p, 1500, 93)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions(p.Ts)
+	opts.NumShards = 4
+	built, err := Build(ds.Graph, ds.Trajectories, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := built.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(dir, ds.Graph, OpenOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type rangeQ struct {
+		re    roadnet.Rect
+		t     int64
+		alpha float64
+	}
+	bounds := ds.Graph.Bounds()
+	w, h := bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY
+	lo, hi := s.TimeSpan()
+	rng := rand.New(rand.NewSource(4))
+	qs := make([]rangeQ, 512)
+	for i := range qs {
+		fw, fh := 0.05+0.35*rng.Float64(), 0.05+0.35*rng.Float64()
+		q := rangeQ{alpha: []float64{0.2, 0.5, 0.8}[rng.Intn(3)]}
+		if i%2 == 0 {
+			u := ds.Trajectories[rng.Intn(len(ds.Trajectories))]
+			locs, err := u.Instances[0].Locations(ds.Graph, u.T)
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := locs[rng.Intn(len(locs))]
+			x, y := ds.Graph.Coords(at.Pos)
+			q.t, q.re = at.T, roadnet.Rect{MinX: x - fw*w/2, MinY: y - fh*h/2, MaxX: x + fw*w/2, MaxY: y + fh*h/2}
+		} else {
+			x, y := bounds.MinX+rng.Float64()*(1-fw)*w, bounds.MinY+rng.Float64()*(1-fh)*h
+			q.t, q.re = lo+rng.Int63n(hi-lo+1), roadnet.Rect{MinX: x, MinY: y, MaxX: x + fw*w, MaxY: y + fh*h}
+		}
+		qs[i] = q
+	}
+	for _, q := range qs {
+		if _, err := s.Range(q.re, q.t, q.alpha); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; b.Loop(); i++ {
+		q := qs[i%len(qs)]
+		if _, err := s.Range(q.re, q.t, q.alpha); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // coldDirs lazily saves stores of two sizes for the cold-open benchmarks.
 var coldDirs = map[int]string{}
 

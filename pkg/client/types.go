@@ -248,8 +248,10 @@ type ClusterStats struct {
 // (internal/stiu.IndexStats) summed across a store's open shards.
 type SuccinctStats struct {
 	// RegionBlocksDecoded counts region buckets materialized from
-	// sidecar bytes; RegionPrunedNoTouch counts pruning probes the
-	// occupancy bitvectors answered without decoding anything.
+	// sidecar bytes; RegionPrunedNoTouch counts grid cells the occupancy
+	// bitvectors answered empty without decoding anything.  A range
+	// query adds its rectangle's empty cells in one step, so the totals
+	// are those of one probe per cell.
 	RegionBlocksDecoded int64 `json:"regionBlocksDecoded"`
 	RegionPrunedNoTouch int64 `json:"regionPrunedNoTouch"`
 	// TemporalSectionsForced counts per-trajectory temporal sections
