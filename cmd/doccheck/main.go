@@ -44,40 +44,50 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doccheck FILE.md...")
 		os.Exit(2)
 	}
+	problems, err := check(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(1)
+	}
+	for _, p := range problems {
+		fmt.Println(p)
+	}
+	if len(problems) > 0 {
+		os.Exit(1)
+	}
+	fmt.Printf("doccheck: %d files ok\n", len(os.Args)-1)
+}
+
+// check parses the given markdown files and returns one line per
+// problem, prefixed with the file (and line, for a link).
+func check(paths []string) ([]string, error) {
 	docs := make(map[string]*doc) // absolute path -> parsed doc
 	var order []*doc
-	for _, arg := range os.Args[1:] {
+	for _, arg := range paths {
 		d, err := parse(arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(1)
+			return nil, err
 		}
 		abs, err := filepath.Abs(arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(1)
+			return nil, err
 		}
 		docs[abs] = d
 		order = append(order, d)
 	}
 
-	failed := false
+	var problems []string
 	for _, d := range order {
 		for _, p := range d.problems {
-			fmt.Printf("%s: %s\n", d.path, p)
-			failed = true
+			problems = append(problems, fmt.Sprintf("%s: %s", d.path, p))
 		}
 		for _, l := range d.links {
 			if p := checkLink(d, l, docs); p != "" {
-				fmt.Printf("%s:%d: %s\n", d.path, l.line, p)
-				failed = true
+				problems = append(problems, fmt.Sprintf("%s:%d: %s", d.path, l.line, p))
 			}
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("doccheck: %d files ok\n", len(order))
+	return problems, nil
 }
 
 // parse extracts headings (as anchors), links and heading-level problems,
@@ -90,9 +100,10 @@ func parse(path string) (*doc, error) {
 	d := &doc{path: path, anchors: map[string]bool{}}
 	inFence := false
 	prevLevel := 0
+	carry := "" // link text left open at the end of the previous line
 	for i, line := range strings.Split(string(data), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
+			inFence, carry = !inFence, ""
 			continue
 		}
 		if inFence {
@@ -107,8 +118,15 @@ func parse(path string) (*doc, error) {
 			prevLevel = level
 			d.anchors[slugify(m[2])] = true
 		}
-		for _, lm := range linkRe.FindAllStringSubmatch(line, -1) {
+		// Link text may wrap onto the next line: match the open
+		// bracket's remainder together with this line.
+		text := carry + line
+		carry = ""
+		for _, lm := range linkRe.FindAllStringSubmatch(text, -1) {
 			d.links = append(d.links, link{line: i + 1, target: lm[1]})
+		}
+		if k := strings.LastIndex(text, "["); k >= 0 && strings.TrimSpace(line) != "" && !strings.Contains(text[k:], "]") {
+			carry = text[k:] + " "
 		}
 	}
 	return d, nil

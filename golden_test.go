@@ -65,7 +65,7 @@ func indexDigest(t *testing.T, ix *stiu.Index) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "I%d:%v", iv, trajs)
+		fmt.Fprintf(h, "I%d:%v N%d", iv, trajs, ix.Intervals[iv].NonRefs)
 		for re := roadnet.RegionID(0); re < cells; re++ {
 			b, err := ix.Buckets(iv, re)
 			if err != nil {
@@ -78,7 +78,6 @@ func indexDigest(t *testing.T, ix *stiu.Index) string {
 			for _, rt := range b.Refs {
 				fmt.Fprintf(h, "(%d,%d,%t,%g,%g)", rt.Traj, rt.Orig, rt.Enters, rt.PTotal, rt.PMax)
 			}
-			fmt.Fprintf(h, "N%d", b.NonRefs)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

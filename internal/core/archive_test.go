@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -282,4 +283,39 @@ func TestPivotCountsStillDecode(t *testing.T) {
 			t.Errorf("np=%d: decode mismatch", np)
 		}
 	}
+}
+
+// DPos returns the bit position of every relative-distance code (the
+// paper's d.pos values).  Positions after a decode failure stay at the
+// failure point; the error surfaces through DecodeD/D instead.
+func (v *RefView) DPos() []int {
+	rec := v.arch.Trajs[v.traj]
+	dPos := make([]int, rec.NumPoints)
+	r, err := rec.Reader(v.dStart)
+	if err != nil {
+		return dPos
+	}
+	for i := range dPos {
+		dPos[i] = r.Pos()
+		if _, err := v.arch.DCodec.Decode(r); err != nil {
+			break
+		}
+	}
+	return dPos
+}
+
+// DecodeD partially decompresses the k-th relative distance by seeking to
+// its d.pos, the per-point access the paper's position fields allow.
+func (v *RefView) DecodeD(k int) (float64, error) {
+	dpos := v.DPos()
+	if k < 0 || k >= len(dpos) {
+		return 0, fmt.Errorf("core: point index %d outside %d", k, len(dpos))
+	}
+	rec := v.arch.Trajs[v.traj]
+	var r bitio.Reader
+	r.Reset(rec.Bits, rec.BitLen)
+	if err := r.Seek(dpos[k]); err != nil {
+		return 0, err
+	}
+	return v.arch.DCodec.Decode(&r)
 }

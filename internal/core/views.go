@@ -15,7 +15,7 @@ import (
 // array ω enables O(1) rank queries on the time-flag bit-string.
 //
 // A RefView is safe for concurrent use: the lazily built navigation
-// structures (DPos, Omega) are race-free, so one view can be shared by
+// structure (Omega) is race-free, so one view can be shared by
 // many query goroutines.  Views must not be copied after first use.
 type RefView struct {
 	Orig     int
@@ -27,8 +27,6 @@ type RefView struct {
 	arch      *Archive
 	traj      int
 	dStart    int // bit offset of the relative-distance codes
-	dPosOnce  sync.Once
-	dPos      []int // lazily built code positions (the d.pos values)
 	omegaOnce sync.Once
 	omega     []int // lazily built flag array
 }
@@ -114,28 +112,6 @@ func (a *Archive) readRefSkeleton(r *bitio.Reader) (roadnet.VertexID, int, error
 	return roadnet.VertexID(sv), eCount, err
 }
 
-// DPos returns the bit position of every relative-distance code (the
-// paper's d.pos values), building them on first use.  Errors on a
-// (corrupted) stream surface through DecodeD/D instead.
-func (v *RefView) DPos() []int {
-	v.dPosOnce.Do(func() {
-		rec := v.arch.Trajs[v.traj]
-		r, err := rec.Reader(v.dStart)
-		if err != nil {
-			v.dPos = make([]int, rec.NumPoints)
-			return
-		}
-		v.dPos = make([]int, rec.NumPoints)
-		for i := range v.dPos {
-			v.dPos[i] = r.Pos()
-			if _, err := v.arch.DCodec.Decode(r); err != nil {
-				break // later positions stay at the failure point
-			}
-		}
-	})
-	return v.dPos
-}
-
 // ECount returns the length of the edge-number sequence.
 func (v *RefView) ECount() int { return len(v.E) }
 
@@ -211,23 +187,6 @@ func positionOfPoint(k, fullLen int, onesUpTo func(int) int) (int, error) {
 		return 0, fmt.Errorf("core: point %d beyond bit-string", k)
 	}
 	return g, nil
-}
-
-// DecodeD partially decompresses the k-th relative distance using its
-// stored bit position.  The bit reader lives on the stack (bitio.Reader
-// Reset), so per-point decodes do not allocate.
-func (v *RefView) DecodeD(k int) (float64, error) {
-	dpos := v.DPos()
-	if k < 0 || k >= len(dpos) {
-		return 0, fmt.Errorf("core: point index %d outside %d", k, len(dpos))
-	}
-	rec := v.arch.Trajs[v.traj]
-	var r bitio.Reader
-	r.Reset(rec.Bits, rec.BitLen)
-	if err := r.Seek(dpos[k]); err != nil {
-		return 0, err
-	}
-	return v.arch.DCodec.Decode(&r)
 }
 
 // D decodes all relative distances.

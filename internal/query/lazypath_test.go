@@ -16,7 +16,7 @@ import (
 
 // buildLazyPath materializes instance orig of trajectory j the way the
 // engine once did on a cache miss: parsed views, the expanded E and full
-// T', and a distance fetcher over the reference's d.pos with the
+// T', and a distance fetcher over the reference's decoded D with the
 // non-reference's D factors overriding.
 func buildLazyPath(a *core.Archive, j, orig int) (*lazyPath, error) {
 	meta := a.Trajs[j].Insts[orig]
@@ -26,9 +26,17 @@ func buildLazyPath(a *core.Archive, j, orig int) (*lazyPath, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newLazyPath(a.Graph, rv.SV, rv.E, rv.FullTF(), numPoints, meta.P, rv.DecodeD)
+		refD, err := refDistances(rv)
+		if err != nil {
+			return nil, err
+		}
+		return newLazyPath(a.Graph, rv.SV, rv.E, rv.FullTF(), numPoints, meta.P, refD)
 	}
 	rv, err := a.RefView(j, meta.RefOrig)
+	if err != nil {
+		return nil, err
+	}
+	refD, err := refDistances(rv)
 	if err != nil {
 		return nil, err
 	}
@@ -50,9 +58,24 @@ func buildLazyPath(a *core.Archive, j, orig int) (*lazyPath, error) {
 				return f.RD, nil
 			}
 		}
-		return rv.DecodeD(k)
+		return refD(k)
 	}
 	return newLazyPath(a.Graph, rv.SV, eSeq, tf, numPoints, meta.P, dFetch)
+}
+
+// refDistances returns a per-point fetcher over the reference's relative
+// distances, decoded once.
+func refDistances(rv *core.RefView) (func(int) (float64, error), error) {
+	d, err := rv.D()
+	if err != nil {
+		return nil, err
+	}
+	return func(k int) (float64, error) {
+		if k < 0 || k >= len(d) {
+			return 0, fmt.Errorf("point index %d outside %d", k, len(d))
+		}
+		return d[k], nil
+	}, nil
 }
 
 // lazyPath is the UTCQ engine's partially decompressed traversal: the edge

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -271,5 +272,92 @@ func TestRangeCountersPinned(t *testing.T) {
 		if got != pins[v.name] {
 			t.Errorf("%s: %+v, pinned %+v", v.name, got, pins[v.name])
 		}
+	}
+}
+
+// TestExactProbabilityCountersPinned runs a fixed Range and When query set
+// on DK, CD and HZ against a built and a sidecar-decoded engine.  The
+// sidecar stores tuple probabilities as exact counts of the archive's
+// PDDP quantum, so the two engines must give identical answers and
+// identical EngineStats and RegionPrunedNoTouch counters, and the answer
+// digest and counter totals must equal the values the float32-storing
+// sidecar (version 4) produced on the same set: no Lemma 1/4 plan moved.
+func TestExactProbabilityCountersPinned(t *testing.T) {
+	type pin struct {
+		hits, digest                                   int64
+		pathsDecoded, instancesSkipped                 int64
+		trajsPruned, trajsAccepted                     int64
+		regionPrunedNoTouch, blocksDecoded, forcedTemp int64
+	}
+	pins := map[string]pin{
+		"DK": {hits: 112, digest: -164593756230510881, pathsDecoded: 141, instancesSkipped: 165, trajsPruned: 112, trajsAccepted: 2, regionPrunedNoTouch: 1270, blocksDecoded: 90, forcedTemp: 22},
+		"CD": {hits: 82, digest: 2503418982967989124, pathsDecoded: 128, instancesSkipped: 41, trajsPruned: 91, trajsAccepted: 7, regionPrunedNoTouch: 1169, blocksDecoded: 102, forcedTemp: 21},
+		"HZ": {hits: 70, digest: -4140555792684360211, pathsDecoded: 141, instancesSkipped: 173, trajsPruned: 118, trajsAccepted: 5, regionPrunedNoTouch: 1156, blocksDecoded: 126, forcedTemp: 24},
+	}
+	for _, pr := range sweepProfiles {
+		t.Run(pr.name, func(t *testing.T) {
+			ds, variants := succinctVariants(t, pr.p, 25, pr.seed)
+			oracle := NewOracle(ds.Graph, ds.Trajectories)
+			rng := rand.New(rand.NewSource(pr.seed + 37))
+			b := ds.Graph.Bounds()
+			w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
+			alphas := []float64{0.05, 0.2, 0.5, 0.8}
+			got := make([]pin, len(variants))
+			for q := 0; q < 64; q++ {
+				j := rng.Intn(len(ds.Trajectories))
+				T := ds.Trajectories[j].T
+				tq := T[rng.Intn(len(T))]
+				alpha := alphas[rng.Intn(len(alphas))]
+				fw, fh := 0.05+0.35*rng.Float64(), 0.05+0.35*rng.Float64()
+				x, y := b.MinX+rng.Float64()*(1-fw)*w, b.MinY+rng.Float64()*(1-fh)*h
+				re := roadnet.Rect{MinX: x, MinY: y, MaxX: x + fw*w, MaxY: y + fh*h}
+				pi, err := oracle.path(j, rng.Intn(len(ds.Trajectories[j].Instances)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				loc := ds.Graph.PositionAtRD(pi.Edges[rng.Intn(len(pi.Edges))], rng.Float64())
+				var answers []any
+				for i, v := range variants {
+					r, err := v.eng.Range(re, tq, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wr, err := v.eng.When(j, loc, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers = append(answers, [2]any{r, wr})
+					for _, k := range r {
+						got[i].hits++
+						got[i].digest = got[i].digest*31 + int64(q*1000+k+1)
+					}
+					for _, res := range wr {
+						got[i].hits++
+						got[i].digest = got[i].digest*31 + int64(res.Inst)*7 + res.T + int64(math.Float64bits(res.P)>>20)
+					}
+				}
+				if !reflect.DeepEqual(answers[0], answers[1]) {
+					t.Fatalf("query %d: built %v, sidecar %v", q, answers[0], answers[1])
+				}
+			}
+			for i, v := range variants {
+				st, ix := v.eng.Stats(), v.eng.Ix.Stats()
+				got[i].pathsDecoded, got[i].instancesSkipped = st.PathsDecoded, st.InstancesSkipped
+				got[i].trajsPruned, got[i].trajsAccepted = st.TrajsPruned, st.TrajsAccepted
+				got[i].regionPrunedNoTouch = ix.RegionPrunedNoTouch
+				got[i].blocksDecoded, got[i].forcedTemp = ix.RegionBlocksDecoded, ix.TemporalSectionsForced
+			}
+			if got[0].blocksDecoded != 0 || got[0].forcedTemp != 0 {
+				t.Errorf("built engine decoded %d buckets, %d temporal sections", got[0].blocksDecoded, got[0].forcedTemp)
+			}
+			seeded := got[1]
+			seeded.blocksDecoded, seeded.forcedTemp = 0, 0
+			if seeded != got[0] {
+				t.Errorf("sidecar %+v, built %+v", got[1], got[0])
+			}
+			if want := pins[pr.name]; got[1] != want {
+				t.Errorf("sidecar %+v, pinned %+v", got[1], want)
+			}
+		})
 	}
 }

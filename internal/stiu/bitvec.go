@@ -5,8 +5,8 @@
 // bits), so membership and rank answer in O(1) straight off a memory
 // mapping without materializing anything.  The superblocks are verified
 // against the words at parse time, which bounds every later rank result
-// by the declared popcount — downstream offset lookups stay in range even
-// for hostile inputs.
+// by the declared popcount — downstream bucket-slot lookups stay in range
+// even for hostile inputs.
 package stiu
 
 import (
@@ -128,7 +128,7 @@ func (bv *bitvec) rank1(i int) int {
 }
 
 // forEach calls fn(k, i) for every set bit i in ascending order, where k
-// is the bit's rank (its slot in the layout's offset table).
+// is the bit's rank (its bucket slot in the layout).
 func (bv *bitvec) forEach(fn func(k, i int)) {
 	k := 0
 	for w := 0; w*64 < bv.nbits; w++ {

@@ -22,6 +22,7 @@ type buildState struct {
 type builtInterval struct {
 	trajs   []int32 // trajectories whose time span intersects the interval
 	regions map[roadnet.RegionID]*RegionBucket
+	nonRefs int64 // non-reference tuples over all regions
 }
 
 // Build constructs the index from a compressed archive.  Building happens
@@ -42,7 +43,7 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("stiu: invalid options %+v", opts)
 	}
 	n := len(a.Trajs)
-	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY)}
+	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(a.Graph, opts.GridNX, opts.GridNY), pExp: a.PCodec.MaxLen()}
 	st := &buildState{temporal: make([][]TemporalEntry, n)}
 	workers := par.Workers(opts.Parallelism)
 
@@ -67,7 +68,7 @@ func Build(a *core.Archive, opts Options) (*Index, error) {
 		iv.trajs = dedupInt32(iv.trajs)
 	}
 
-	data, err := st.encode(opts, workers)
+	data, err := st.encode(opts, ix.pExp, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -127,16 +128,16 @@ func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
 				if mod(e.interval) != s {
 					continue
 				}
-				regions := get(e.interval).regions
-				bk := regions[e.re]
+				in := get(e.interval)
+				bk := in.regions[e.re]
 				if bk == nil {
 					bk = &RegionBucket{}
-					regions[e.re] = bk
+					in.regions[e.re] = bk
 				}
 				if e.isRef {
 					bk.Refs = append(bk.Refs, e.ref)
 				} else {
-					bk.NonRefs++
+					in.nonRefs++
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package stiu
 
 import (
+	"bytes"
 	"testing"
 
 	"utcq/internal/core"
@@ -9,11 +10,12 @@ import (
 )
 
 // FuzzSidecarDecode throws arbitrary bytes at the sidecar decoder —
-// seeded with a real encoding and cuts of it so mutations explore the
-// rank directories, offset tables and lazy temporal sections rather than
-// dying at the header.  Whatever decodes must also survive every lazy
-// accessor and a full walk of the buckets without panicking; errors are
-// fine.
+// seeded with a real encoding, cuts of it, bucket blobs whose declared
+// length is one byte short or long and an out-of-range probability
+// exponent, so mutations explore the rank directories, the first-touch
+// bucket boundary pass and the lazy temporal sections rather than dying
+// at the header.  Whatever decodes must also survive every lazy accessor
+// and a full walk of the buckets without panicking; errors are fine.
 func FuzzSidecarDecode(f *testing.F) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	p := gen.CD()
@@ -43,6 +45,13 @@ func FuzzSidecarDecode(f *testing.F) {
 	f.Add(enc[:len(enc)-1]) // cut inside the last interval's bucket blob
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte("UTCI"))
+	lenOff, blobOff, blobLen := layoutAt(f, enc, len(a.Trajs), opts.GridNX*opts.GridNY, 0)
+	f.Add(enc[:blobOff+blobLen/2]) // cut inside the first interval's bucket blob
+	f.Add(withUvarintAt(enc, lenOff, uint64(blobLen-1)))
+	f.Add(withUvarintAt(enc, lenOff, uint64(blobLen+1)))
+	badExp := bytes.Clone(enc)
+	badExp[35] = maxPExp + 1
+	f.Add(badExp)
 
 	numTrajs := len(a.Trajs)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -39,7 +39,7 @@ func checkRectMatchesProbe(t testing.TB, probe, fast *Index, iv int, r roadnet.R
 	}
 	p1 := probe.Stats()
 
-	sentinel := &RegionBucket{NonRefs: -1}
+	sentinel := &RegionBucket{}
 	f0 := fast.Stats()
 	got, err := fast.AppendBucketsInRect([]*RegionBucket{sentinel}, iv, r)
 	f1 := fast.Stats()

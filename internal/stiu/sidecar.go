@@ -7,19 +7,28 @@
 //   - a fixed-width u32 offset directory over per-trajectory temporal
 //     sections, so parsing decodes no temporal entry at all and
 //     trajectory j's section decodes on its first When/FindTemporal touch;
-//   - per interval, an Elias–Fano candidate set, a rank bitvector over
-//     the grid's region occupancy and a u32 offset table into individually
-//     encoded region buckets, so a probe of an absent (interval, region)
-//     pair is a bit test and a present pair decodes only its own bucket.
+//   - per interval, an Elias–Fano candidate set, the interval's
+//     non-reference tuple count, a rank bitvector over the grid's region
+//     occupancy and the length-prefixed blob of individually encoded
+//     region buckets, so a probe of an absent (interval, region) pair is
+//     a bit test and a present pair decodes only its own bucket.
+//
+// Bucket boundaries are not stored.  The first bucket decode in an
+// interval derives all of them in one pass over the blob, which reads
+// each bucket's tuple count and steps over its varints.  Tuple
+// probabilities are stored exactly, as uvarint counts of the quantum
+// 2^-pExp, where pExp is the archive's PDDP maximum code length (every
+// archive probability is a multiple of it).
 //
 // There is no per-trajectory spatial section: the When path's Lemma-1
 // gate reads the interval buckets over the trajectory's interval span and
 // keeps the tuples of that trajectory.
 //
-// All directories are fixed-width and verified at parse (monotone span
-// checks happen lazily per section), so parsing is O(header + interval
-// count), independent of temporal-entry and tuple counts.  When the
-// buffer is a memory mapping, untouched sections never even page in.
+// The temporal directory is fixed-width and the bitvectors are verified
+// at parse (monotone span checks and bucket boundaries happen lazily per
+// section), so parsing is O(header + interval count), independent of
+// temporal-entry and tuple counts.  When the buffer is a memory mapping,
+// untouched sections never even page in.
 //
 // The encoding is deterministic: intervals and regions are emitted in
 // ascending id order and tuple slices keep their build order.
@@ -42,8 +51,12 @@ import (
 
 const (
 	sidecarMagic   = "UTCI"
-	sidecarVersion = 4
-	sidecarHdrLen  = 35
+	sidecarVersion = 5
+	sidecarHdrLen  = 36
+
+	// maxPExp bounds the probability quantum exponent: 2^-52 is the
+	// finest quantum a PDDP codec has (pddp.NewCodec).
+	maxPExp = 52
 )
 
 // ErrSidecarMismatch reports a sidecar that is well-formed but was written
@@ -64,10 +77,11 @@ func (ix *Index) EncodeSidecar(archiveSize int64) ([]byte, error) {
 	return out, nil
 }
 
-// encode serializes the build state with a zero archive size.  Every
-// per-trajectory and per-interval part is independent, so the parts encode
-// on the worker pool and the assembly only concatenates them.
-func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
+// encode serializes the build state with a zero archive size and
+// probabilities in quanta of 2^-pExp.  Every per-trajectory and
+// per-interval part is independent, so the parts encode on the worker
+// pool and the assembly only concatenates them.
+func (st *buildState) encode(opts Options, pExp, workers int) ([]byte, error) {
 	nbits := opts.GridNX * opts.GridNY
 	n := len(st.temporal)
 	ids := make([]int, 0, len(st.intervals))
@@ -84,7 +98,8 @@ func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
 		}
 		var err error
 		iv := st.intervals[ids[i-n]]
-		if intervals[i-n], err = appendLayout(appendEFSet(nil, iv.trajs), nbits, iv.regions); err != nil {
+		head := binary.AppendUvarint(appendEFSet(nil, iv.trajs), uint64(iv.nonRefs))
+		if intervals[i-n], err = appendLayout(head, nbits, iv.regions, pExp); err != nil {
 			return fmt.Errorf("stiu: interval %d: %w", ids[i-n], err)
 		}
 		return nil
@@ -108,6 +123,7 @@ func (st *buildState) encode(opts Options, workers int) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.IntervalDur))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = binary.LittleEndian.AppendUint64(buf, 0) // archive size
+	buf = append(buf, byte(pExp))
 
 	// Temporal section: (numTrajs+1) u32 offsets, then the blobs.
 	if buf, err = appendDirectory(buf, temporal); err != nil {
@@ -144,9 +160,9 @@ func appendDirectory(buf []byte, parts [][]byte) ([]byte, error) {
 }
 
 // appendLayout emits one bucket layout: occupancy bitvector over nbits
-// regions, (npop+1) u32 offsets, and the concatenated bucket encodings in
-// ascending region-id (= rank) order.
-func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket) ([]byte, error) {
+// regions, then the length-prefixed concatenation of the bucket encodings
+// in ascending region-id (= rank) order.
+func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket, pExp int) ([]byte, error) {
 	ids := make([]int32, 0, len(m))
 	for id := range m {
 		if id < 0 || int(id) >= nbits {
@@ -156,17 +172,18 @@ func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket) (
 	}
 	slices.Sort(ids)
 	buf = appendBitvec(buf, nbits, ids)
-	offs := len(buf)
-	buf = append(buf, make([]byte, 4*(len(ids)+1))...) // filled as buckets land
-	blob := len(buf)
-	for k, id := range ids {
-		buf = appendBucket(buf, m[roadnet.RegionID(id)])
-		if len(buf)-blob > math.MaxUint32 {
-			return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(buf)-blob)
+	var blob []byte
+	for _, id := range ids {
+		var err error
+		if blob, err = appendBucket(blob, m[roadnet.RegionID(id)], pExp); err != nil {
+			return nil, fmt.Errorf("region %d: %w", id, err)
 		}
-		binary.LittleEndian.PutUint32(buf[offs+4*(k+1):], uint32(len(buf)-blob))
 	}
-	return buf, nil
+	if len(blob) > math.MaxUint32 {
+		return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(blob))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(blob)))
+	return append(buf, blob...), nil
 }
 
 // appendTemporalEntries emits one trajectory's temporal section: a
@@ -210,13 +227,17 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 	dur := int64(binary.LittleEndian.Uint64(data[15:23]))
 	nt := int(binary.LittleEndian.Uint32(data[23:27]))
 	sz := int64(binary.LittleEndian.Uint64(data[27:35]))
+	pExp := int(data[35])
 	if nx != opts.GridNX || ny != opts.GridNY || dur != opts.IntervalDur ||
 		nt != numTrajs || sz != archiveSize {
 		return nil, fmt.Errorf("%w: header (%dx%d dur=%d trajs=%d size=%d), want (%dx%d dur=%d trajs=%d size=%d)",
 			ErrSidecarMismatch, nx, ny, dur, nt, sz,
 			opts.GridNX, opts.GridNY, opts.IntervalDur, numTrajs, archiveSize)
 	}
-	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(g, opts.GridNX, opts.GridNY)}
+	if pExp > maxPExp {
+		return nil, fmt.Errorf("stiu: sidecar probability exponent %d exceeds %d", pExp, maxPExp)
+	}
+	ix := &Index{Opts: opts, Grid: roadnet.NewGrid(g, opts.GridNX, opts.GridNY), pExp: pExp}
 	if err := ix.parse(data, numTrajs); err != nil {
 		return nil, err
 	}
@@ -256,10 +277,18 @@ func (ix *Index) parse(data []byte, numTrajs int) error {
 		if iv.cand.data, err = r.efSlice(); err != nil {
 			return fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
 		}
-		if iv.layout, err = r.layout(nbits); err != nil {
+		nonRefs, err := r.uvarint()
+		if err == nil && nonRefs > math.MaxInt64 {
+			err = fmt.Errorf("nonref count %d overflows int64", nonRefs)
+		}
+		if err != nil {
+			return fmt.Errorf("stiu: sidecar interval %d nonrefs: %w", id, err)
+		}
+		iv.NonRefs = int64(nonRefs)
+		if err = r.layout(&iv.layout, nbits); err != nil {
 			return fmt.Errorf("stiu: sidecar interval %d regions: %w", id, err)
 		}
-		resident += iv.occ.sizeBytes() + len(iv.offs)
+		resident += iv.occ.sizeBytes()
 		ix.Intervals[id] = iv
 	}
 	ix.intervalBytes = int64(r.off - start)
@@ -298,25 +327,56 @@ func dirSpan(dir, blob []byte, j int) (*sidecarReader, error) {
 	return &sidecarReader{data: blob[lo:hi:hi]}, nil
 }
 
-// layout parses one bucket layout: verified bitvector, offset table,
-// bucket blob.  Slicing and verification only — buckets stay encoded.
-func (r *sidecarReader) layout(universe int) (layout, error) {
+// layout parses one bucket layout into l: verified bitvector,
+// length-prefixed bucket blob.  Slicing and verification only — the
+// buckets and their boundaries stay encoded until the first bucket decode
+// (bucketBounds).
+func (r *sidecarReader) layout(l *layout, universe int) error {
 	occ, err := r.bitvec(universe)
 	if err != nil {
-		return layout{}, err
+		return err
 	}
-	offs, err := r.take((occ.npop + 1) * 4)
+	blob, err := r.lenPrefixed()
 	if err != nil {
-		return layout{}, err
+		return err
 	}
-	if binary.LittleEndian.Uint32(offs) != 0 {
-		return layout{}, fmt.Errorf("bucket offsets do not start at 0")
+	if len(blob) < occ.npop || (occ.npop == 0 && len(blob) != 0) {
+		return fmt.Errorf("bucket blob of %d bytes cannot hold %d buckets", len(blob), occ.npop)
 	}
-	blob, err := r.take(int(binary.LittleEndian.Uint32(offs[4*occ.npop:])))
-	if err != nil {
-		return layout{}, err
+	l.occ, l.bounds.data = occ, blob
+	l.decoded = make([]atomic.Pointer[RegionBucket], occ.npop)
+	return nil
+}
+
+// bucketBounds derives the npop+1 bucket boundaries of a layout's blob in
+// one pass: per bucket it reads the tuple count and steps over the
+// tuples' four varints each.  The pass must consume exactly the blob in
+// exactly npop buckets; anything else is corruption.
+func bucketBounds(blob []byte, npop int) ([]uint32, error) {
+	if len(blob) > math.MaxUint32 {
+		return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(blob))
 	}
-	return layout{occ: occ, offs: offs, buckets: blob, decoded: make([]atomic.Pointer[RegionBucket], occ.npop)}, nil
+	offs := make([]uint32, npop+1)
+	r := &sidecarReader{data: blob}
+	for k := 1; k <= npop; k++ {
+		nr, err := r.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("bucket %d: %w", k-1, err)
+		}
+		if nr > uint64(r.remaining()) {
+			return nil, fmt.Errorf("bucket %d: ref count %d overflows blob", k-1, nr)
+		}
+		for i := 0; i < 4*int(nr); i++ {
+			if _, err := r.uvarint(); err != nil { // a varint has a uvarint's byte shape
+				return nil, fmt.Errorf("bucket %d: %w", k-1, err)
+			}
+		}
+		offs[k] = uint32(r.off)
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("bucket blob has %d bytes past its %d buckets", r.remaining(), npop)
+	}
+	return offs, nil
 }
 
 // decodeTemporalEntries reads one trajectory's temporal section (count +
@@ -389,10 +449,11 @@ func (r *sidecarReader) intervalID(first bool, prev *int64) (int, error) {
 
 // --- region bucket codec ---
 
-// appendBucket emits one region bucket (ref tuples, then the non-reference
-// count), the unit the layout addresses individually through its offset
-// tables.  enters rides in the low bit of orig.
-func appendBucket(buf []byte, b *RegionBucket) []byte {
+// appendBucket emits one region bucket, the unit the layout addresses
+// individually: the ref-tuple count, then per tuple traj, orig with
+// enters in its low bit, and pTotal and pMax as counts of 2^-pExp.  A
+// probability that is not an exact multiple of the quantum is an error.
+func appendBucket(buf []byte, b *RegionBucket, pExp int) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
 	for _, rt := range b.Refs {
 		buf = binary.AppendVarint(buf, int64(rt.Traj))
@@ -401,14 +462,21 @@ func appendBucket(buf []byte, b *RegionBucket) []byte {
 			orig |= 1
 		}
 		buf = binary.AppendUvarint(buf, orig)
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rt.PTotal))
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rt.PMax))
+		for _, p := range [2]float32{rt.PTotal, rt.PMax} {
+			q := math.Ldexp(float64(p), pExp)
+			if !(q >= 0 && q < 1<<64 && q == math.Trunc(q)) {
+				return nil, fmt.Errorf("probability %g of trajectory %d is not a multiple of 2^-%d", p, rt.Traj, pExp)
+			}
+			buf = binary.AppendUvarint(buf, uint64(q))
+		}
 	}
-	return binary.AppendUvarint(buf, uint64(b.NonRefs))
+	return buf, nil
 }
 
-// decodeBucket decodes one region bucket from exactly data.
-func decodeBucket(data []byte) (*RegionBucket, error) {
+// decodeBucket decodes one region bucket from exactly data.  A quantum
+// count converts back to the float32 it was taken from: a float32 has 24
+// significant bits, so its count is exact in float64.
+func decodeBucket(data []byte, pExp int) (*RegionBucket, error) {
 	r := &sidecarReader{data: data}
 	b := &RegionBucket{}
 	nr, err := r.uvarint()
@@ -423,12 +491,11 @@ func decodeBucket(data []byte) (*RegionBucket, error) {
 	}
 	for k := range b.Refs {
 		var traj int64
-		var orig uint64
-		var pt, pm uint32
+		var orig, pt, pm uint64
 		if traj, err = r.varint(); err == nil {
 			if orig, err = r.uvarint(); err == nil {
-				if pt, err = r.u32(); err == nil {
-					pm, err = r.u32()
+				if pt, err = r.uvarint(); err == nil {
+					pm, err = r.uvarint()
 				}
 			}
 		}
@@ -440,17 +507,10 @@ func decodeBucket(data []byte) (*RegionBucket, error) {
 		}
 		b.Refs[k] = RefTuple{
 			Traj: int32(traj), Orig: int32(orig >> 1), Enters: orig&1 != 0,
-			PTotal: math.Float32frombits(pt), PMax: math.Float32frombits(pm),
+			PTotal: float32(math.Ldexp(float64(pt), -pExp)),
+			PMax:   float32(math.Ldexp(float64(pm), -pExp)),
 		}
 	}
-	nn, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nn > math.MaxInt32 {
-		return nil, fmt.Errorf("nonref count %d overflows int32", nn)
-	}
-	b.NonRefs = int(nn)
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
 	}
@@ -584,15 +644,6 @@ func (r *sidecarReader) varint() (int64, error) {
 		return 0, fmt.Errorf("truncated varint at offset %d", r.off)
 	}
 	r.off += n
-	return v, nil
-}
-
-func (r *sidecarReader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, fmt.Errorf("truncated u32 at offset %d", r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
 	return v, nil
 }
 

@@ -82,11 +82,12 @@ func touchAll(ix *Index) {
 	for j := range ix.Temporal {
 		_, _ = ix.TemporalEntries(j)
 	}
+	bounds := ix.Bounds()
 	for id := range ix.Intervals {
 		_, _ = ix.Candidates(id)
+		_, _ = ix.AppendBucketsInRect(nil, id, bounds)
 	}
 	_ = ix.SpatialSizeBits(8)
-	_ = ix.Bounds()
 }
 
 func TestSidecarRoundTrip(t *testing.T) {
@@ -255,30 +256,29 @@ func TestEFSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBucketRejectsOverflow: a bucket whose ref orig or non-reference
-// count does not fit an int32 is corrupt, not truncated to a wrong value.
+// TestDecodeBucketRejectsOverflow: a bucket whose ref orig does not fit an
+// int32 is corrupt, not truncated to a wrong value.
 func TestDecodeBucketRejectsOverflow(t *testing.T) {
-	ok := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{Traj: 3, Orig: math.MaxInt32, Enters: true}}, NonRefs: math.MaxInt32})
-	if b, err := decodeBucket(ok); err != nil || b.Refs[0].Orig != math.MaxInt32 || !b.Refs[0].Enters || b.NonRefs != math.MaxInt32 {
+	const pExp = 9
+	ok, err := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{Traj: 3, Orig: math.MaxInt32, Enters: true}}}, pExp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := decodeBucket(ok, pExp); err != nil || b.Refs[0].Orig != math.MaxInt32 || !b.Refs[0].Enters {
 		t.Fatalf("largest fields: %+v, %v", b, err)
 	}
-	// One ref tuple (traj 3, orig 2³¹, enters) and no non-references.
+	// One ref tuple (traj 3, orig 2³¹, enters, zero probabilities).
 	ref := binary.AppendUvarint(nil, 1)
 	ref = binary.AppendVarint(ref, 3)
 	ref = binary.AppendUvarint(ref, (math.MaxInt32+1)<<1|1)
-	ref = append(ref, make([]byte, 8)...) // pTotal, pMax
-	ref = binary.AppendUvarint(ref, 0)
-	// No ref tuples and 2³¹ non-references.
-	count := binary.AppendUvarint(binary.AppendUvarint(nil, 0), math.MaxInt32+1)
-	for name, data := range map[string][]byte{"orig": ref, "nonref count": count} {
-		if _, err := decodeBucket(data); err == nil || !strings.Contains(err.Error(), "overflows int32") {
-			t.Errorf("%s past int32: err = %v", name, err)
-		}
+	ref = append(ref, 0, 0) // pTotal, pMax
+	if _, err := decodeBucket(ref, pExp); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+		t.Errorf("orig past int32: err = %v", err)
 	}
 }
 
 // retiredVersions are the sidecar versions readers no longer accept.
-var retiredVersions = []uint16{1, 2, 3}
+var retiredVersions = []uint16{1, 2, 3, 4}
 
 // relabelledSidecar returns an index's sidecar with its header relabelled
 // as version v.
@@ -297,7 +297,7 @@ func relabelledSidecar(t *testing.T, ix *Index, archiveSize int64, v uint16) []b
 }
 
 // TestSidecarV1RoundTrip pins the version policy: the encoder writes
-// version 4, and a version-1, -2 or -3 sidecar no longer round-trips — it
+// version 5, and a version-1 to -4 sidecar no longer round-trips — it
 // fails DecodeSidecar with a versioned error, so a store rebuilds the
 // index from its archive instead.
 func TestSidecarV1RoundTrip(t *testing.T) {
@@ -313,8 +313,8 @@ func TestSidecarV1RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1,
-// -2 and -3 sidecar at every offset: each variant must fail
+// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1
+// to -4 sidecar at every offset: each variant must fail
 // DecodeSidecar, never decode and never panic.
 func TestSidecarV1CorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
@@ -467,5 +467,217 @@ func TestSidecarV2SuccinctStats(t *testing.T) {
 	}
 	if st := dec.Stats(); st.RegionBlocksDecoded != 1 {
 		t.Fatalf("warm hit re-decoded (%d)", st.RegionBlocksDecoded)
+	}
+}
+
+// TestSidecarExactProbabilities pins the quantum-count encoding: on DK, CD
+// and HZ archives every tuple decoded from the sidecar equals the built
+// one bit for bit, and hand-built groups at the extremes (all instances
+// enter, so PTotal is exactly 1; no non-reference, so PMax is 0; one
+// quantum) round-trip too.  A probability off the quantum is an encode
+// error, never a rounded value.
+func TestSidecarExactProbabilities(t *testing.T) {
+	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
+	for _, p := range []gen.Profile{gen.DK(), gen.CD(), gen.HZ()} {
+		p.Network.Cols, p.Network.Rows = 20, 20
+		ds, err := gen.Build(p, 30, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.NewCompressor(ds.Graph, core.DefaultOptions(p.Ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := c.Compress(ds.Trajectories)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := ix.EncodeSidecar(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(enc[35]) != a.PCodec.MaxLen() {
+			t.Fatalf("%s: pExp = %d, want Imax %d", p.Name, enc[35], a.PCodec.MaxLen())
+		}
+		dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples := 0
+		for id, iv := range ix.Intervals {
+			if got := dec.Intervals[id].NonRefs; got != iv.NonRefs {
+				t.Fatalf("%s interval %d: %d non-references, built %d", p.Name, id, got, iv.NonRefs)
+			}
+			iv.occ.forEach(func(_, re int) {
+				want, _ := ix.Buckets(id, roadnet.RegionID(re))
+				got, err := dec.Buckets(id, roadnet.RegionID(re))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameTuples(t, want.Refs, got.Refs)
+				tuples += len(got.Refs)
+			})
+		}
+		if tuples == 0 {
+			t.Fatalf("%s: no tuple in the fixture", p.Name)
+		}
+	}
+
+	for _, pExp := range []int{7, 9, 11, maxPExp} {
+		q := float32(math.Ldexp(1, -pExp))
+		want := []RefTuple{
+			{Traj: 0, Orig: 0, Enters: true, PTotal: 1, PMax: 0},
+			{Traj: 1, Orig: 2, Enters: false, PTotal: 1, PMax: 1 - q},
+			{Traj: 2, Orig: 5, Enters: true, PTotal: q, PMax: q},
+			{Traj: 3, Orig: 1, Enters: true, PTotal: 0, PMax: 0},
+		}
+		enc, err := appendBucket(nil, &RegionBucket{Refs: want}, pExp)
+		if err != nil {
+			t.Fatalf("pExp %d: %v", pExp, err)
+		}
+		got, err := decodeBucket(enc, pExp)
+		if err != nil {
+			t.Fatalf("pExp %d: %v", pExp, err)
+		}
+		requireSameTuples(t, want, got.Refs)
+		if _, err := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{PTotal: q / 2}}}, pExp); err == nil {
+			t.Fatalf("pExp %d: half a quantum encoded", pExp)
+		}
+	}
+}
+
+// requireSameTuples compares tuple slices with the floats compared as
+// bit patterns.
+func requireSameTuples(t *testing.T, want, got []RefTuple) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%d tuples, want %d", len(got), len(want))
+	}
+	for k, w := range want {
+		g := got[k]
+		if w.Traj != g.Traj || w.Orig != g.Orig || w.Enters != g.Enters ||
+			math.Float32bits(w.PTotal) != math.Float32bits(g.PTotal) ||
+			math.Float32bits(w.PMax) != math.Float32bits(g.PMax) {
+			t.Fatalf("tuple %d = %+v, want %+v", k, g, w)
+		}
+	}
+}
+
+// layoutAt locates interval i's bucket layout in a sidecar: the offset of
+// its blobLen field, the offset of its blob and the blob's length.
+func layoutAt(t testing.TB, enc []byte, numTrajs, nbits, i int) (lenOff, blobOff, blobLen int) {
+	t.Helper()
+	r := &sidecarReader{data: enc, off: sidecarHdrLen}
+	if _, _, err := r.directory(numTrajs); err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.intervalCount()
+	if err != nil || i >= n {
+		t.Fatalf("interval %d of %d: %v", i, n, err)
+	}
+	prev := int64(0)
+	for k := 0; ; k++ {
+		if _, err = r.intervalID(k == 0, &prev); err == nil {
+			if _, err = r.efSlice(); err == nil {
+				if _, err = r.uvarint(); err == nil {
+					_, err = r.bitvec(nbits)
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lenOff = r.off
+		blob, err := r.lenPrefixed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == i {
+			return lenOff, r.off - len(blob), len(blob)
+		}
+	}
+}
+
+// withUvarintAt returns enc with the uvarint at off replaced by v.
+func withUvarintAt(enc []byte, off int, v uint64) []byte {
+	_, n := binary.Uvarint(enc[off:])
+	out := binary.AppendUvarint(bytes.Clone(enc[:off]), v)
+	return append(out, enc[off+n:]...)
+}
+
+// TestSidecarBucketBoundsCorruption pins the first-touch boundary pass:
+// a blob whose last bucket claims one tuple more or less, so the tuple
+// counts no longer add up to exactly the blob in exactly its occupancy
+// count, parses (the pass is lazy) and then fails every accessor that
+// needs a bucket of that interval, and a blobLen one byte short or long
+// fails either the parse or the pass.
+func TestSidecarBucketBoundsCorruption(t *testing.T) {
+	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
+	a, ix := buildGeneratedIndex(t, opts)
+	enc, err := ix.EncodeSidecar(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt, nbits := len(a.Trajs), opts.GridNX*opts.GridNY
+	ids := rectIntervals(ix)[:len(ix.Intervals)]
+	bucketErr := func(dec *Index, id int) error {
+		for re := roadnet.RegionID(0); int(re) < nbits; re++ {
+			if _, err := dec.Buckets(id, re); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	checked := 0
+	for i, id := range ids {
+		lenOff, blobOff, blobLen := layoutAt(t, enc, nt, nbits, i)
+		npop := ix.Intervals[id].occ.npop
+		if npop == 0 {
+			continue
+		}
+		offs, err := bucketBounds(enc[blobOff:blobOff+blobLen], npop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := blobOff + int(offs[npop-1])
+		nr, _ := binary.Uvarint(enc[last:])
+		if nr == 0 || nr >= 127 {
+			continue
+		}
+		checked++
+		for _, d := range []int{-1, +1} {
+			mut := withUvarintAt(enc, last, uint64(int(nr)+d))
+			dec, err := DecodeSidecar(mut, a.Graph, nt, 7, opts)
+			if err != nil {
+				t.Fatalf("interval %d, last tuple count %+d: parse failed: %v", id, d, err)
+			}
+			if err := bucketErr(dec, id); err == nil || !strings.Contains(err.Error(), "bucket boundaries") {
+				t.Fatalf("interval %d, last tuple count %+d: err = %v", id, d, err)
+			}
+			if _, err := dec.AppendBucketsInRect(nil, id, a.Graph.Bounds()); err == nil {
+				t.Fatalf("interval %d, last tuple count %+d: AppendBucketsInRect succeeded", id, d)
+			}
+			if n := dec.SpatialSizeBits(8); n != 0 {
+				t.Fatalf("interval %d, last tuple count %+d: SpatialSizeBits = %d", id, d, n)
+			}
+			mut = withUvarintAt(enc, lenOff, uint64(blobLen+d))
+			if dec, err := DecodeSidecar(mut, a.Graph, nt, 7, opts); err == nil {
+				if err := bucketErr(dec, id); err == nil {
+					t.Fatalf("interval %d, blobLen %+d: decoded cleanly", id, d)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no interval with a small last bucket in the fixture")
+	}
+	mut := bytes.Clone(enc)
+	mut[35] = maxPExp + 1
+	if _, err := DecodeSidecar(mut, a.Graph, nt, 7, opts); err == nil || !strings.Contains(err.Error(), "exponent 53") {
+		t.Fatalf("pExp 53: err = %v", err)
 	}
 }

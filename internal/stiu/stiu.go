@@ -8,23 +8,24 @@
 //
 // The spatial part partitions the road network with a uniform grid and
 // stores, per interval and region, one tuple (traj, orig, enters, ptotal,
-// pmax) per reference group, plus the number of non-reference tuples
-// Definition 9 would add.  ptotal and pmax drive the filtering Lemmas 1-4;
-// enters is the paper's fv.id ≠ ∞.  The position fields (fv.no, d.pos,
-// ma.pos) and the non-reference tuples themselves are not stored: queries
-// decode each instance from its start, so nothing would read them.
+// pmax) per reference group, and per interval the number of non-reference
+// tuples Definition 9 would add.  ptotal and pmax drive the filtering
+// Lemmas 1-4; enters is the paper's fv.id ≠ ∞.  The position fields
+// (fv.no, d.pos, ma.pos) and the non-reference tuples themselves are not
+// stored: queries decode each instance from its start, so nothing would
+// read them.
 //
 // An Index has one in-memory form, the succinct sidecar layout of
-// FORMAT.md §5: occupancy bitvectors, offset tables and directories over
-// one encoded buffer, with a per-bucket decode cache in front of it.
-// DecodeSidecar parses that buffer and leaves every section encoded until
-// a query touches it; Build encodes what its walk produced, parses the
-// result the same way and seeds the decode caches with the structures it
-// already holds, so a built index never decodes anything.
+// FORMAT.md §5: occupancy bitvectors and directories over one encoded
+// buffer, with per-interval bucket boundaries derived on first touch and
+// a per-bucket decode cache in front of it.  DecodeSidecar parses that
+// buffer and leaves every section encoded until a query touches it; Build
+// encodes what its walk produced, parses the result the same way and
+// seeds the decode caches with the structures it already holds, so a
+// built index never decodes anything.
 package stiu
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -70,22 +71,22 @@ type RefTuple struct {
 	PMax   float32
 }
 
-// RegionBucket groups the tuples of one (interval, region) pair.  NonRefs
-// counts the non-reference tuples Definition 9 would store there; only
-// the size accounting reads it.
+// RegionBucket groups the reference tuples of one (interval, region)
+// pair.
 type RegionBucket struct {
-	Refs    []RefTuple
-	NonRefs int
+	Refs []RefTuple
 }
 
 // layout is one succinct bucket group (FORMAT.md §5.3): occupancy is a
 // rank bitvector over the grid cells, so a probe of an absent region
 // answers with one bit test, and a present region decodes just its own
-// bucket into the decoded cache.  The bytes alias the index buffer.
+// bucket into the decoded cache.  The bucket boundaries are not stored:
+// the layout's first bucket decode derives all of them in one pass over
+// the blob.  The bytes alias the index buffer.
 type layout struct {
 	occ     bitvec
-	offs    []byte // (npop+1) × u32 offsets into buckets
-	buckets []byte // concatenated per-region bucket encodings, rank order
+	bounds  lazyBlock // data = concatenated per-region bucket encodings, rank order
+	offs    []uint32  // npop+1 bucket boundaries into bounds.data, set by the pass
 	decoded []atomic.Pointer[RegionBucket]
 }
 
@@ -94,7 +95,10 @@ type Interval struct {
 	// Trajs caches the trajectories whose time span intersects the
 	// interval; nil until Candidates decodes the Elias–Fano set.
 	Trajs []int32
-	cand  lazyBlock // data = EF candidate-set bytes
+	// NonRefs counts the non-reference tuples Definition 9 would store in
+	// the interval's buckets; only the size accounting reads it.
+	NonRefs int64
+	cand    lazyBlock // data = EF candidate-set bytes
 	layout
 }
 
@@ -126,14 +130,17 @@ type Index struct {
 
 	// raw is the buffer every section aliases; EncodeSidecar returns it.
 	raw []byte
+	// pExp is the probability quantum exponent: stored probabilities are
+	// counts of 2^-pExp.
+	pExp int
 
 	// Byte spans of the two sections in raw, fixed at parse.
 	temporalBytes, intervalBytes int64
 
 	// Observability (Stats): how often the occupancy bitvectors answered
 	// without decoding vs. how many buckets and temporal sections were
-	// actually decoded, plus the resident footprint of the bitvectors and
-	// offset tables.
+	// actually decoded, plus the resident footprint of the directories,
+	// bitvectors and derived bucket boundaries.
 	regionsDecoded atomic.Int64
 	prunedNoTouch  atomic.Int64
 	temporalForced atomic.Int64
@@ -152,11 +159,12 @@ type IndexStats struct {
 	// TemporalSectionsForced counts per-trajectory temporal sections
 	// decoded on first touch (always 0 right after a decode or a build).
 	TemporalSectionsForced int64
-	// SuccinctBytes is the resident footprint of the rank/select
-	// directories (bitvector words + superblocks + offset tables).
+	// SuccinctBytes is the resident footprint of the succinct structures:
+	// the temporal offset directory, the occupancy bitvectors (words +
+	// rank superblocks) and the bucket boundary tables derived so far.
 	SuccinctBytes int64
 	// TemporalBytes and IntervalBytes split the sidecar body by section;
-	// they sum to its length minus the 35-byte header.
+	// they sum to its length minus the 36-byte header.
 	TemporalBytes int64
 	IntervalBytes int64
 }
@@ -331,18 +339,39 @@ func (ix *Index) bucketAt(l *layout, k int) (*RegionBucket, error) {
 	if b := l.decoded[k].Load(); b != nil {
 		return b, nil
 	}
-	lo := int(binary.LittleEndian.Uint32(l.offs[4*k:]))
-	hi := int(binary.LittleEndian.Uint32(l.offs[4*k+4:]))
-	if lo > hi || hi > len(l.buckets) {
-		return nil, fmt.Errorf("stiu: bucket offsets [%d,%d) overflow blob of %d bytes", lo, hi, len(l.buckets))
+	if !l.bounds.done.Load() {
+		if err := ix.forceBounds(l); err != nil {
+			return nil, err
+		}
+	} else if l.bounds.err != nil {
+		return nil, l.bounds.err
 	}
-	b, err := decodeBucket(l.buckets[lo:hi:hi])
+	lo, hi := l.offs[k], l.offs[k+1]
+	b, err := decodeBucket(l.bounds.data[lo:hi:hi], ix.pExp)
 	if err != nil {
 		return nil, fmt.Errorf("stiu: bucket %d: %w", k, err)
 	}
 	l.decoded[k].Store(b)
 	ix.regionsDecoded.Add(1)
 	return b, nil
+}
+
+// forceBounds derives l's bucket boundaries from its blob.
+func (ix *Index) forceBounds(l *layout) error {
+	l.bounds.mu.Lock()
+	defer l.bounds.mu.Unlock()
+	if l.bounds.done.Load() {
+		return l.bounds.err
+	}
+	offs, err := bucketBounds(l.bounds.data, l.occ.npop)
+	if err != nil {
+		l.bounds.err = fmt.Errorf("stiu: bucket boundaries: %w", err)
+	} else {
+		l.offs = offs
+		ix.succinctBytes.Add(int64(4 * len(offs)))
+	}
+	l.bounds.done.Store(true)
+	return l.bounds.err
 }
 
 // Candidates returns the trajectories active in the interval, decoding
@@ -439,6 +468,7 @@ func (ix *Index) SpatialSizeBits(vertexBits int) int64 {
 	n := int64(0)
 	failed := false
 	for id, iv := range ix.Intervals {
+		n += iv.NonRefs * int64(vertexBits+noBits+posBits)
 		iv.occ.forEach(func(_, re int) {
 			b, err := ix.Buckets(id, roadnet.RegionID(re))
 			if err != nil {
@@ -446,7 +476,6 @@ func (ix *Index) SpatialSizeBits(vertexBits int) int64 {
 				return
 			}
 			n += int64(len(b.Refs)) * int64(vertexBits+1+noBits+posBits+2*probBits)
-			n += int64(b.NonRefs) * int64(vertexBits+noBits+posBits)
 		})
 	}
 	if failed {

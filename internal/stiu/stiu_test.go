@@ -81,11 +81,14 @@ func TestTemporalEntries(t *testing.T) {
 func TestSpatialTuples(t *testing.T) {
 	fx, _, ix := buildFixtureIndex(t, Options{GridNX: 8, GridNY: 8, IntervalDur: 1800})
 	// Collect all regions with tuples for trajectory 0.
-	total := 0
+	total := int64(0)
 	var refTuples []RefTuple
 	for _, b := range occupiedBuckets(t, ix) {
 		refTuples = append(refTuples, b.Refs...)
-		total += len(b.Refs) + b.NonRefs
+		total += int64(len(b.Refs))
+	}
+	for _, iv := range ix.Intervals {
+		total += iv.NonRefs
 	}
 	if total == 0 {
 		t.Fatal("no spatial tuples built")

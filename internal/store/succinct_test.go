@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,7 +49,7 @@ func TestColdOpenTemporalLaziness(t *testing.T) {
 }
 
 // TestSidecarV2CorruptionSweepRebuilds sweeps byte flips and truncations
-// across a v4 sidecar file: every mutation must be caught (manifest CRC
+// across a v5 sidecar file: every mutation must be caught (manifest CRC
 // or section bounds), silently rebuilt from the archive, and answer the
 // full query workload identically to the reference engine.
 func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
@@ -58,8 +60,8 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(raw[4:]); v != 4 {
-		t.Fatalf("persisted sidecar version = %d, want 4", v)
+	if v := binary.LittleEndian.Uint16(raw[4:]); v != 5 {
+		t.Fatalf("persisted sidecar version = %d, want 5", v)
 	}
 
 	check := func(t *testing.T, mut []byte) {
@@ -78,7 +80,7 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	}
 
 	// Byte flips spread across the file: header, temporal directory,
-	// bitvector/offset sections, bucket blobs.
+	// bitvectors, bucket blobs.
 	step := len(raw)/6 + 1
 	for off := 0; off < len(raw); off += step {
 		mut := append([]byte(nil), raw...)
@@ -86,7 +88,54 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 		check(t, mut)
 	}
 	// Truncations, including mid-directory and mid-blob cuts.
-	for _, keep := range []int{0, 10, 35 /* header boundary */, len(raw) / 3, len(raw) - 1} {
+	for _, keep := range []int{0, 10, 36 /* header boundary */, len(raw) / 3, len(raw) - 1} {
 		check(t, append([]byte(nil), raw[:keep]...))
 	}
+}
+
+// TestSidecarV4Refused pins the sidecar version policy at the store: a
+// saved store whose sidecars are relabelled version 4, with checksums the
+// manifest vouches for, opens by rebuilding every shard's index from its
+// archive and answers like the reference engine.
+func TestSidecarV4Refused(t *testing.T) {
+	const shards = 3
+	bc := buildReference(t, gen.CD(), 24, 71)
+	dir := saveStore(t, buildStore(t, bc, shards, AssignHash))
+	mpath := filepath.Join(dir, ManifestName)
+	mraw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(bytes.NewReader(mraw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.entries {
+		e := &man.entries[i]
+		path := filepath.Join(dir, sidecarFile(e.id))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(raw[4:], 4)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e.sidecarCRC = crc32.ChecksumIEEE(raw)
+	}
+	var buf bytes.Buffer
+	if err := man.write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SidecarRebuilds != shards || st.SidecarLoads != 0 {
+		t.Fatalf("sidecar loads=%d rebuilds=%d, want 0/%d", st.SidecarLoads, st.SidecarRebuilds, shards)
+	}
+	checkStoreMatchesEngine(t, bc, s, 73)
 }

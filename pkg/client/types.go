@@ -257,8 +257,9 @@ type SuccinctStats struct {
 	// TemporalSectionsForced counts per-trajectory temporal sections
 	// decoded on first touch.
 	TemporalSectionsForced int64 `json:"temporalSectionsForced"`
-	// SuccinctBytes is the resident footprint of the rank/select
-	// directories themselves.
+	// SuccinctBytes is the resident footprint of the succinct structures:
+	// temporal directories, occupancy bitvectors and the bucket boundary
+	// tables derived so far.
 	SuccinctBytes int64 `json:"succinctBytes"`
 	// TemporalBytes and IntervalBytes split the open shards' index bytes
 	// by sidecar section.
