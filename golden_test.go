@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,6 +84,29 @@ func indexDigest(t *testing.T, ix *stiu.Index) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// decodeDigest hashes everything DecodeAll returns: T, and per instance
+// SV, E, T' and the exact bits of every D and of P, so any change to full
+// decompression is detected.
+func decodeDigest(t *testing.T, a *core.Archive) string {
+	t.Helper()
+	us, err := a.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for j, u := range us {
+		fmt.Fprintf(h, "U%d:%v", j, u.T)
+		for i := range u.Instances {
+			ins := &u.Instances[i]
+			fmt.Fprintf(h, "I%d:%d %v %v %x D", i, ins.SV, ins.E, ins.TF, math.Float64bits(ins.P))
+			for _, d := range ins.D {
+				fmt.Fprintf(h, " %x", math.Float64bits(d))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestGoldenPaperExample pins the exact serialized bytes of the paper's
 // worked-example trajectory.
 func TestGoldenPaperExample(t *testing.T) {
@@ -116,8 +140,8 @@ func TestGoldenPaperExample(t *testing.T) {
 	}
 }
 
-// TestGoldenDatasets pins archive and StIU digests, and the index's Fig 9
-// size accounting, on the three synthetic paper profiles.
+// TestGoldenDatasets pins archive, StIU and full-decode digests, and the
+// index's Fig 9 size accounting, on the three synthetic paper profiles.
 func TestGoldenDatasets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden datasets are slow")
@@ -145,7 +169,8 @@ func TestGoldenDatasets(t *testing.T) {
 			fmt.Sprintf("%s archive %s", bu.Profile.Name, shortSHA(ab)),
 			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix)),
 			fmt.Sprintf("%s sizebits temporal=%d spatial=%d", bu.Profile.Name,
-				ix.TemporalSizeBits(), ix.SpatialSizeBits(a.VertexBits)))
+				ix.TemporalSizeBits(), ix.SpatialSizeBits(a.VertexBits)),
+			fmt.Sprintf("%s decode %s", bu.Profile.Name, decodeDigest(t, a)))
 	}
 	got := ""
 	for _, l := range lines {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -109,111 +108,110 @@ func TestCompressionBeatsRaw(t *testing.T) {
 	}
 }
 
-func TestRefViewPartialAccess(t *testing.T) {
+// checkInstReaderPaperExample walks Tu1's instances orig with one reader,
+// forward off the reference's bits as Section 5.1 reads them: each
+// instance's E and T' from Next, the E factor of every position against
+// FactorsSLM's spans (−1 throughout for a reference), D from NextD within
+// η_D, and p bit for bit as the directory holds it. It returns, per
+// instance, the E positions at which Next set the point flag.
+func checkInstReaderPaperExample(t *testing.T, origs ...int) [][]int {
+	t.Helper()
 	fx, a := compressFixture(t, 1)
 	rec := a.Trajs[0]
-	refOrig := rec.RefOrigByWrite[0]
-	if refOrig != 0 {
-		t.Fatalf("reference is instance %d, want Tu11", refOrig)
+	if ref := rec.RefOrigByWrite[0]; ref != 0 {
+		t.Fatalf("reference is instance %d, want Tu11", ref)
 	}
-	rv, err := a.RefView(0, refOrig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rv.E, fx.Tu1.Instances[0].E) {
-		t.Errorf("ref E = %v", rv.E)
-	}
-	// Omega over stored TF ⟨0,1,0,1,1,1,1⟩: prefix counts 0,0,1,1,2,3,4,5.
-	wantOmega := []int{0, 0, 1, 1, 2, 3, 4, 5}
-	if !reflect.DeepEqual(rv.Omega(), wantOmega) {
-		t.Errorf("omega = %v, want %v", rv.Omega(), wantOmega)
-	}
-	// γ over the original ⟨1,0,1,0,1,1,1,1,1⟩.
-	wantGamma := []int{1, 1, 2, 2, 3, 4, 5, 6, 7}
-	for g, want := range wantGamma {
-		if got := rv.OnesUpToOriginal(g); got != want {
-			t.Errorf("gamma[%d] = %d, want %d", g, got, want)
-		}
-	}
-	// Point positions: points 0..6 live at E positions 0,2,4,5,6,7,8.
-	wantPos := []int{0, 2, 4, 5, 6, 7, 8}
-	for k, want := range wantPos {
-		got, err := rv.PositionOfPoint(k)
-		if err != nil || got != want {
-			t.Errorf("PositionOfPoint(%d) = %d, %v; want %d", k, got, err, want)
-		}
-	}
-	// Partial D decode matches the full decode.
-	for k, want := range fx.Tu1.Instances[0].D {
-		got, err := rv.DecodeD(k)
-		if err != nil {
+	var c InstReader
+	var all [][]int
+	for _, orig := range origs {
+		want, meta := &fx.Tu1.Instances[orig], rec.Insts[orig]
+		if err := c.Reset(a, 0, orig); err != nil {
 			t.Fatal(err)
 		}
-		if diff := want - got; diff < 0 || diff > a.Opts.EtaD {
-			t.Errorf("DecodeD(%d) = %g, want ~%g", k, got, want)
+		if c.SV() != want.SV {
+			t.Errorf("instance %d: SV = %d, want %d", orig, c.SV(), want.SV)
 		}
+		if math.Float64bits(c.P()) != math.Float64bits(meta.P) {
+			t.Errorf("instance %d: P = %g, directory holds %g", orig, c.P(), meta.P)
+		}
+		var wantFactor []int
+		if meta.IsRef {
+			for range want.E {
+				wantFactor = append(wantFactor, -1)
+			}
+		} else {
+			for h, f := range FactorsSLM(want.E, fx.Tu1.Instances[meta.RefOrig].E) {
+				n := 1
+				if !f.NotInRef {
+					n = f.L
+					if f.HasM {
+						n++
+					}
+				}
+				for range n {
+					wantFactor = append(wantFactor, h)
+				}
+			}
+		}
+		var e []uint16
+		var tf []bool
+		var factor, points []int
+		for i := 0; !c.Done(); i++ {
+			no, flag, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, tf, factor = append(e, no), append(tf, flag), append(factor, c.Factor())
+			if flag {
+				points = append(points, i)
+			}
+		}
+		if !reflect.DeepEqual(e, want.E) || !reflect.DeepEqual(tf, want.TF) {
+			t.Errorf("instance %d: E = %v, T' = %v; want %v, %v", orig, e, tf, want.E, want.TF)
+		}
+		if !reflect.DeepEqual(factor, wantFactor) {
+			t.Errorf("instance %d: factor indices %v, want %v", orig, factor, wantFactor)
+		}
+		for k, wd := range want.D {
+			d, err := c.NextD()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := wd - d; diff < 0 || diff > a.Opts.EtaD {
+				t.Errorf("instance %d: D[%d] = %g, want ~%g", orig, k, d, wd)
+			}
+		}
+		if _, err := c.NextD(); err == nil {
+			t.Errorf("instance %d: NextD past the last point succeeded", orig)
+		}
+		all = append(all, points)
+	}
+	return all
+}
+
+// TestRefViewPartialAccess reads the reference Tu11 through InstReader.
+func TestRefViewPartialAccess(t *testing.T) {
+	points := checkInstReaderPaperExample(t, 0)[0]
+	// Tu11's points 0..6 live at E positions 0,2,4,5,6,7,8.
+	if wantPos := []int{0, 2, 4, 5, 6, 7, 8}; !reflect.DeepEqual(points, wantPos) {
+		t.Errorf("Tu11 point positions %v, want %v", points, wantPos)
 	}
 }
 
+// TestNonRefViewPartialOnes reads the non-references Tu12 and Tu13, which
+// are decoded off the reference's bits, through InstReader.
 func TestNonRefViewPartialOnes(t *testing.T) {
-	fx, a := compressFixture(t, 1)
-	rv, err := a.RefView(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, orig := range []int{1, 2} {
-		nv, err := a.NonRefView(0, orig, rv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins := &fx.Tu1.Instances[orig]
-		if nv.ECount() != len(ins.E) {
-			t.Errorf("instance %d: ECount = %d, want %d", orig, nv.ECount(), len(ins.E))
-		}
-		stored := StoredTF(ins.TF)
-		if nv.TFStoredLen(rv) != len(stored) {
-			t.Errorf("instance %d: TF stored len = %d", orig, nv.TFStoredLen(rv))
-		}
-		// StoredOnesUpTo must agree with a direct count at every prefix.
-		for g := 0; g <= len(stored); g++ {
-			want := 0
-			for _, b := range stored[:g] {
-				if b {
-					want++
-				}
-			}
-			if got := nv.StoredOnesUpTo(rv, g); got != want {
-				t.Errorf("instance %d: StoredOnesUpTo(%d) = %d, want %d", orig, g, got, want)
+	fx, _ := compressFixture(t, 1)
+	for i, points := range checkInstReaderPaperExample(t, 1, 2) {
+		orig := 1 + i
+		var wantPos []int
+		for g, b := range fx.Tu1.Instances[orig].TF {
+			if b {
+				wantPos = append(wantPos, g)
 			}
 		}
-		// γ and point positions against the original bit-string.
-		for g := 0; g < len(ins.TF); g++ {
-			want := 0
-			for _, b := range ins.TF[:g+1] {
-				if b {
-					want++
-				}
-			}
-			if got := nv.OnesUpToOriginal(rv, g); got != want {
-				t.Errorf("instance %d: gamma[%d] = %d, want %d", orig, g, got, want)
-			}
-		}
-		for k := range ins.D {
-			want := -1
-			seen := 0
-			for g, b := range ins.TF {
-				if b {
-					if seen == k {
-						want = g
-						break
-					}
-					seen++
-				}
-			}
-			got, err := nv.PositionOfPoint(rv, k)
-			if err != nil || got != want {
-				t.Errorf("instance %d: PositionOfPoint(%d) = %d, %v; want %d", orig, k, got, err, want)
-			}
+		if !reflect.DeepEqual(points, wantPos) {
+			t.Errorf("instance %d: point positions %v, want %v", orig, points, wantPos)
 		}
 	}
 }
@@ -283,39 +281,4 @@ func TestPivotCountsStillDecode(t *testing.T) {
 			t.Errorf("np=%d: decode mismatch", np)
 		}
 	}
-}
-
-// DPos returns the bit position of every relative-distance code (the
-// paper's d.pos values).  Positions after a decode failure stay at the
-// failure point; the error surfaces through DecodeD/D instead.
-func (v *RefView) DPos() []int {
-	rec := v.arch.Trajs[v.traj]
-	dPos := make([]int, rec.NumPoints)
-	r, err := rec.Reader(v.dStart)
-	if err != nil {
-		return dPos
-	}
-	for i := range dPos {
-		dPos[i] = r.Pos()
-		if _, err := v.arch.DCodec.Decode(r); err != nil {
-			break
-		}
-	}
-	return dPos
-}
-
-// DecodeD partially decompresses the k-th relative distance by seeking to
-// its d.pos, the per-point access the paper's position fields allow.
-func (v *RefView) DecodeD(k int) (float64, error) {
-	dpos := v.DPos()
-	if k < 0 || k >= len(dpos) {
-		return 0, fmt.Errorf("core: point index %d outside %d", k, len(dpos))
-	}
-	rec := v.arch.Trajs[v.traj]
-	var r bitio.Reader
-	r.Reset(rec.Bits, rec.BitLen)
-	if err := r.Seek(dpos[k]); err != nil {
-		return 0, err
-	}
-	return v.arch.DCodec.Decode(&r)
 }

@@ -27,7 +27,10 @@ func (a *Archive) DecodeAll() ([]*traj.Uncertain, error) {
 	return out, nil
 }
 
-// DecodeTrajectory fully decompresses one trajectory.
+// DecodeTrajectory fully decompresses one trajectory: its timestamps, then
+// every instance in one InstReader pass (E and T' from Next, D from
+// NextD, SV and p from the record).  A record whose timestamps or T' set
+// flags do not number NumPoints is an error.
 func (a *Archive) DecodeTrajectory(j int) (*traj.Uncertain, error) {
 	rec := a.Trajs[j]
 	r, err := rec.Reader(0)
@@ -38,42 +41,36 @@ func (a *Archive) DecodeTrajectory(j int) (*traj.Uncertain, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(T) != rec.NumPoints {
+		return nil, fmt.Errorf("core: decoded %d of %d timestamps", len(T), rec.NumPoints)
+	}
 	u := &traj.Uncertain{T: T, Instances: make([]traj.Instance, len(rec.Insts))}
-
-	// Pass 1: references (written first, so this is a sequential scan).
-	refs := make([]*traj.Instance, 0, len(rec.RefOrigByWrite))
-	for _, orig := range rec.RefOrigByWrite {
-		rv, err := a.RefView(j, orig)
-		if err != nil {
+	var c InstReader
+	for orig := range u.Instances {
+		if err := c.Reset(a, j, orig); err != nil {
 			return nil, err
 		}
-		ins, err := rv.Instance(len(T))
-		if err != nil {
-			return nil, err
+		ins := &u.Instances[orig]
+		ins.SV, ins.P = c.SV(), c.P()
+		ins.E, ins.TF = make([]uint16, c.n), make([]bool, c.n)
+		points := 0
+		for i := range ins.E {
+			if ins.E[i], ins.TF[i], err = c.Next(); err != nil {
+				return nil, err
+			}
+			if ins.TF[i] {
+				points++
+			}
 		}
-		u.Instances[orig] = *ins
-		refs = append(refs, &u.Instances[orig])
+		if points != rec.NumPoints {
+			return nil, fmt.Errorf("core: instance %d has %d of %d points", orig, points, rec.NumPoints)
+		}
+		ins.D = make([]float64, rec.NumPoints)
+		for k := range ins.D {
+			if ins.D[k], err = c.NextD(); err != nil {
+				return nil, err
+			}
+		}
 	}
-	// Pass 2: non-references.
-	for orig := range rec.Insts {
-		meta := rec.Insts[orig]
-		if meta.IsRef {
-			continue
-		}
-		rv, err := a.RefView(j, meta.RefOrig)
-		if err != nil {
-			return nil, err
-		}
-		nv, err := a.NonRefView(j, orig, rv)
-		if err != nil {
-			return nil, err
-		}
-		ins, err := nv.Instance(rv, len(T))
-		if err != nil {
-			return nil, err
-		}
-		u.Instances[orig] = *ins
-	}
-	_ = refs
 	return u, nil
 }

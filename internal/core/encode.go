@@ -281,12 +281,23 @@ func writeEFactors(w *bitio.Writer, factors []EFactor, refLen, edgeBits int) err
 	return nil
 }
 
+// readListLen reads the γ-coded length of a list whose entries each take at
+// least one bit, except perhaps the last, and rejects a length the rest of
+// the stream cannot hold: a corrupt count must not size an allocation.
+func readListLen(r *bitio.Reader) (int, error) {
+	n, err := r.ReadCount()
+	if err == nil && (n < 0 || n > r.Remaining()+1) {
+		err = fmt.Errorf("core: list of %d entries exceeds the %d bits left", n, r.Remaining())
+	}
+	return n, err
+}
+
 // readEFactors decodes an E factor list into dst's backing array.  Reusing
 // dst across calls makes the decode allocation-free.
 func readEFactors(r *bitio.Reader, refLen, edgeBits int, dst []EFactor) ([]EFactor, error) {
 	sBits := bitio.WidthFor(refLen)
 	lBits := bitio.WidthFor(refLen - 1)
-	h, err := r.ReadCount()
+	h, err := readListLen(r)
 	if err != nil {
 		return dst, err
 	}
@@ -356,7 +367,7 @@ func writeTFFactors(w *bitio.Writer, factors []TFFactor, refLen int) {
 func readTFFactors(r *bitio.Reader, refLen int, dst []TFFactor) ([]TFFactor, error) {
 	sBits := bitio.WidthFor(maxInt(refLen-1, 0))
 	lBits := bitio.WidthFor(refLen)
-	h, err := r.ReadCount()
+	h, err := readListLen(r)
 	if err != nil {
 		return dst, err
 	}
@@ -391,7 +402,7 @@ func readTFFactors(r *bitio.Reader, refLen int, dst []TFFactor) ([]TFFactor, err
 // readDFactors decodes a D factor list ([numD γ][pos, PDDP code]...) into
 // dst's backing array; posBits is the width of a point index.
 func readDFactors(r *bitio.Reader, posBits int, codec *pddp.Codec, dst []DFactor) ([]DFactor, error) {
-	nd, err := r.ReadCount()
+	nd, err := readListLen(r)
 	if err != nil {
 		return dst, err
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"utcq/internal/pddp"
-)
+import "utcq/internal/pddp"
 
 // EFactor is one factor of the referential representation of an edge
 // sequence (Section 4.2).  Three forms exist:
@@ -228,27 +223,6 @@ func FactorsSLM(input, ref []uint16) []EFactor {
 	return NewRefIndex(ref).FactorsSLM(input)
 }
 
-// ExpandE inverts FactorsSLM.
-func ExpandE(factors []EFactor, ref []uint16) ([]uint16, error) {
-	var out []uint16
-	for i, f := range factors {
-		if f.NotInRef {
-			out = append(out, f.M)
-			continue
-		}
-		if f.S < 0 || f.L < 0 || f.S+f.L > len(ref) {
-			return nil, fmt.Errorf("core: factor %d (%d,%d) outside reference of length %d", i, f.S, f.L, len(ref))
-		}
-		out = append(out, ref[f.S:f.S+f.L]...)
-		if f.HasM {
-			out = append(out, f.M)
-		} else if i != len(factors)-1 {
-			return nil, errors.New("core: (S,L) factor before the end")
-		}
-	}
-	return out, nil
-}
-
 // PivotFactor is one factor of the lighter (S, L) representation used for
 // pivot-based similarity estimation (Section 4.3).  Omitted marks symbols
 // absent from the pivot: the factor is not stored, but the count increases.
@@ -378,23 +352,6 @@ func FactorsTF(input, ref []bool) []TFFactor {
 	return NewTFIndex(ref).FactorsTF(input)
 }
 
-// ExpandTF inverts FactorsTF.
-func ExpandTF(factors []TFFactor, ref []bool) ([]bool, error) {
-	var out []bool
-	for i, f := range factors {
-		if f.S < 0 || f.L < 0 || f.S+f.L > len(ref) {
-			return nil, fmt.Errorf("core: TF factor %d (%d,%d) outside reference of length %d", i, f.S, f.L, len(ref))
-		}
-		out = append(out, ref[f.S:f.S+f.L]...)
-		if f.HasM {
-			out = append(out, f.M)
-		} else if i != len(factors)-1 {
-			return nil, errors.New("core: TF factor without M before the end")
-		}
-	}
-	return out, nil
-}
-
 // DFactor is one (pos, rd) factor of the relative-distance representation:
 // positions where the non-reference differs from its reference.
 type DFactor struct {
@@ -427,22 +384,6 @@ func diffDQuant(input, refQuant []float64, codec *pddp.Codec) []DFactor {
 	return out
 }
 
-// ExpandD inverts DiffD given the reference's decoded distances.  Factor
-// values are used verbatim: on the decode path they are already quantized
-// (re-quantizing is not idempotent — a decoded value may admit an even
-// shorter code within eta of itself, drifting past the error bound).
-func ExpandD(factors []DFactor, refDecoded []float64) ([]float64, error) {
-	out := make([]float64, len(refDecoded))
-	copy(out, refDecoded)
-	for _, f := range factors {
-		if f.Pos < 0 || f.Pos >= len(out) {
-			return nil, fmt.Errorf("core: D factor position %d outside %d points", f.Pos, len(out))
-		}
-		out[f.Pos] = f.RD
-	}
-	return out, nil
-}
-
 // StoredTF strips the first and last bits of a full time-flag bit-string
 // (both always 1; Section 4.1 omits them).
 func StoredTF(full []bool) []bool {
@@ -450,14 +391,4 @@ func StoredTF(full []bool) []bool {
 		return nil
 	}
 	return full[1 : len(full)-1]
-}
-
-// FullTF restores a full bit-string from its stored form and the original
-// length.
-func FullTF(stored []bool, fullLen int) []bool {
-	out := make([]bool, fullLen)
-	out[0] = true
-	out[fullLen-1] = true
-	copy(out[1:], stored)
-	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -220,4 +222,73 @@ func TestStoredFullTF(t *testing.T) {
 	if got := FullTF(nil, 2); !reflect.DeepEqual(got, []bool{true, true}) {
 		t.Errorf("two-entry full = %v", got)
 	}
+}
+
+// The expanders below invert the factorizations over materialized
+// sequences.  The archive never expands a record this way (InstReader
+// walks the factors against the reference's bits); they are the
+// oracles the factor round-trip tests check against.
+
+// ExpandE inverts FactorsSLM.
+func ExpandE(factors []EFactor, ref []uint16) ([]uint16, error) {
+	var out []uint16
+	for i, f := range factors {
+		if f.NotInRef {
+			out = append(out, f.M)
+			continue
+		}
+		if f.S < 0 || f.L < 0 || f.S+f.L > len(ref) {
+			return nil, fmt.Errorf("core: factor %d (%d,%d) outside reference of length %d", i, f.S, f.L, len(ref))
+		}
+		out = append(out, ref[f.S:f.S+f.L]...)
+		if f.HasM {
+			out = append(out, f.M)
+		} else if i != len(factors)-1 {
+			return nil, errors.New("core: (S,L) factor before the end")
+		}
+	}
+	return out, nil
+}
+
+// ExpandTF inverts FactorsTF.
+func ExpandTF(factors []TFFactor, ref []bool) ([]bool, error) {
+	var out []bool
+	for i, f := range factors {
+		if f.S < 0 || f.L < 0 || f.S+f.L > len(ref) {
+			return nil, fmt.Errorf("core: TF factor %d (%d,%d) outside reference of length %d", i, f.S, f.L, len(ref))
+		}
+		out = append(out, ref[f.S:f.S+f.L]...)
+		if f.HasM {
+			out = append(out, f.M)
+		} else if i != len(factors)-1 {
+			return nil, errors.New("core: TF factor without M before the end")
+		}
+	}
+	return out, nil
+}
+
+// ExpandD inverts DiffD given the reference's decoded distances.  Factor
+// values are used verbatim: on the decode path they are already quantized
+// (re-quantizing is not idempotent — a decoded value may admit an even
+// shorter code within eta of itself, drifting past the error bound).
+func ExpandD(factors []DFactor, refDecoded []float64) ([]float64, error) {
+	out := make([]float64, len(refDecoded))
+	copy(out, refDecoded)
+	for _, f := range factors {
+		if f.Pos < 0 || f.Pos >= len(out) {
+			return nil, fmt.Errorf("core: D factor position %d outside %d points", f.Pos, len(out))
+		}
+		out[f.Pos] = f.RD
+	}
+	return out, nil
+}
+
+// FullTF restores a full bit-string from its stored form and the original
+// length.
+func FullTF(stored []bool, fullLen int) []bool {
+	out := make([]bool, fullLen)
+	out[0] = true
+	out[fullLen-1] = true
+	copy(out[1:], stored)
+	return out
 }

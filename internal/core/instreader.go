@@ -15,7 +15,10 @@ var errInstEnd = errors.New("core: read past the end of the instance")
 // InstReader streams one instance of a trajectory record straight off
 // TrajRecord.Bits: the edge-number sequence E together with the full
 // time-flag bit-string T' position by position (Next), and the relative
-// distances D point by point (NextD).  Nothing is materialized:
+// distances D point by point (NextD).  It is the only reader of instance
+// records: queries, full decompression (DecodeTrajectory) and index
+// construction all walk the bitstream through it.  Nothing is
+// materialized:
 //
 //   - a reference's E entries and stored T' bits are fixed-width fields
 //     read in place;
@@ -32,9 +35,10 @@ var errInstEnd = errors.New("core: read past the end of the instance")
 // state.  An InstReader is not safe for concurrent use.
 type InstReader struct {
 	sv     roadnet.VertexID
-	n, i   int // length of E and of the full T'; next position
-	points int // number of points (D values)
-	k      int // next point
+	p      float64 // the instance's probability, from its head
+	n, i   int     // length of E and of the full T'; next position
+	points int     // number of points (D values)
+	k      int     // next point
 	ref    bool
 	eBits  int
 	refE   int // bit position of the reference's E entries
@@ -46,6 +50,7 @@ type InstReader struct {
 	factTF bool         // T' is a factor list over the reference's bits
 	ef     []EFactor
 	fi, fo int // current E factor and the offset inside it
+	f      int // E factor of the position Next returned last; -1 for a reference
 	tff    []TFFactor
 	ti, to int // current T' factor and the offset inside it
 	df     []DFactor
@@ -76,7 +81,8 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if err := r.Seek(start); err != nil {
 		return err
 	}
-	if _, err := a.readHead(r, start, refOrig, true); err != nil {
+	p, err := a.readHead(r, start, refOrig, true)
+	if err != nil {
 		return err
 	}
 	sv, refLen, err := a.readRefSkeleton(r)
@@ -89,9 +95,9 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if err := c.d.Seek(c.refTF + refTFLen); err != nil {
 		return err
 	}
-	c.factTF, c.tfLeft, c.df = false, refTFLen, c.df[:0]
+	c.factTF, c.tfLeft, c.df, c.f = false, refTFLen, c.df[:0], -1
 	if meta.IsRef {
-		c.ref, c.n = true, refLen
+		c.ref, c.n, c.p = true, refLen, p
 		return c.tf.Seek(c.refTF)
 	}
 
@@ -100,7 +106,7 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if err := r.Seek(meta.Start); err != nil {
 		return err
 	}
-	if _, err := a.readHead(r, meta.Start, orig, false); err != nil {
+	if c.p, err = a.readHead(r, meta.Start, orig, false); err != nil {
 		return err
 	}
 	if _, err := r.ReadCount(); err != nil { // refPos
@@ -178,8 +184,54 @@ func (c *InstReader) readTFFactors(r *bitio.Reader, refTFLen, storedLen int) err
 	return nil
 }
 
+// readHead reads the prefix every instance record starts with,
+// [origIdx γ][isRef][p PDDP], and checks that the record at bit start is
+// instance orig of the expected kind.  It returns p.
+func (a *Archive) readHead(r *bitio.Reader, start, orig int, wantRef bool) (float64, error) {
+	gotOrig, err := r.ReadCount()
+	if err != nil {
+		return 0, err
+	}
+	if gotOrig != orig {
+		return 0, fmt.Errorf("core: record at %d has orig %d, want %d", start, gotOrig, orig)
+	}
+	isRef, err := r.ReadBool()
+	if err != nil {
+		return 0, err
+	}
+	if isRef != wantRef {
+		if wantRef {
+			return 0, fmt.Errorf("core: record %d is not a reference record", orig)
+		}
+		return 0, fmt.Errorf("core: record %d is a reference record", orig)
+	}
+	return a.PCodec.Decode(r)
+}
+
+// readRefSkeleton reads a reference record's [SV][|E| γ] after its head,
+// leaving r at the first E entry.  An |E| the rest of the record cannot
+// hold is an error.
+func (a *Archive) readRefSkeleton(r *bitio.Reader) (roadnet.VertexID, int, error) {
+	sv, err := r.ReadBits(a.VertexBits)
+	if err != nil {
+		return 0, 0, err
+	}
+	eCount, err := r.ReadCount()
+	if err == nil && (eCount < 0 || eCount > r.Remaining()) {
+		err = fmt.Errorf("core: reference |E| = %d exceeds the %d bits left", eCount, r.Remaining())
+	}
+	return roadnet.VertexID(sv), eCount, err
+}
+
 // SV returns the instance's start vertex.
 func (c *InstReader) SV() roadnet.VertexID { return c.sv }
+
+// P returns the instance's probability as its record head stores it.
+func (c *InstReader) P() float64 { return c.p }
+
+// Factor returns the index of the E factor that produced the position
+// Next returned last, or -1 for a reference.
+func (c *InstReader) Factor() int { return c.f }
 
 // Done reports whether Next has returned every position.
 func (c *InstReader) Done() bool { return c.i >= c.n }
@@ -196,6 +248,7 @@ func (c *InstReader) Next() (no uint16, flag bool, err error) {
 		v, err = c.e.ReadBits(c.eBits)
 		no = uint16(v)
 	} else {
+		c.f = c.fi
 		no, err = c.nextFactorEdge()
 	}
 	if err != nil {
@@ -229,8 +282,7 @@ func (c *InstReader) nextFactorEdge() (uint16, error) {
 }
 
 // nextStoredFlag returns the next bit of the stored (first/last-stripped)
-// T'.  A stored string shorter than the sequence reads as 0s, as FullTF
-// pads it.
+// T'.  A stored string shorter than the sequence reads as 0s.
 func (c *InstReader) nextStoredFlag() (bool, error) {
 	if !c.factTF {
 		if c.tfLeft == 0 {

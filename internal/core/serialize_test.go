@@ -48,12 +48,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("loaded archive decodes differently")
 	}
 	// Partial decompression must also work on the loaded archive.
-	rv, err := back.RefView(0, back.Trajs[0].RefOrigByWrite[0])
-	if err != nil {
+	var ir InstReader
+	if err := ir.Reset(back, 0, back.Trajs[0].RefOrigByWrite[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rv.E, fx.Tu1.Instances[0].E) {
-		t.Errorf("loaded RefView E = %v", rv.E)
+	var e []uint16
+	for !ir.Done() {
+		no, _, err := ir.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = append(e, no)
+	}
+	if !reflect.DeepEqual(e, fx.Tu1.Instances[0].E) {
+		t.Errorf("loaded reader E = %v", e)
 	}
 }
 

@@ -78,7 +78,7 @@ func decodeT(r *bitio.Reader, Ts int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.ReadCount()
+	n, err := readListLen(r)
 	if err != nil {
 		return nil, err
 	}

@@ -15,67 +15,26 @@ import (
 // bit for bit.
 
 // buildLazyPath materializes instance orig of trajectory j the way the
-// engine once did on a cache miss: parsed views, the expanded E and full
-// T', and a distance fetcher over the reference's decoded D with the
-// non-reference's D factors overriding.
+// engine once did on a cache miss, from the fully decoded instance: its
+// E, full T' and p, and a distance fetcher over its decoded D.  Full
+// decoding reads through the same core.InstReader the cursor wraps; the
+// reference stays independent of it because DecodeTrajectory's output is
+// pinned on its own, bit for bit by the golden decode digests and
+// against the source data by TestCompressGenerated.
 func buildLazyPath(a *core.Archive, j, orig int) (*lazyPath, error) {
-	meta := a.Trajs[j].Insts[orig]
-	numPoints := a.Trajs[j].NumPoints
-	if meta.IsRef {
-		rv, err := a.RefView(j, orig)
-		if err != nil {
-			return nil, err
-		}
-		refD, err := refDistances(rv)
-		if err != nil {
-			return nil, err
-		}
-		return newLazyPath(a.Graph, rv.SV, rv.E, rv.FullTF(), numPoints, meta.P, refD)
-	}
-	rv, err := a.RefView(j, meta.RefOrig)
+	u, err := a.DecodeTrajectory(j)
 	if err != nil {
 		return nil, err
 	}
-	refD, err := refDistances(rv)
-	if err != nil {
-		return nil, err
-	}
-	nv, err := a.NonRefView(j, orig, rv)
-	if err != nil {
-		return nil, err
-	}
-	eSeq, err := nv.ExpandE(rv)
-	if err != nil {
-		return nil, err
-	}
-	tf, err := nv.FullTF(rv)
-	if err != nil {
-		return nil, err
-	}
+	ins := &u.Instances[orig]
+	d := ins.D
 	dFetch := func(k int) (float64, error) {
-		for _, f := range nv.DFactors {
-			if f.Pos == k {
-				return f.RD, nil
-			}
-		}
-		return refD(k)
-	}
-	return newLazyPath(a.Graph, rv.SV, eSeq, tf, numPoints, meta.P, dFetch)
-}
-
-// refDistances returns a per-point fetcher over the reference's relative
-// distances, decoded once.
-func refDistances(rv *core.RefView) (func(int) (float64, error), error) {
-	d, err := rv.D()
-	if err != nil {
-		return nil, err
-	}
-	return func(k int) (float64, error) {
 		if k < 0 || k >= len(d) {
 			return 0, fmt.Errorf("point index %d outside %d", k, len(d))
 		}
 		return d[k], nil
-	}, nil
+	}
+	return newLazyPath(a.Graph, ins.SV, ins.E, ins.TF, len(d), ins.P, dFetch)
 }
 
 // lazyPath is the UTCQ engine's partially decompressed traversal: the edge

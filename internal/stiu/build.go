@@ -164,26 +164,20 @@ func dedupInt32(xs []int32) []int32 {
 }
 
 // instWalk is the decoded traversal of one instance used during index
-// construction: edge-aligned entries, vertices, and region visits.
+// construction: its region visits.
 type instWalk struct {
 	orig    int
 	refOrig int // -1 for references
 	p       float64
 	visits  []visit
-	factors []factorSpan // non-references only
 }
 
 // visit is one region entry event.
 type visit struct {
 	re       roadnet.RegionID
 	first    bool // the instance starts in this region
-	fvNo     int  // entry index of the edge arriving at the final vertex (0 when first)
+	factor   int  // E factor of the edge arriving at the final vertex (non-references)
 	pointIdx int  // last point index at or before entering
-}
-
-// factorSpan maps E-entry offsets to factors of a non-reference.
-type factorSpan struct {
-	start, end int // entry offsets [start, end)
 }
 
 // trajBatch is the output of one trajectory's walk phase: everything the
@@ -239,48 +233,27 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	}
 	b.firstIv, b.lastIv = ix.IntervalOf(T[0]), ix.IntervalOf(T[len(T)-1])
 
-	// Decode instance walks.
+	// Walk every instance off the bitstream, references first.
 	walks := make([]*instWalk, 0, len(rec.Insts))
-	refViews := make(map[int]*core.RefView)
-	for orig, meta := range rec.Insts {
-		if !meta.IsRef {
-			continue
+	var c core.InstReader
+	for _, refs := range []bool{true, false} {
+		for orig, meta := range rec.Insts {
+			if meta.IsRef != refs {
+				continue
+			}
+			if err := c.Reset(a, j, orig); err != nil {
+				return nil, err
+			}
+			w, err := ix.walkInstance(a.Graph, &c, rec.NumPoints)
+			if err != nil {
+				return nil, fmt.Errorf("instance %d: %w", orig, err)
+			}
+			w.orig, w.refOrig, w.p = orig, -1, c.P()
+			if !meta.IsRef {
+				w.refOrig = meta.RefOrig
+			}
+			walks = append(walks, w)
 		}
-		rv, err := a.RefView(j, orig)
-		if err != nil {
-			return nil, err
-		}
-		refViews[orig] = rv
-		w, err := ix.walkInstance(a, rv.SV, rv.E, rv.FullTF(), nil)
-		if err != nil {
-			return nil, err
-		}
-		w.orig, w.refOrig, w.p = orig, -1, meta.P
-		walks = append(walks, w)
-	}
-	for orig, meta := range rec.Insts {
-		if meta.IsRef {
-			continue
-		}
-		ref := refViews[meta.RefOrig]
-		nv, err := a.NonRefView(j, orig, ref)
-		if err != nil {
-			return nil, err
-		}
-		e, err := nv.ExpandE(ref)
-		if err != nil {
-			return nil, err
-		}
-		tf, err := nv.FullTF(ref)
-		if err != nil {
-			return nil, err
-		}
-		w, err := ix.walkInstance(a, ref.SV, e, tf, nv.EFactors)
-		if err != nil {
-			return nil, err
-		}
-		w.orig, w.refOrig, w.p = orig, meta.RefOrig, meta.P
-		walks = append(walks, w)
 	}
 
 	// Group instances by reference (a reference group = Ref ∪ Ref.Rrs) and
@@ -306,24 +279,27 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	return b, nil
 }
 
-// walkInstance decodes the traversal: region visits with entry positions
-// and point counts, plus factor spans for non-references.
-func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, tf []bool, factors []core.EFactor) (*instWalk, error) {
-	g := a.Graph
+// walkInstance reads the instance c is reset to and records its region
+// visits with their entry factors and point counts.  An instance whose T'
+// does not set exactly numPoints flags is an error.
+func (ix *Index) walkInstance(g *roadnet.Graph, c *core.InstReader, numPoints int) (*instWalk, error) {
 	w := &instWalk{}
-	curVertex := sv
+	curVertex := c.SV()
 	var curRegion roadnet.RegionID = roadnet.NoRegion
-	lastEdgeEntry := 0
+	lastEdgeFactor := 0 // E position 0 is in factor 0
 	ones := 0
-
-	for i, no := range E {
+	for !c.Done() {
+		no, flag, err := c.Next()
+		if err != nil {
+			return nil, err
+		}
 		if no != 0 {
 			e, ok := g.OutEdge(curVertex, int(no))
 			if !ok {
 				return nil, fmt.Errorf("stiu: no outgoing edge %d at vertex %d", no, curVertex)
 			}
-			prevEdgeEntry := lastEdgeEntry
-			lastEdgeEntry = i
+			prevEdgeFactor := lastEdgeFactor
+			lastEdgeFactor = c.Factor()
 			curVertex = g.Edge(e).To
 			for _, re := range ix.Grid.CellsOfEdge(g, e) {
 				if re == curRegion {
@@ -333,32 +309,17 @@ func (ix *Index) walkInstance(a *core.Archive, sv roadnet.VertexID, E []uint16, 
 					// First region: the instance starts here.
 					w.visits = append(w.visits, visit{re: re, first: true})
 				} else {
-					pi := ones - 1
-					if pi < 0 {
-						pi = 0
-					}
-					w.visits = append(w.visits, visit{re: re, fvNo: prevEdgeEntry, pointIdx: pi})
+					w.visits = append(w.visits, visit{re: re, factor: prevEdgeFactor, pointIdx: max(ones-1, 0)})
 				}
 				curRegion = re
 			}
 		}
-		if tf[i] {
+		if flag {
 			ones++
 		}
 	}
-
-	// Factor spans for non-references.
-	off := 0
-	for _, f := range factors {
-		flen := 1
-		if !f.NotInRef {
-			flen = f.L
-			if f.HasM {
-				flen++
-			}
-		}
-		w.factors = append(w.factors, factorSpan{start: off, end: off + flen})
-		off += flen
+	if ones != numPoints {
+		return nil, fmt.Errorf("stiu: T' sets %d flags for %d points", ones, numPoints)
 	}
 	return w, nil
 }
@@ -372,44 +333,37 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 		re       roadnet.RegionID
 	}
 	type agg struct {
-		enters bool         // the reference itself visits the region
-		seen   map[int]bool // Ω is a set: each instance counts once
+		key
+		member int  // 1 + the last member counted: Ω is a set, each instance counts once
+		enters bool // the reference itself visits the region
 		pTotal float64
 		pMax   float64 // max non-reference probability (0 when none)
 	}
-	aggs := make(map[key]*agg)
-	var keysInOrder []key
+	var aggs []agg // in first-visit order
+	at := make(map[key]int)
 
-	intervalsOf := func(v *visit) []int {
-		a0 := ix.IntervalOf(T[v.pointIdx])
-		next := v.pointIdx + 1
-		if next >= len(T) {
-			next = len(T) - 1
-		}
-		a1 := ix.IntervalOf(T[next])
-		if a1 == a0 {
-			return []int{a0}
-		}
-		out := make([]int, 0, a1-a0+1)
-		for iv := a0; iv <= a1; iv++ {
-			out = append(out, iv)
-		}
-		return out
+	// A visit covers the intervals from its entry point's to the next
+	// point's.
+	span := func(v *visit) (int, int) {
+		next := min(v.pointIdx+1, len(T)-1)
+		return ix.IntervalOf(T[v.pointIdx]), ix.IntervalOf(T[next])
 	}
 
-	for _, m := range members {
+	for mi, m := range members {
 		for vi := range m.visits {
 			v := &m.visits[vi]
-			for _, iv := range intervalsOf(v) {
+			a0, a1 := span(v)
+			for iv := a0; iv <= a1; iv++ {
 				k := key{iv, v.re}
-				ag := aggs[k]
-				if ag == nil {
-					ag = &agg{seen: make(map[int]bool)}
-					aggs[k] = ag
-					keysInOrder = append(keysInOrder, k)
+				x, ok := at[k]
+				if !ok {
+					x = len(aggs)
+					at[k] = x
+					aggs = append(aggs, agg{key: k})
 				}
-				if !ag.seen[m.orig] {
-					ag.seen[m.orig] = true
+				ag := &aggs[x]
+				if ag.member != mi+1 {
+					ag.member = mi + 1
 					ag.pTotal += m.p
 					if m.refOrig >= 0 && m.p > ag.pMax {
 						ag.pMax = m.p
@@ -423,8 +377,7 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 	}
 
 	// Reference tuples.
-	for _, k := range keysInOrder {
-		ag := aggs[k]
+	for _, ag := range aggs {
 		rt := RefTuple{
 			Traj:   int32(j),
 			Orig:   int32(refOrig),
@@ -432,38 +385,29 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			PTotal: float32(ag.pTotal),
 			PMax:   float32(ag.pMax),
 		}
-		b.emits = append(b.emits, spatialEmit{interval: k.interval, re: k.re, isRef: true, ref: rt})
+		b.emits = append(b.emits, spatialEmit{interval: ag.interval, re: ag.re, isRef: true, ref: rt})
 	}
 
 	// Non-reference tuples are counted under the factor-crossing rule: one
 	// tuple per (instance, factor), kept for the first region traversed.
+	// Visits come in walk order, so their factors never decrease.
 	for _, m := range members {
 		if m.refOrig < 0 {
 			continue
 		}
-		usedFactor := make(map[int]bool)
+		lastFactor := -1
 		for vi := range m.visits {
 			v := &m.visits[vi]
 			if !v.first {
-				h := factorOf(m.factors, v.fvNo)
-				if h < 0 || usedFactor[h] {
+				if v.factor == lastFactor {
 					continue
 				}
-				usedFactor[h] = true
+				lastFactor = v.factor
 			}
-			for _, iv := range intervalsOf(v) {
+			a0, a1 := span(v)
+			for iv := a0; iv <= a1; iv++ {
 				b.emits = append(b.emits, spatialEmit{interval: iv, re: v.re})
 			}
 		}
 	}
-}
-
-// factorOf returns the factor index whose entry span contains off.
-func factorOf(spans []factorSpan, off int) int {
-	for h, s := range spans {
-		if off >= s.start && off < s.end {
-			return h
-		}
-	}
-	return -1
 }
