@@ -39,6 +39,17 @@ func archiveBytes(t *testing.T, a *core.Archive) []byte {
 	return buf.Bytes()
 }
 
+// bitstreamDigest hashes the concatenated record bitstreams, the bytes
+// the paper's compression ratios count; it is independent of the
+// container layout around them.
+func bitstreamDigest(a *core.Archive) string {
+	h := sha256.New()
+	for _, tr := range a.Trajs {
+		h.Write(tr.Bits[:(tr.BitLen+7)/8])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // indexDigest walks the StIU index through its accessors in a
 // deterministic order and hashes every stored field, so any change to the
 // built index is detected.
@@ -140,7 +151,7 @@ func TestGoldenPaperExample(t *testing.T) {
 	}
 }
 
-// TestGoldenDatasets pins archive, StIU and full-decode digests, and the
+// TestGoldenDatasets pins archive, bitstream, StIU and full-decode digests, and the
 // index's Fig 9 size accounting, on the three synthetic paper profiles.
 func TestGoldenDatasets(t *testing.T) {
 	if testing.Short() {
@@ -167,6 +178,7 @@ func TestGoldenDatasets(t *testing.T) {
 		}
 		lines = append(lines,
 			fmt.Sprintf("%s archive %s", bu.Profile.Name, shortSHA(ab)),
+			fmt.Sprintf("%s bitstream %s", bu.Profile.Name, bitstreamDigest(a)),
 			fmt.Sprintf("%s stiu %s", bu.Profile.Name, indexDigest(t, ix)),
 			fmt.Sprintf("%s sizebits temporal=%d spatial=%d", bu.Profile.Name,
 				ix.TemporalSizeBits(), ix.SpatialSizeBits(a.VertexBits)),

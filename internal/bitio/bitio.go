@@ -343,6 +343,16 @@ func (r *Reader) ReadUnary() (int, error) {
 
 // ReadEliasGamma reads an Elias-gamma coded value (>= 1).
 func (r *Reader) ReadEliasGamma() (uint64, error) {
+	// Common case: the whole code lies in the next 64-bit window.
+	if i := r.pos >> 3; i+8 <= len(r.buf) {
+		off := uint(r.pos & 7)
+		w := binary.BigEndian.Uint64(r.buf[i:]) << off
+		n := 2*bits.LeadingZeros64(w) + 1 // code length
+		if n <= 64-int(off) && r.pos+n <= r.nbit {
+			r.pos += n
+			return w >> (64 - n), nil
+		}
+	}
 	zeros, err := r.readRun(false, 64)
 	if err != nil {
 		return 0, err

@@ -88,34 +88,26 @@ func ratio(raw, comp int64) float64 {
 	return float64(raw) / float64(comp)
 }
 
-// InstMeta is the per-instance directory entry: the record's bit offset and
-// cached navigation fields (all reproducible from the stream).
+// InstMeta is one instance's directory entry: its record's bit offset
+// and the navigation fields the record head carries.
 type InstMeta struct {
 	IsRef   bool
 	RefOrig int // original index of this non-reference's reference; -1 for refs
 	Start   int // absolute bit offset of the record
 	P       float64
-	SV      roadnet.VertexID
 }
 
 // TrajRecord is one compressed uncertain trajectory: a single bit stream
 // (time section followed by instance records, references first) plus the
-// directory needed for partial decompression.
+// instance directory, read from the record heads, that partial
+// decompression navigates by.
 type TrajRecord struct {
 	Bits      []byte
 	BitLen    int
 	NumPoints int
-	T0        int64
-
-	// TDeltaPos[i] is the bit position of the code of deviation i (i.e. of
-	// timestamp i+1) — the temporal index stores these as t.pos.
-	TDeltaPos []int
 
 	// Insts is indexed by original instance position.
 	Insts []InstMeta
-
-	// RefOrigByWrite maps reference write order to original indices.
-	RefOrigByWrite []int
 }
 
 // NumInstances returns the instance count.
@@ -130,19 +122,10 @@ func (tr *TrajRecord) Reader(pos int) (*bitio.Reader, error) {
 	return r, nil
 }
 
-// TimeCursorAt resumes timestamp decoding at a temporal-index entry:
-// startT is the timestamp with index startIdx, and pos is the bit position
-// of the next deviation code (t.pos).
-func (tr *TrajRecord) TimeCursorAt(ts int64, pos int, startT int64, startIdx int) (*TimeCursor, error) {
-	c := &TimeCursor{}
-	if err := tr.ResetTimeCursor(c, ts, pos, startT, startIdx); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// ResetTimeCursor initializes a caller-owned cursor in place (allocation-free
-// resumption for the query hot paths); see TimeCursorAt.
+// ResetTimeCursor resumes timestamp decoding at a temporal-index entry,
+// in a caller-owned cursor (allocation-free resumption for the query hot
+// paths): startT is the timestamp with index startIdx, and pos is the bit
+// position of the next deviation code (t.pos).
 func (tr *TrajRecord) ResetTimeCursor(c *TimeCursor, ts int64, pos int, startT int64, startIdx int) error {
 	c.r.Reset(tr.Bits, tr.BitLen)
 	if err := c.r.Seek(pos); err != nil {
@@ -152,13 +135,17 @@ func (tr *TrajRecord) ResetTimeCursor(c *TimeCursor, ts int64, pos int, startT i
 	return nil
 }
 
-// TimeCursorStart iterates timestamps from the beginning.
+// TimeCursorStart iterates timestamps from the beginning, reading t0 and
+// the point count from the record's time header.
 func (tr *TrajRecord) TimeCursorStart(ts int64) (*TimeCursor, error) {
-	if len(tr.TDeltaPos) == 0 {
-		// Single-point stream: cursor that cannot advance.
-		return &TimeCursor{t: tr.T0, idx: 0, n: 1, ts: ts}, nil
+	c := &TimeCursor{ts: ts}
+	c.r.Reset(tr.Bits, tr.BitLen)
+	var err error
+	c.t, c.n, err = readTimeHeader(&c.r)
+	if err != nil {
+		return nil, err
 	}
-	return tr.TimeCursorAt(ts, tr.TDeltaPos[0], tr.T0, 0)
+	return c, nil
 }
 
 // Archive is a compressed collection of uncertain trajectories over one

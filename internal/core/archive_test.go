@@ -26,15 +26,15 @@ func TestSIARPaperExample(t *testing.T) {
 	// The encoded time section: 1 flag + 17 bits t0, count, then 12 bits of
 	// Exp-Golomb codes (the paper's "(12+17)" size statement).
 	w := bitio.NewWriter(64)
-	pos := encodeT(w, fx.Tu1.T, paperfix.Ts)
-	if len(pos) != 6 {
-		t.Fatalf("%d delta positions", len(pos))
+	encodeT(w, fx.Tu1.T, paperfix.Ts)
+	r := bitio.NewReaderBits(w.Bytes(), w.Len())
+	if _, n, err := readTimeHeader(r); err != nil || n != 7 {
+		t.Fatalf("time header: %d points, %v", n, err)
 	}
-	deltaBits := w.Len() - pos[0]
-	if deltaBits != 12 {
+	if deltaBits := w.Len() - r.Pos(); deltaBits != 12 {
 		t.Errorf("delta codes = %d bits, want 12", deltaBits)
 	}
-	r := bitio.NewReaderBits(w.Bytes(), w.Len())
+	r = bitio.NewReaderBits(w.Bytes(), w.Len())
 	got, err := decodeT(r, paperfix.Ts)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func checkInstReaderPaperExample(t *testing.T, origs ...int) [][]int {
 	t.Helper()
 	fx, a := compressFixture(t, 1)
 	rec := a.Trajs[0]
-	if ref := rec.RefOrigByWrite[0]; ref != 0 {
-		t.Fatalf("reference is instance %d, want Tu11", ref)
+	if !rec.Insts[0].IsRef {
+		t.Fatal("Tu11 is not a reference")
 	}
 	var c InstReader
 	var all [][]int

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"utcq/internal/bitio"
 	"utcq/internal/gen"
 	"utcq/internal/paperfix"
 	"utcq/internal/traj"
@@ -107,7 +112,7 @@ func TestDecodeRejectsWrongPointCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.readHead(r, start, 0, true); err != nil {
+	if _, err := a.expectHead(r, start, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadBits(a.VertexBits); err != nil {
@@ -162,6 +167,168 @@ func FuzzDecodeRecord(f *testing.F) {
 		a.Trajs = []*TrajRecord{&rec}
 		if v := readRecordRecovered(&a, 0); v != nil {
 			t.Fatalf("panic: %v", v)
+		}
+	})
+}
+
+// containerHeaderLen is the byte length of a container's fixed header,
+// magic through numTrajs.
+const containerHeaderLen = 41
+
+// craftHead is one instance head of a crafted record.
+type craftHead struct {
+	orig, refPos int
+	ref          bool
+}
+
+// craftArchive returns a one-trajectory version-2 archive in a's header
+// whose record is the paper example's time section followed by heads
+// only, listed in the directory at their own starts.
+func craftArchive(a *Archive, heads ...craftHead) []byte {
+	w := bitio.NewWriter(64)
+	encodeT(w, paperfix.MustNew().Tu1.T, a.Opts.Ts)
+	var starts []uint64
+	prev := 0
+	for _, h := range heads {
+		starts = append(starts, uint64(w.Len()-prev))
+		prev = w.Len()
+		w.WriteCount(h.orig)
+		w.WriteBool(h.ref)
+		a.PCodec.Encode(w, 0.5)
+		if !h.ref {
+			w.WriteCount(h.refPos)
+		}
+	}
+	return withDirectory(saveArchive(a), w.Len(), starts, w.Bytes())
+}
+
+// withDirectory returns base's one-trajectory header followed by a
+// trajectory with the given bit length, start deltas and payload.
+func withDirectory(base []byte, bitLen int, starts []uint64, payload []byte) []byte {
+	out := slices.Clone(base[:containerHeaderLen])
+	out = binary.AppendUvarint(out, uint64(bitLen))
+	out = binary.AppendUvarint(out, uint64(len(starts)))
+	for _, d := range starts {
+		out = binary.AppendUvarint(out, d)
+	}
+	return append(out, payload...)
+}
+
+func saveArchive(a *Archive) []byte {
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// badDirectories returns one-trajectory archives whose directory
+// disagrees with the record heads, each of which LoadBytes must refuse.
+func badDirectories(t testing.TB) map[string][]byte {
+	fx := paperfix.MustNew()
+	c, err := NewCompressor(fx.Graph, DefaultOptions(paperfix.Ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Compress([]*traj.Uncertain{fx.Tu1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := a.Trajs[0]
+	// Tu11 is the reference and the first record; Tu12 and Tu13 follow.
+	s := []uint64{uint64(rec.Insts[0].Start), uint64(rec.Insts[1].Start - rec.Insts[0].Start),
+		uint64(rec.Insts[2].Start - rec.Insts[1].Start)}
+	payload := rec.Bits[:(rec.BitLen+7)/8]
+	v2 := withDirectory(saveArchive(a), rec.BitLen, s, payload)
+	dir := len(v2) - len(payload)
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1_paperfix.utcq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v1 directory's instance entries start 20 + 4·6 + 4 bytes into
+	// the trajectory (bitLen, numPoints, t0, six deltaPos, numInsts), and
+	// start sits 5 bytes into each 21-byte entry.
+	v1dup := slices.Clone(v1)
+	inst := containerHeaderLen + 20 + 4*6 + 4
+	copy(v1dup[inst+21+5:inst+21+9], v1dup[inst+5:inst+9])
+	return map[string][]byte{
+		"truncated start list":   v2[:dir-2],
+		"start past bit length":  withDirectory(v2, rec.BitLen, []uint64{s[0], s[1], uint64(rec.BitLen)}, payload),
+		"repeated start":         withDirectory(v2, rec.BitLen, []uint64{s[0], s[1], 0}, payload),
+		"start inside time":      withDirectory(v2, rec.BitLen, []uint64{1, s[0] + s[1] - 1, s[2]}, payload),
+		"unlisted instance":      withDirectory(v2, rec.BitLen, []uint64{s[0], s[1] + s[2]}, payload),
+		"v1 repeated start":      v1dup,
+		"refPos past references": craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 1, refPos: 1}),
+		"repeated orig":          craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 0}),
+		"orig past count":        craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 2}),
+		"reference after nonref": craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 1}, craftHead{orig: 2, ref: true}),
+	}
+}
+
+// TestLoadBytesRejectsBadDirectory: a start list or record head that
+// contradicts the stream is a load error, not a directory that a later
+// read trips over.
+func TestLoadBytesRejectsBadDirectory(t *testing.T) {
+	fx := paperfix.MustNew()
+	for name, data := range badDirectories(t) {
+		if _, err := LoadBytes(data, fx.Graph); err == nil {
+			t.Errorf("%s: LoadBytes accepted the archive", name)
+		}
+	}
+	// The crafted heads themselves are well formed.
+	_, a := compressFixture(t, 1)
+	good := craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 2, ref: true}, craftHead{orig: 1, refPos: 1})
+	back, err := LoadBytes(good, fx.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Trajs[0].Insts[1]; got.IsRef || got.RefOrig != 2 {
+		t.Errorf("crafted non-reference loads as %+v, want reference 2", got)
+	}
+}
+
+// FuzzArchiveLoad feeds LoadBytes arbitrary containers, seeded with
+// version-1 and version-2 archives and directories that contradict their
+// streams, and requires it and one InstReader walk per instance of what
+// it accepts to return without panicking.
+func FuzzArchiveLoad(f *testing.F) {
+	fx := paperfix.MustNew()
+	c, err := NewCompressor(fx.Graph, DefaultOptions(paperfix.Ts))
+	if err != nil {
+		f.Fatal(err)
+	}
+	a, err := c.Compress([]*traj.Uncertain{fx.Tu1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saveArchive(a))
+	for _, name := range []string{"v1_paperfix.utcq", "v1_cd25.utcq"} {
+		v1, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v1)
+	}
+	for _, data := range badDirectories(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a *Archive
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("LoadBytes panicked: %v", v)
+				}
+			}()
+			a, _ = LoadBytes(data, fx.Graph)
+		}()
+		if a == nil {
+			return
+		}
+		for j := range a.Trajs {
+			if v := readRecordRecovered(a, j); v != nil {
+				t.Fatalf("trajectory %d: panic: %v", j, v)
+			}
 		}
 	})
 }

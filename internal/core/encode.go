@@ -48,6 +48,9 @@ func (c *Compressor) Compress(tus []*traj.Uncertain) (*Archive, error) {
 // CompressOne encodes a single uncertain trajectory.
 func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, error) {
 	var stats CompStats
+	if err := checkT0(u.T); err != nil {
+		return nil, stats, err
+	}
 	stats.Raw = u.RawBits()
 	stats.NumTrajectories = 1
 	stats.NumInstances = len(u.Instances)
@@ -55,13 +58,12 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 	w := bitio.NewWriter(256)
 	rec := &TrajRecord{
 		NumPoints: len(u.T),
-		T0:        u.T[0],
 		Insts:     make([]InstMeta, len(u.Instances)),
 	}
 
 	// Time section (shared by all instances).
 	mark := w.Len()
-	rec.TDeltaPos = encodeT(w, u.T, c.opts.Ts)
+	encodeT(w, u.T, c.opts.Ts)
 	stats.Comp.T += int64(w.Len() - mark)
 
 	// Reference selection.
@@ -86,14 +88,12 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 		if !sel.IsRef[orig] {
 			continue
 		}
-		refWritePos[orig] = len(rec.RefOrigByWrite)
-		rec.RefOrigByWrite = append(rec.RefOrigByWrite, orig)
+		refWritePos[orig] = len(refWritePos)
 		rec.Insts[orig] = InstMeta{
 			IsRef:   true,
 			RefOrig: -1,
 			Start:   w.Len(),
 			P:       c.pCodec.Quantize(u.Instances[orig].P),
-			SV:      u.Instances[orig].SV,
 		}
 		c.encodeRef(w, &u.Instances[orig], len(u.T), orig, &stats)
 	}
@@ -126,7 +126,6 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 			RefOrig: refOrig,
 			Start:   w.Len(),
 			P:       c.pCodec.Quantize(u.Instances[orig].P),
-			SV:      u.Instances[orig].SV,
 		}
 		if err := c.encodeNonRef(w, u, orig, refOrig, refWritePos[refOrig], ix, &stats); err != nil {
 			return nil, stats, err

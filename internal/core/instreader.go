@@ -81,7 +81,7 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if err := r.Seek(start); err != nil {
 		return err
 	}
-	p, err := a.readHead(r, start, refOrig, true)
+	p, err := a.expectHead(r, start, refOrig, true)
 	if err != nil {
 		return err
 	}
@@ -106,7 +106,7 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	if err := r.Seek(meta.Start); err != nil {
 		return err
 	}
-	if c.p, err = a.readHead(r, meta.Start, orig, false); err != nil {
+	if c.p, err = a.expectHead(r, meta.Start, orig, false); err != nil {
 		return err
 	}
 	if _, err := r.ReadCount(); err != nil { // refPos
@@ -185,27 +185,33 @@ func (c *InstReader) readTFFactors(r *bitio.Reader, refTFLen, storedLen int) err
 }
 
 // readHead reads the prefix every instance record starts with,
-// [origIdx γ][isRef][p PDDP], and checks that the record at bit start is
-// instance orig of the expected kind.  It returns p.
-func (a *Archive) readHead(r *bitio.Reader, start, orig int, wantRef bool) (float64, error) {
-	gotOrig, err := r.ReadCount()
-	if err != nil {
-		return 0, err
+// [origIdx γ][isRef][p PDDP].
+func (a *Archive) readHead(r *bitio.Reader) (orig int, isRef bool, p float64, err error) {
+	if orig, err = r.ReadCount(); err != nil {
+		return 0, false, 0, err
 	}
-	if gotOrig != orig {
+	if isRef, err = r.ReadBool(); err != nil {
+		return 0, false, 0, err
+	}
+	p, err = a.PCodec.Decode(r)
+	return orig, isRef, p, err
+}
+
+// expectHead reads a record head with readHead and checks that the record
+// at bit start is instance orig of the expected kind.  It returns p.
+func (a *Archive) expectHead(r *bitio.Reader, start, orig int, wantRef bool) (float64, error) {
+	gotOrig, isRef, p, err := a.readHead(r)
+	switch {
+	case err != nil:
+		return 0, err
+	case gotOrig != orig:
 		return 0, fmt.Errorf("core: record at %d has orig %d, want %d", start, gotOrig, orig)
-	}
-	isRef, err := r.ReadBool()
-	if err != nil {
-		return 0, err
-	}
-	if isRef != wantRef {
-		if wantRef {
-			return 0, fmt.Errorf("core: record %d is not a reference record", orig)
-		}
+	case isRef != wantRef && wantRef:
+		return 0, fmt.Errorf("core: record %d is not a reference record", orig)
+	case isRef != wantRef:
 		return 0, fmt.Errorf("core: record %d is a reference record", orig)
 	}
-	return a.PCodec.Decode(r)
+	return p, nil
 }
 
 // readRefSkeleton reads a reference record's [SV][|E| γ] after its head,

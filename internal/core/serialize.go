@@ -7,37 +7,46 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"utcq/internal/bitio"
 	"utcq/internal/pddp"
 	"utcq/internal/roadnet"
 )
 
 // Archive serialization: a compact binary container so archives can be
 // written to disk and reopened later.  The payload is the per-trajectory
-// bit streams; the directory (record offsets, instance metadata, delta
-// positions) is persisted too so partial decompression works immediately
-// after loading without a rebuild scan.
+// bit streams, which are the only copy of every record fact: t0, the
+// point count and each instance's head (original index, reference flag,
+// p, reference position) are read from the heads in one pass at open.
+// Beside each stream the container keeps just what a reader cannot find
+// without decoding whole records: the stream's bit length and the bit
+// offset of every instance record.
 //
-// Fields are encoded by hand through a little-endian scratch buffer rather
-// than binary.Write/binary.Read: the reflection those take per field is a
-// known Go slow path, and the directory has many small fields.  The wire
-// format is unchanged (TestSerializeGolden pins it) and documented
-// normatively in docs/FORMAT.md; keep the two in sync.
+// Fields are encoded by hand with encoding/binary's append and decode
+// functions rather than binary.Write/binary.Read: the reflection those
+// take per field is a known Go slow path.  The wire format is documented
+// normatively in docs/FORMAT.md (TestSerializeGolden pins it); keep the
+// two in sync.
 //
-// Layout (little endian):
+// Layout (little endian; uvarint is encoding/binary's LEB128):
 //
 //	magic "UTCQ" | version u16
 //	options: pivots u16, etaD f64, etaP f64, ts i64, flags u8
 //	vertexBits u16 | edgeBits u16 | numTrajs u32
 //	per trajectory:
-//	  bitLen u32, numPoints u32, t0 i64
-//	  numDeltaPos u32, deltaPos u32...
-//	  numInsts u32, per instance: flags u8, refOrig i32, start u32, p f64, sv i32
-//	  numRefsByWrite u32, refOrigByWrite u32...
+//	  bitLen uvarint, numInsts uvarint
+//	  start uvarint × numInsts: each record's bit offset, in write order,
+//	    as the delta from the previous one (the first from 0)
 //	  payload bytes
+//
+// LoadBytes also reads version 1, whose directory repeated the heads in
+// fixed-width fields; Save writes version 2 only.
 const (
 	archiveMagic   = "UTCQ"
-	archiveVersion = 1
+	archiveVersion = 2
+	// archiveVersionV1 is the fixed-width directory layout, read only.
+	archiveVersionV1 = 1
 )
 
 // flag bits of the options byte.
@@ -48,8 +57,7 @@ const (
 
 // LEWriter encodes fixed-width little-endian fields through a scratch
 // buffer, avoiding the per-field reflection of binary.Write.  It frames
-// both the archive container and the store's shard manifest
-// (internal/store), so every on-disk artifact shares one field codec.
+// the store's shard manifest (internal/store).
 type LEWriter struct {
 	w       *bufio.Writer
 	scratch [8]byte
@@ -81,9 +89,6 @@ func (lw *LEWriter) U64(v uint64) error {
 	_, err := lw.w.Write(lw.scratch[:8])
 	return err
 }
-
-// I32 writes an int32 as its two's-complement uint32.
-func (lw *LEWriter) I32(v int32) error { return lw.U32(uint32(v)) }
 
 // I64 writes an int64 as its two's-complement uint64.
 func (lw *LEWriter) I64(v int64) error { return lw.U64(uint64(v)) }
@@ -130,12 +135,6 @@ func (lr *LEReader) U64() (uint64, error) {
 	return binary.LittleEndian.Uint64(lr.scratch[:8]), nil
 }
 
-// I32 reads an int32.
-func (lr *LEReader) I32() (int32, error) {
-	v, err := lr.U32()
-	return int32(v), err
-}
-
 // I64 reads an int64.
 func (lr *LEReader) I64() (int64, error) {
 	v, err := lr.U64()
@@ -152,27 +151,12 @@ func (lr *LEReader) F64() (float64, error) {
 // archive is only meaningful against the network it was compressed with,
 // and the caller re-attaches it on Load.
 func (a *Archive) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(archiveMagic); err != nil {
-		return err
-	}
-	lw := NewLEWriter(bw)
-
-	if err := lw.U16(archiveVersion); err != nil {
-		return err
-	}
-	if err := lw.U16(uint16(a.Opts.NumPivots)); err != nil {
-		return err
-	}
-	if err := lw.F64(a.Opts.EtaD); err != nil {
-		return err
-	}
-	if err := lw.F64(a.Opts.EtaP); err != nil {
-		return err
-	}
-	if err := lw.I64(a.Opts.Ts); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	hdr := le.AppendUint16([]byte(archiveMagic), archiveVersion)
+	hdr = le.AppendUint16(hdr, uint16(a.Opts.NumPivots))
+	hdr = le.AppendUint64(hdr, math.Float64bits(a.Opts.EtaD))
+	hdr = le.AppendUint64(hdr, math.Float64bits(a.Opts.EtaP))
+	hdr = le.AppendUint64(hdr, uint64(a.Opts.Ts))
 	flags := byte(0)
 	if a.Opts.DisableReferential {
 		flags |= flagDisableReferential
@@ -180,71 +164,35 @@ func (a *Archive) Save(w io.Writer) error {
 	if a.Opts.PlainJaccard {
 		flags |= flagPlainJaccard
 	}
-	if err := bw.WriteByte(flags); err != nil {
+	hdr = append(hdr, flags)
+	hdr = le.AppendUint16(hdr, uint16(a.VertexBits))
+	hdr = le.AppendUint16(hdr, uint16(a.EdgeBits))
+	hdr = le.AppendUint32(hdr, uint32(len(a.Trajs)))
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	if err := lw.U16(uint16(a.VertexBits)); err != nil {
-		return err
-	}
-	if err := lw.U16(uint16(a.EdgeBits)); err != nil {
-		return err
-	}
-	if err := lw.U32(uint32(len(a.Trajs))); err != nil {
-		return err
-	}
+	var dir []byte
+	var starts []int
 	for _, tr := range a.Trajs {
-		if err := lw.U32(uint32(tr.BitLen)); err != nil {
-			return err
-		}
-		if err := lw.U32(uint32(tr.NumPoints)); err != nil {
-			return err
-		}
-		if err := lw.I64(tr.T0); err != nil {
-			return err
-		}
-		if err := lw.U32(uint32(len(tr.TDeltaPos))); err != nil {
-			return err
-		}
-		for _, p := range tr.TDeltaPos {
-			if err := lw.U32(uint32(p)); err != nil {
-				return err
-			}
-		}
-		if err := lw.U32(uint32(len(tr.Insts))); err != nil {
-			return err
-		}
-		for _, m := range tr.Insts {
-			fl := byte(0)
-			if m.IsRef {
-				fl = 1
-			}
-			if err := bw.WriteByte(fl); err != nil {
-				return err
-			}
-			if err := lw.I32(int32(m.RefOrig)); err != nil {
-				return err
-			}
-			if err := lw.U32(uint32(m.Start)); err != nil {
-				return err
-			}
-			if err := lw.F64(m.P); err != nil {
-				return err
-			}
-			if err := lw.I32(int32(m.SV)); err != nil {
-				return err
-			}
-		}
-		if err := lw.U32(uint32(len(tr.RefOrigByWrite))); err != nil {
-			return err
-		}
-		for _, o := range tr.RefOrigByWrite {
-			if err := lw.U32(uint32(o)); err != nil {
-				return err
-			}
-		}
 		nbytes := (tr.BitLen + 7) / 8
 		if nbytes > len(tr.Bits) {
 			return fmt.Errorf("core: trajectory payload shorter than its bit length")
+		}
+		starts = starts[:0]
+		for _, m := range tr.Insts {
+			starts = append(starts, m.Start)
+		}
+		slices.Sort(starts) // write order
+		dir = binary.AppendUvarint(dir[:0], uint64(tr.BitLen))
+		dir = binary.AppendUvarint(dir, uint64(len(starts)))
+		prev := 0
+		for _, st := range starts {
+			dir = binary.AppendUvarint(dir, uint64(st-prev))
+			prev = st
+		}
+		if _, err := bw.Write(dir); err != nil {
+			return err
 		}
 		if _, err := bw.Write(tr.Bits[:nbytes]); err != nil {
 			return err
@@ -265,13 +213,15 @@ func Load(r io.Reader, g *roadnet.Graph) (*Archive, error) {
 	return LoadBytes(data, g)
 }
 
-// byteReader decodes the little-endian container fields from an in-memory
-// buffer with explicit bounds checks.  Unlike LEReader it never copies:
-// take returns subslices of the underlying data, which is what makes the
-// mmap decode path zero-copy.
+// byteReader decodes the container fields from an in-memory buffer with
+// explicit bounds checks.  Unlike LEReader it never copies: take returns
+// subslices of the underlying data, which is what makes the mmap decode
+// path zero-copy.  The first failure sticks in err, and every later read
+// returns zero values.
 type byteReader struct {
 	data []byte
 	off  int
+	err  error
 }
 
 // errTruncated reports a field extending past the end of the buffer.
@@ -280,223 +230,223 @@ var errTruncated = errors.New("core: archive truncated")
 func (r *byteReader) remaining() int { return len(r.data) - r.off }
 
 // take returns the next n bytes without copying.
-func (r *byteReader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, errTruncated
+func (r *byteReader) take(n int) []byte {
+	if r.err == nil && (n < 0 || r.remaining() < n) {
+		r.err = errTruncated
+	}
+	if r.err != nil {
+		return nil
 	}
 	b := r.data[r.off : r.off+n : r.off+n]
 	r.off += n
-	return b, nil
+	return b
 }
 
-func (r *byteReader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, errTruncated
+func (r *byteReader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
+	return 0
 }
 
-func (r *byteReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	return 0
 }
 
-func (r *byteReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+func (r *byteReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
-func (r *byteReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+// uvarint reads a LEB128 unsigned varint that fits in an int.
+func (r *byteReader) uvarint() int {
+	if r.err != nil {
+		return 0
 	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *byteReader) i32() (int32, error) {
-	v, err := r.u32()
-	return int32(v), err
-}
-
-func (r *byteReader) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
-}
-
-func (r *byteReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
+	if r.off < len(r.data) && r.data[r.off] < 0x80 { // one byte
+		r.off++
+		return int(r.data[r.off-1])
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 || v > math.MaxInt {
+		r.err = errTruncated
+		return 0
+	}
+	r.off += n
+	return int(v)
 }
 
 // LoadBytes decodes an archive from an in-memory buffer — typically a
 // file mapping — and attaches the road network.  Each record's Bits field
 // aliases the buffer directly (the bit streams are read-only at query
-// time), so decoding materializes only the directory: for a mapped file
-// the payload pages are faulted in on first query touch, not at open.
-// The caller owns the buffer's lifetime and must keep it valid while the
-// archive or any of its records is reachable.
+// time), and the directory is filled from the record heads in one pass:
+// only the time header and each instance's head bits are read at open,
+// and the rest of a record on first query touch.  The caller owns the buffer's lifetime and must keep it
+// valid while the archive or any of its records is reachable.
 func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	r := &byteReader{data: data}
-	magic, err := r.take(len(archiveMagic))
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != archiveMagic {
+	if string(r.take(len(archiveMagic))) != archiveMagic {
 		return nil, errors.New("core: not a UTCQ archive")
 	}
-	version, err := r.u16()
-	if err != nil {
-		return nil, err
+	version := r.u16()
+	opts := Options{
+		NumPivots: int(r.u16()),
+		EtaD:      math.Float64frombits(r.u64()),
+		EtaP:      math.Float64frombits(r.u64()),
+		Ts:        int64(r.u64()),
 	}
-	if version != archiveVersion {
+	if flags := r.take(1); flags != nil {
+		opts.DisableReferential = flags[0]&flagDisableReferential != 0
+		opts.PlainJaccard = flags[0]&flagPlainJaccard != 0
+	}
+	a := &Archive{Opts: opts, Graph: g, VertexBits: int(r.u16()), EdgeBits: int(r.u16())}
+	nt := int(r.u32())
+	if r.err != nil {
+		return nil, r.err
+	}
+	// next reads one trajectory's directory and payload, appending the
+	// record starts to starts in write order; minTraj is the fewest bytes
+	// a trajectory occupies.
+	next, minTraj := r.trajV2, 2
+	switch version {
+	case archiveVersion:
+	case archiveVersionV1:
+		next, minTraj = r.trajV1, 28
+	default:
 		return nil, fmt.Errorf("core: unsupported archive version %d", version)
 	}
-	var opts Options
-	pv, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	opts.NumPivots = int(pv)
-	if opts.EtaD, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if opts.EtaP, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if opts.Ts, err = r.i64(); err != nil {
-		return nil, err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	opts.DisableReferential = flags&flagDisableReferential != 0
-	opts.PlainJaccard = flags&flagPlainJaccard != 0
-
-	a := &Archive{Opts: opts, Graph: g}
-	vb, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	eb, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	a.VertexBits, a.EdgeBits = int(vb), int(eb)
+	var err error
 	if a.DCodec, err = pddp.NewCodec(opts.EtaD); err != nil {
 		return nil, err
 	}
 	if a.PCodec, err = pddp.NewCodec(opts.EtaP); err != nil {
 		return nil, err
 	}
-
-	nt, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Every trajectory needs at least its fixed-width header; bounding the
-	// count by the remaining bytes turns a corrupt count into a parse
-	// error instead of a giant allocation.
-	if int64(nt)*20 > int64(r.remaining()) {
+	// Bounding the count by the remaining bytes turns a corrupt count into
+	// a parse error instead of a giant allocation.
+	if nt*minTraj > r.remaining() {
 		return nil, errTruncated
 	}
 	a.Trajs = make([]*TrajRecord, nt)
+	var starts, refs []int
+	var chunk []InstMeta // the directories are carved from shared chunks
 	for j := range a.Trajs {
 		tr := &TrajRecord{}
-		bl, err := r.u32()
-		if err != nil {
-			return nil, err
+		tr.BitLen, starts, tr.Bits = next(starts[:0])
+		if r.err != nil {
+			return nil, r.err
 		}
-		tr.BitLen = int(bl)
-		np, err := r.u32()
-		if err != nil {
-			return nil, err
+		n := len(starts)
+		if len(chunk) < n {
+			chunk = make([]InstMeta, max(n, instChunk))
 		}
-		tr.NumPoints = int(np)
-		if tr.T0, err = r.i64(); err != nil {
-			return nil, err
-		}
-		nd, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int64(nd)*4 > int64(r.remaining()) {
-			return nil, errTruncated
-		}
-		tr.TDeltaPos = make([]int, nd)
-		for i := range tr.TDeltaPos {
-			p, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			tr.TDeltaPos[i] = int(p)
-		}
-		ni, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int64(ni)*21 > int64(r.remaining()) {
-			return nil, errTruncated
-		}
-		tr.Insts = make([]InstMeta, ni)
-		for i := range tr.Insts {
-			fl, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			refOrig, err := r.i32()
-			if err != nil {
-				return nil, err
-			}
-			start, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			p, err := r.f64()
-			if err != nil {
-				return nil, err
-			}
-			sv, err := r.i32()
-			if err != nil {
-				return nil, err
-			}
-			tr.Insts[i] = InstMeta{
-				IsRef:   fl&1 == 1,
-				RefOrig: int(refOrig),
-				Start:   int(start),
-				P:       p,
-				SV:      roadnet.VertexID(sv),
-			}
-		}
-		nr, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int64(nr)*4 > int64(r.remaining()) {
-			return nil, errTruncated
-		}
-		tr.RefOrigByWrite = make([]int, nr)
-		for i := range tr.RefOrigByWrite {
-			o, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			tr.RefOrigByWrite[i] = int(o)
-		}
-		nbytes := (tr.BitLen + 7) / 8
-		if tr.Bits, err = r.take(nbytes); err != nil {
-			return nil, err
+		tr.Insts, chunk = chunk[:n:n], chunk[n:]
+		if refs, err = a.readHeads(tr, starts, refs[:0]); err != nil {
+			return nil, fmt.Errorf("core: trajectory %d: %w", j, err)
 		}
 		a.Trajs[j] = tr
 	}
 	return a, nil
+}
+
+// instChunk is the number of directory entries LoadBytes allocates at
+// once.
+const instChunk = 128
+
+// trajV2 reads one trajectory of a version-2 container.
+func (r *byteReader) trajV2(starts []int) (int, []int, []byte) {
+	bitLen, ni := r.uvarint(), r.uvarint()
+	if r.err == nil && (bitLen > 8*r.remaining() || ni > r.remaining()) {
+		r.err = errTruncated
+	}
+	at := 0
+	for i := 0; i < ni && r.err == nil; i++ {
+		d := r.uvarint()
+		if d >= bitLen-at {
+			r.err = fmt.Errorf("core: instance record starts past bit length %d", bitLen)
+		}
+		at += d
+		starts = append(starts, at)
+	}
+	return bitLen, starts, r.take((bitLen + 7) / 8)
+}
+
+// trajV1 reads one trajectory of a version-1 container.  Its directory
+// repeats what the heads hold; only the bit length and the record starts
+// are taken from it, the starts sorted into write order.
+func (r *byteReader) trajV1(starts []int) (int, []int, []byte) {
+	bitLen := int(r.u32())
+	r.take(12)               // numPoints u32, t0 i64
+	r.take(4 * int(r.u32())) // deltaPos u32s
+	ni := int(r.u32())
+	if r.err == nil && ni*21 > r.remaining() {
+		r.err = errTruncated
+	}
+	for i := 0; i < ni && r.err == nil; i++ {
+		// flags u8, refOrig i32, start u32, p f64, sv i32
+		if e := r.take(21); e != nil {
+			starts = append(starts, int(binary.LittleEndian.Uint32(e[5:])))
+		}
+	}
+	slices.Sort(starts)
+	r.take(4 * int(r.u32())) // refOrigByWrite u32s
+	return bitLen, starts, r.take((bitLen + 7) / 8)
+}
+
+// readHeads fills tr.NumPoints from the record's time header and the
+// zeroed tr.Insts, one entry per start, from the instance heads at
+// starts, which must ascend in write order (references, then
+// non-references) inside the stream.  A non-reference's refPos is mapped
+// to its reference's original index through refs, the references'
+// original indices in write order; the grown refs is returned for reuse.
+func (a *Archive) readHeads(tr *TrajRecord, starts, refs []int) ([]int, error) {
+	var r bitio.Reader
+	r.Reset(tr.Bits, tr.BitLen)
+	_, n, err := readTimeHeader(&r)
+	if err != nil {
+		return refs, err
+	}
+	tr.NumPoints = n
+	// Every record starts after the time header, so Start == 0 marks an
+	// entry no head has filled yet.
+	prev := r.Pos() - 1
+	for k, start := range starts {
+		if start <= prev || start >= tr.BitLen {
+			return refs, fmt.Errorf("core: instance record at bit %d is out of order or outside the stream", start)
+		}
+		prev = start
+		if err := r.Seek(start); err != nil {
+			return refs, err
+		}
+		orig, isRef, p, err := a.readHead(&r)
+		if err != nil {
+			return refs, err
+		}
+		if orig < 0 || orig >= len(tr.Insts) || tr.Insts[orig].Start != 0 {
+			return refs, fmt.Errorf("core: record at %d has orig %d: out of range or repeated", start, orig)
+		}
+		m := InstMeta{IsRef: isRef, RefOrig: -1, Start: start, P: p}
+		switch {
+		case isRef && k != len(refs):
+			return refs, fmt.Errorf("core: reference record %d follows a non-reference", orig)
+		case isRef:
+			refs = append(refs, orig)
+		default:
+			refPos, err := r.ReadCount()
+			if err != nil {
+				return refs, err
+			}
+			if refPos < 0 || refPos >= len(refs) {
+				return refs, fmt.Errorf("core: record %d names reference %d of %d", orig, refPos, len(refs))
+			}
+			m.RefOrig = refs[refPos]
+		}
+		tr.Insts[orig] = m
+	}
+	return refs, nil
 }

@@ -49,7 +49,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Partial decompression must also work on the loaded archive.
 	var ir InstReader
-	if err := ir.Reset(back, 0, back.Trajs[0].RefOrigByWrite[0]); err != nil {
+	if err := ir.Reset(back, 0, 0); err != nil { // Tu11 is the reference
 		t.Fatal(err)
 	}
 	var e []uint16
@@ -159,12 +159,11 @@ func TestDecodeCorruptedStream(t *testing.T) {
 	}
 }
 
-// TestSerializeGolden pins the on-disk format: the digest below was
-// produced by the historical reflection-based binary.Write encoder, so the
-// direct little-endian encoder must reproduce it bit for bit, and loading
-// the stream back must reproduce the archive.
+// TestSerializeGolden pins the on-disk format: Save must reproduce the
+// version-2 digest below bit for bit, and loading the stream back must
+// reproduce the archive.
 func TestSerializeGolden(t *testing.T) {
-	const wantSHA = "3a156c5ad657d1ccef83cd965523ceccfa1452131992196ce85cba89c447cde1"
+	const wantSHA = "9a5966b81a65de6104daaf006c3b3b6320fbf29787e3fcd52d56b3f7f3a95194"
 	fx := paperfix.MustNew()
 	c, err := NewCompressor(fx.Graph, DefaultOptions(paperfix.Ts))
 	if err != nil {
@@ -191,5 +190,83 @@ func TestSerializeGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("save/load/save round trip is not byte-identical")
+	}
+}
+
+// TestEscapedT0RoundTrip: a t0 outside one day takes the 62-bit escape, a
+// two's-complement field, so every t0 in [MinTimestamp, MaxTimestamp]
+// survives Compress → Save → LoadBytes → DecodeTrajectory, and CompressOne
+// rejects a t0 past that range instead of wrapping it.
+func TestEscapedT0RoundTrip(t *testing.T) {
+	fx := paperfix.MustNew()
+	c, err := NewCompressor(fx.Graph, DefaultOptions(paperfix.Ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := func(t0 int64) *traj.Uncertain {
+		u := *fx.Tu1
+		u.T = make([]int64, len(fx.Tu1.T))
+		for i, ti := range fx.Tu1.T {
+			u.T[i] = ti - fx.Tu1.T[0] + t0
+		}
+		return &u
+	}
+	for _, t0 := range []int64{-1_000_000, MinTimestamp, MaxTimestamp} {
+		u := shifted(t0)
+		a, err := c.Compress([]*traj.Uncertain{u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadBytes(saveArchive(a), fx.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.DecodeTrajectory(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.T, u.T) {
+			t.Errorf("t0 %d: decoded T = %v, want %v", t0, got.T, u.T)
+		}
+		cur, err := back.Trajs[0].TimeCursorStart(back.Opts.Ts)
+		if err != nil || cur.T() != t0 {
+			t.Errorf("t0 %d: time cursor starts at %d (%v)", t0, cur.T(), err)
+		}
+	}
+	for _, t0 := range []int64{MinTimestamp - 1, MaxTimestamp + 1} {
+		if _, _, err := c.CompressOne(shifted(t0)); err == nil {
+			t.Errorf("t0 %d: CompressOne accepted a timestamp outside the archive's range", t0)
+		}
+	}
+}
+
+// TestLoadBytesAllocsPerTrajectory pins the heap allocations LoadBytes
+// makes per trajectory on a fixed CD corpus.
+func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 20, 20
+	ds, err := gen.Build(p, 40, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCompressor(ds.Graph, DefaultOptions(p.Ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Compress(ds.Trajectories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := saveArchive(a)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := LoadBytes(data, ds.Graph); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(len(a.Trajs))
+	t.Logf("%.2f allocs per trajectory", per)
+	const ceiling = 2 // measured 1.32; the version-1 directory took 4.15
+	if per > ceiling {
+		t.Errorf("LoadBytes makes %.2f allocs per trajectory, want ≤ %v", per, ceiling)
 	}
 }

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"utcq/internal/bitio"
@@ -40,11 +41,31 @@ func SIARRestore(t0 int64, deltas []int64, Ts int64) []int64 {
 // seconds (the worked example encodes 5:03:25 in 17 bits).
 const secondsOfDayBits = 17
 
+// escapedT0Bits is the width of a t0 outside one day: a two's-complement
+// field, so the codec holds any timestamp in [MinTimestamp, MaxTimestamp].
+const escapedT0Bits = 62
+
+// MinTimestamp and MaxTimestamp bound the timestamps an archive can hold.
+const (
+	MinTimestamp = -1 << (escapedT0Bits - 1)
+	MaxTimestamp = 1<<(escapedT0Bits-1) - 1
+)
+
+// checkT0 rejects a time sequence whose t0 the time section cannot hold.
+// Later timestamps are stored as deviations from their predecessor.
+func checkT0(T []int64) error {
+	if len(T) == 0 {
+		return errors.New("core: trajectory has no timestamps")
+	}
+	if T[0] < MinTimestamp || T[0] > MaxTimestamp {
+		return fmt.Errorf("core: t0 = %d outside [%d, %d]", T[0], MinTimestamp, MaxTimestamp)
+	}
+	return nil
+}
+
 // encodeT writes the complete time section of one trajectory: t0, the
-// point count, and the Exp-Golomb coded SIAR deviations.  It returns the
-// absolute bit position of each deviation code — the temporal index stores
-// these as t.pos so queries can resume decoding mid-stream.
-func encodeT(w *bitio.Writer, T []int64, Ts int64) (deltaPos []int) {
+// point count, and the Exp-Golomb coded SIAR deviations.
+func encodeT(w *bitio.Writer, T []int64, Ts int64) {
 	t0 := T[0]
 	if t0 >= 0 && t0 < 1<<secondsOfDayBits {
 		w.WriteBit(0)
@@ -53,43 +74,48 @@ func encodeT(w *bitio.Writer, T []int64, Ts int64) (deltaPos []int) {
 		// Escape hatch for timestamps outside one day (not produced by the
 		// generator, but the codec must stay total).
 		w.WriteBit(1)
-		w.WriteBits(uint64(t0)&(1<<62-1), 62)
+		w.WriteBits(uint64(t0), escapedT0Bits)
 	}
 	w.WriteCount(len(T))
-	deltaPos = make([]int, 0, len(T)-1)
 	for _, d := range SIARDeltas(T, Ts) {
-		deltaPos = append(deltaPos, w.Len())
 		egolomb.Encode(w, d)
 	}
-	return deltaPos
+}
+
+// readTimeHeader reads the head of a time section, t0 and the point
+// count, leaving r at the first deviation code.
+func readTimeHeader(r *bitio.Reader) (t0 int64, n int, err error) {
+	esc, err := r.ReadBit()
+	if err != nil {
+		return 0, 0, err
+	}
+	width := secondsOfDayBits
+	if esc == 1 {
+		width = escapedT0Bits
+	}
+	t0u, err := r.ReadBits(width)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Sign-extend the escaped field; a 17-bit t0 has bit 61 clear.
+	t0 = int64(t0u<<(64-escapedT0Bits)) >> (64 - escapedT0Bits)
+	if n, err = readListLen(r); err == nil && n < 1 {
+		err = fmt.Errorf("core: invalid point count %d", n)
+	}
+	return t0, n, err
 }
 
 // decodeT reads a complete time section.
 func decodeT(r *bitio.Reader, Ts int64) ([]int64, error) {
-	esc, err := r.ReadBit()
+	t0, n, err := readTimeHeader(r)
 	if err != nil {
 		return nil, err
-	}
-	width := secondsOfDayBits
-	if esc == 1 {
-		width = 62
-	}
-	t0u, err := r.ReadBits(width)
-	if err != nil {
-		return nil, err
-	}
-	n, err := readListLen(r)
-	if err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("core: invalid point count %d", n)
 	}
 	deltas, err := egolomb.DecodeAll(r, n-1)
 	if err != nil {
 		return nil, err
 	}
-	return SIARRestore(int64(t0u), deltas, Ts), nil
+	return SIARRestore(t0, deltas, Ts), nil
 }
 
 // TimeCursor iterates timestamps from a mid-stream position, implementing
@@ -106,6 +132,15 @@ type TimeCursor struct {
 
 // Index returns the index of the current timestamp.
 func (c *TimeCursor) Index() int { return c.idx }
+
+// Pos returns the bit position of the code of the next deviation, the
+// temporal index's t.pos, or -1 at the last timestamp.
+func (c *TimeCursor) Pos() int {
+	if c.idx+1 >= c.n {
+		return -1
+	}
+	return c.r.Pos()
+}
 
 // T returns the current timestamp.
 func (c *TimeCursor) T() int64 { return c.t }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"utcq/internal/core"
 	"utcq/internal/faultfs"
 	"utcq/internal/mapmatch"
 	"utcq/internal/par"
@@ -227,6 +228,11 @@ func ValidateRaw(raw traj.RawTrajectory) error {
 		if raw.Points[i].T <= raw.Points[i-1].T {
 			return fmt.Errorf("%w: timestamps not strictly increasing at point %d", ErrRejected, i)
 		}
+	}
+	// Any point may become the first mapped one, whose timestamp the
+	// archive stores in a bounded field.
+	if first, last := raw.Points[0].T, raw.Points[len(raw.Points)-1].T; first < core.MinTimestamp || last > core.MaxTimestamp {
+		return fmt.Errorf("%w: timestamps outside [%d, %d]", ErrRejected, int64(core.MinTimestamp), int64(core.MaxTimestamp))
 	}
 	return nil
 }

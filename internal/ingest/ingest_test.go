@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -323,4 +324,24 @@ func TestIngesterBackgroundDrain(t *testing.T) {
 	}
 	oracle := append(base, matchAll(matcher, raws[2:])...)
 	checkOracle(t, g, p.Ts, oracle, st, rand.New(rand.NewSource(7)))
+}
+
+// TestValidateRawRejectsUnstorableTimestamps: a submission whose
+// timestamps leave the archive's range must be refused before it is
+// acknowledged; accepted, it would fail compression at drain time and
+// block the queue behind it.
+func TestValidateRawRejectsUnstorableTimestamps(t *testing.T) {
+	raw := func(t0 int64) traj.RawTrajectory {
+		return traj.RawTrajectory{Points: []traj.RawPoint{{T: t0}, {X: 10, T: t0 + 30}}}
+	}
+	for _, t0 := range []int64{core.MaxTimestamp + 1, core.MaxTimestamp - 10, core.MinTimestamp - 1} {
+		if err := ValidateRaw(raw(t0)); !errors.Is(err, ErrRejected) {
+			t.Errorf("t0 %d: ValidateRaw = %v, want ErrRejected", t0, err)
+		}
+	}
+	for _, t0 := range []int64{core.MinTimestamp, -1_000_000, core.MaxTimestamp - 30} {
+		if err := ValidateRaw(raw(t0)); err != nil {
+			t.Errorf("t0 %d: ValidateRaw = %v, want nil", t0, err)
+		}
+	}
 }

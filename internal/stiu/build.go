@@ -206,30 +206,24 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	rec := a.Trajs[j]
 	b := &trajBatch{}
 
-	// Temporal entries: one per interval the trajectory has samples in.
-	T := make([]int64, 0, rec.NumPoints)
+	// Temporal entries: one per interval the trajectory has samples in,
+	// each resuming at the cursor's position.
 	cur, err := rec.TimeCursorStart(a.Opts.Ts)
 	if err != nil {
 		return nil, err
 	}
-	T = append(T, cur.T())
-	for cur.Next() {
-		T = append(T, cur.T())
+	T := make([]int64, 0, rec.NumPoints)
+	lastInterval := -1
+	for ok := true; ok; ok = cur.Next() {
+		t := cur.T()
+		if iv := ix.IntervalOf(t); iv != lastInterval {
+			b.temporal = append(b.temporal, TemporalEntry{Start: t, No: int32(cur.Index()), Pos: int32(cur.Pos())})
+			lastInterval = iv
+		}
+		T = append(T, t)
 	}
 	if len(T) != rec.NumPoints {
 		return nil, fmt.Errorf("stiu: decoded %d of %d timestamps", len(T), rec.NumPoints)
-	}
-	lastInterval := -1
-	for i, t := range T {
-		iv := ix.IntervalOf(t)
-		if iv != lastInterval {
-			pos := int32(-1)
-			if i < len(rec.TDeltaPos) {
-				pos = int32(rec.TDeltaPos[i])
-			}
-			b.temporal = append(b.temporal, TemporalEntry{Start: t, No: int32(i), Pos: pos})
-			lastInterval = iv
-		}
 	}
 	b.firstIv, b.lastIv = ix.IntervalOf(T[0]), ix.IntervalOf(T[len(T)-1])
 

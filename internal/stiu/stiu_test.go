@@ -62,8 +62,8 @@ func TestTemporalEntries(t *testing.T) {
 	}
 	// The stored position must let a cursor resume: next timestamp is
 	// 5:19:25.
-	curs, err := a.Trajs[0].TimeCursorAt(a.Opts.Ts, int(entry.Pos), entry.Start, int(entry.No))
-	if err != nil {
+	curs := &core.TimeCursor{}
+	if err := a.Trajs[0].ResetTimeCursor(curs, a.Opts.Ts, int(entry.Pos), entry.Start, int(entry.No)); err != nil {
 		t.Fatal(err)
 	}
 	if !curs.Next() {
