@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"utcq"
-	"utcq/internal/server"
+	"utcq/pkg/client"
 )
 
 func main() {
@@ -97,9 +97,9 @@ func main() {
 
 	// A single where query over HTTP...
 	var whereResp struct {
-		Results []server.WhereResultJSON `json:"results"`
+		Results []client.WhereResult `json:"results"`
 	}
-	postJSON(base+"/v1/where", server.WhereRequest{Traj: 0, T: tq, Alpha: 0.2}, &whereResp)
+	postJSON(base+"/v1/where", client.WhereRequest{Traj: 0, T: tq, Alpha: 0.2}, &whereResp)
 	fmt.Printf("HTTP where: %d results", len(whereResp.Results))
 	if len(whereResp.Results) > 0 {
 		r := whereResp.Results[0]
@@ -109,22 +109,22 @@ func main() {
 
 	// ...and a batch mixing all three query kinds.
 	b := st.Bounds()
-	batch := server.BatchRequest{Queries: []server.BatchQuery{
-		{Kind: "where", Where: &server.WhereRequest{Traj: 1, T: tq, Alpha: 0.2}},
-		{Kind: "range", Range: &server.RangeRequest{
-			Rect: server.RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY},
+	batch := client.BatchRequest{Queries: []client.BatchQuery{
+		{Kind: "where", Where: &client.WhereRequest{Traj: 1, T: tq, Alpha: 0.2}},
+		{Kind: "range", Range: &client.RangeRequest{
+			Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY},
 			T:    tq, Alpha: 0.2,
 		}},
 	}}
 	var batchResp struct {
-		Results []server.BatchResult `json:"results"`
+		Results []client.BatchResult `json:"results"`
 	}
 	postJSON(base+"/v1/batch", batch, &batchResp)
 	fmt.Printf("HTTP batch: %d results, range matched %d trajectories\n",
 		len(batchResp.Results), len(batchResp.Results[1].Trajs))
 
 	// 6. /v1/stats shows the aggregated engine counters, then drain and stop.
-	var stats server.StatsResponse
+	var stats client.StatsResponse
 	getJSON(base+"/v1/stats", &stats)
 	fmt.Printf("stats: %d/%d shards open, %d requests, %d paths decoded\n",
 		stats.OpenShards, stats.Shards, stats.Requests, stats.Engine.PathsDecoded)

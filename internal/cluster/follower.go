@@ -233,7 +233,7 @@ func (f *Follower) bootstrap() (string, error) {
 				}
 				return "", fmt.Errorf("cluster: fetch artifact %s: %w", name, err)
 			}
-			if err := f.writeDurable(filepath.Join(dir, name), data); err != nil {
+			if err := faultfs.WriteFile(f.fs, filepath.Join(dir, name), faultfs.Bytes(data)); err != nil {
 				return "", err
 			}
 		}
@@ -241,7 +241,7 @@ func (f *Follower) bootstrap() (string, error) {
 			continue
 		}
 		// Manifest last: its presence marks the snapshot complete.
-		if err := f.writeDurable(filepath.Join(dir, store.ManifestName), manBytes); err != nil {
+		if err := faultfs.WriteFile(f.fs, filepath.Join(dir, store.ManifestName), faultfs.Bytes(manBytes)); err != nil {
 			return "", err
 		}
 		if err := f.fs.SyncDir(dir); err != nil {
@@ -252,41 +252,13 @@ func (f *Follower) bootstrap() (string, error) {
 		if err := ingest.CreateWAL(f.fs, filepath.Join(dir, "ingest.wal"), info.WALApplied); err != nil {
 			return "", err
 		}
-		if err := f.setCurrent(sub); err != nil {
+		// Atomically repoint CURRENT at the new snapshot.
+		if err := faultfs.ReplaceFile(f.fs, filepath.Join(f.opts.Dir, currentName), faultfs.Bytes([]byte(sub))); err != nil {
 			return "", err
 		}
 		return sub, nil
 	}
 	return "", fmt.Errorf("cluster: snapshot kept going stale after %d attempts: %w", maxAttempts, lastErr)
-}
-
-// writeDurable writes data to path and fsyncs it.
-func (f *Follower) writeDurable(path string, data []byte) error {
-	w, err := f.fs.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// setCurrent atomically repoints CURRENT at sub.
-func (f *Follower) setCurrent(sub string) error {
-	tmp := filepath.Join(f.opts.Dir, currentName+".tmp")
-	if err := f.writeDurable(tmp, []byte(sub)); err != nil {
-		return err
-	}
-	if err := f.fs.Rename(tmp, filepath.Join(f.opts.Dir, currentName)); err != nil {
-		return err
-	}
-	return f.fs.SyncDir(f.opts.Dir)
 }
 
 // maxFetchBytes bounds one replication response body (snapshot artifact

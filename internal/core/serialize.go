@@ -286,8 +286,11 @@ func (r *byteReader) uvarint() int {
 // aliases the buffer directly (the bit streams are read-only at query
 // time), and the directory is filled from the record heads in one pass:
 // only the time header and each instance's head bits are read at open,
-// and the rest of a record on first query touch.  The caller owns the buffer's lifetime and must keep it
-// valid while the archive or any of its records is reachable.
+// and the rest of a record on first query touch.  The caller owns the
+// buffer's lifetime and must keep it valid while the archive or any of
+// its records is reachable.  The records are allocated in one block with
+// a.Trajs[0] at its start, so while any record is reachable that block
+// is: a caller can tie the buffer's lifetime to a.Trajs[0] alone.
 func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	r := &byteReader{data: data}
 	if string(r.take(len(archiveMagic))) != archiveMagic {
@@ -332,11 +335,12 @@ func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	if nt*minTraj > r.remaining() {
 		return nil, errTruncated
 	}
+	recs := make([]TrajRecord, nt) // one block: see the doc comment
 	a.Trajs = make([]*TrajRecord, nt)
 	var starts, refs []int
 	var chunk []InstMeta // the directories are carved from shared chunks
 	for j := range a.Trajs {
-		tr := &TrajRecord{}
+		tr := &recs[j]
 		tr.BitLen, starts, tr.Bits = next(starts[:0])
 		if r.err != nil {
 			return nil, r.err

@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"utcq/internal/gen"
 	"utcq/internal/paperfix"
@@ -243,9 +246,63 @@ func TestEscapedT0RoundTrip(t *testing.T) {
 // TestLoadBytesAllocsPerTrajectory pins the heap allocations LoadBytes
 // makes per trajectory on a fixed CD corpus.
 func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
+	a := buildCD(t, 40)
+	data := saveArchive(a)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := LoadBytes(data, a.Graph); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(len(a.Trajs))
+	t.Logf("%.2f allocs per trajectory", per)
+	const ceiling = 0.5 // measured 0.38; one allocation per record took 1.35, the version-1 directory 4.15
+	if per > ceiling {
+		t.Errorf("LoadBytes makes %.2f allocs per trajectory, want ≤ %v", per, ceiling)
+	}
+}
+
+// TestLoadBytesRecordsShareOneAllocation pins the contract a store that
+// maps archives relies on: LoadBytes allocates every record in one block
+// starting at Trajs[0], so a GC cleanup on Trajs[0] runs only once no
+// record of the archive is reachable.
+func TestLoadBytesRecordsShareOneAllocation(t *testing.T) {
+	a, err := LoadBytes(saveArchive(buildCD(t, 40)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := unsafe.Pointer(a.Trajs[0])
+	for j, tr := range a.Trajs {
+		if unsafe.Pointer(tr) != unsafe.Add(base, uintptr(j)*unsafe.Sizeof(TrajRecord{})) {
+			t.Fatalf("record %d is not element %d of the block at Trajs[0]", j, j)
+		}
+	}
+	var freed atomic.Bool
+	runtime.AddCleanup(a.Trajs[0], func(f *atomic.Bool) { f.Store(true) }, &freed)
+	last := a.Trajs[len(a.Trajs)-1]
+	a = nil
+	for range 5 {
+		runtime.GC()
+	}
+	if freed.Load() {
+		t.Fatal("Trajs[0]'s cleanup ran while another record of its archive was reachable")
+	}
+	runtime.KeepAlive(last)
+	last = nil
+	for i := 0; !freed.Load(); i++ {
+		if i == 200 {
+			t.Fatal("Trajs[0]'s cleanup never ran after every record became unreachable")
+		}
+		runtime.GC()
+		runtime.Gosched()
+	}
+}
+
+// buildCD compresses n trajectories of a small fixed CD corpus.
+func buildCD(t *testing.T, n int) *Archive {
+	t.Helper()
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 20, 20
-	ds, err := gen.Build(p, 40, 9)
+	ds, err := gen.Build(p, n, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,16 +314,5 @@ func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := saveArchive(a)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := LoadBytes(data, ds.Graph); err != nil {
-			t.Fatal(err)
-		}
-	})
-	per := allocs / float64(len(a.Trajs))
-	t.Logf("%.2f allocs per trajectory", per)
-	const ceiling = 2 // measured 1.32; the version-1 directory took 4.15
-	if per > ceiling {
-		t.Errorf("LoadBytes makes %.2f allocs per trajectory, want ≤ %v", per, ceiling)
-	}
+	return a
 }

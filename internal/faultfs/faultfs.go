@@ -16,6 +16,11 @@
 //     combined with MemFS.PowerCut simulates a process death at an
 //     arbitrary I/O boundary.
 //
+// WriteFile and ReplaceFile are the persistence layer's one write path:
+// every durable file is created, written, fsynced and closed by WriteFile,
+// and replaced atomically (temp file, rename, directory sync) by
+// ReplaceFile, on any FS.
+//
 // The crash-matrix harness (internal/faultfs/crashmatrix) enumerates every
 // mutating operation of a workload and replays it with a crash injected
 // after each one, asserting the store's acked-durability contract at every

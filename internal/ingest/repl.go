@@ -151,24 +151,11 @@ func (ing *Ingester) ReplicateBatch(from uint64, recs []Record) (uint64, error) 
 // with firstSeq=N so the pull cursor lines up with the leader's
 // numbering.
 func CreateWAL(fsys faultfs.FS, path string, firstSeq uint64) error {
-	fsys = faultfs.Resolve(fsys)
-	f, err := fsys.Create(path)
-	if err != nil {
-		return err
-	}
 	hdr := walHeader(firstSeq)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
+	if err := faultfs.WriteFile(fsys, path, faultfs.Bytes(hdr[:])); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return faultfs.Resolve(fsys).SyncDir(filepath.Dir(path))
 }
 
 // EncodeFrames serializes records for the replication stream in the

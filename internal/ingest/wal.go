@@ -400,23 +400,16 @@ func (w *WAL) Checkpoint(upTo uint64) error {
 		br = bsrc
 	}
 	tmpPath := w.path + ".tmp"
-	tmp, err := w.fs.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	hdr := walHeader(upTo)
 	var copied int64
-	if _, err = tmp.Write(hdr[:]); err == nil {
-		copied, err = io.Copy(tmp, br)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	err := faultfs.WriteFile(w.fs, tmpPath, func(tmp io.Writer) error {
+		hdr := walHeader(upTo)
+		_, err := tmp.Write(hdr[:])
+		if err == nil {
+			copied, err = io.Copy(tmp, br)
+		}
+		return err
+	})
 	if err != nil {
-		w.fs.Remove(tmpPath)
 		return err
 	}
 	if err := w.fs.Rename(tmpPath, w.path); err != nil {

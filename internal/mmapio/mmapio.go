@@ -6,16 +6,15 @@
 // UTCQ_NO_MMAP=1 environment variable is set — Open falls back to a plain
 // heap read with identical semantics, so callers never branch on platform.
 //
-// Lifetime is reference-counted rather than scoped: decoded records alias
-// subslices of the mapping, and in this codebase records outlive the file
-// handle that produced them (store compaction moves TrajRecord pointers
-// from delta archives into a merged archive).  A creator holds one
-// reference; it Retains once per escaping alias holder and attaches a
-// runtime.AddCleanup that Releases when the holder is collected.  The
-// mapping is unmapped exactly when the last reference drops, so no live
-// []byte can ever point into unmapped memory.  Unlinking a mapped file
-// (the store's tombstone GC does) is safe: POSIX keeps the pages valid
-// until the mapping goes away.
+// A Map has exactly one owner, and Release unmaps it.  Decoded objects
+// alias subslices of the mapping and may outlive the code that opened it
+// (store compaction moves records from delta archives into a merged
+// archive), so the owner is usually not a scope but one heap object that
+// every alias holder keeps reachable: the opener attaches a
+// runtime.AddCleanup to it that Releases the Map when it is collected,
+// and no live []byte can then point into unmapped memory.  Unlinking a
+// mapped file (the store's tombstone GC does) is safe: POSIX keeps the
+// pages valid until the mapping goes away.
 package mmapio
 
 import (
@@ -39,7 +38,6 @@ func MappedBytes() int64 { return mappedBytes.Load() }
 type Map struct {
 	data   []byte
 	mapped bool
-	refs   atomic.Int64
 }
 
 // NoMmapEnv is the environment variable that forces the heap fallback at
@@ -62,9 +60,7 @@ func OpenIn(fs faultfs.FS, path string) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Map{data: data}
-	m.refs.Store(1)
-	return m, nil
+	return &Map{data: data}, nil
 }
 
 // mapFileImpl indirects the platform map call so tests can force a map
@@ -75,7 +71,7 @@ var mapFileImpl = mapFile
 // Open maps path read-only.  The heap fallback is selected when the
 // platform lacks mmap, when the file is empty (zero-length mappings are
 // invalid), or when UTCQ_NO_MMAP=1; the variable is consulted per call so
-// tests can flip it with t.Setenv.  The returned Map holds one reference.
+// tests can flip it with t.Setenv.  The caller owns the returned Map.
 func Open(path string) (*Map, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -91,7 +87,6 @@ func Open(path string) (*Map, error) {
 		return nil, fmt.Errorf("mmapio: %s is %d bytes, too large to map", path, size)
 	}
 	m := &Map{}
-	m.refs.Store(1)
 	if size > 0 && mmapSupported && os.Getenv(NoMmapEnv) != "1" {
 		data, err := mapFileImpl(f, size)
 		if err == nil {
@@ -112,8 +107,7 @@ func Open(path string) (*Map, error) {
 
 const maxInt = int(^uint(0) >> 1)
 
-// Data returns the file contents.  The slice stays valid until the last
-// reference is released.
+// Data returns the file contents.  The slice stays valid until Release.
 func (m *Map) Data() []byte { return m.data }
 
 // Mapped reports whether the Map is backed by an OS mapping (false for
@@ -121,16 +115,9 @@ func (m *Map) Data() []byte { return m.data }
 // directly).
 func (m *Map) Mapped() bool { return m.mapped }
 
-// Retain adds a reference.  Call once per holder that aliases Data past
-// the creator's Release.
-func (m *Map) Retain() { m.refs.Add(1) }
-
-// Release drops one reference; the last release unmaps.  Safe to call
-// from finalizer/cleanup goroutines.
+// Release unmaps the file.  Only the Map's owner calls it, once (a GC
+// cleanup may be that owner); no slice of Data may be used afterwards.
 func (m *Map) Release() {
-	if m.refs.Add(-1) != 0 {
-		return
-	}
 	if m.mapped {
 		mappedBytes.Add(-int64(len(m.data)))
 		_ = unmapFile(m.data)
@@ -138,6 +125,3 @@ func (m *Map) Release() {
 	}
 	m.data = nil
 }
-
-// Close is Release under the name deferred cleanup reads naturally.
-func (m *Map) Close() { m.Release() }

@@ -72,28 +72,6 @@ func TestOpenEmptyFile(t *testing.T) {
 	m.Release()
 }
 
-func TestRefcountDefersUnmap(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	t.Setenv(NoMmapEnv, "") // mapping is the subject even under a no-mmap CI pass
-	content := bytes.Repeat([]byte{7}, 8192)
-	m, err := Open(writeTemp(t, content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Retain()
-	m.Release() // creator's reference
-	// The retained reference must keep the data addressable.
-	if m.Data()[100] != 7 || m.Data()[8191] != 7 {
-		t.Fatal("data unreadable while a reference is held")
-	}
-	m.Release()
-	if m.Data() != nil {
-		t.Fatal("data not cleared after the last release")
-	}
-}
-
 // TestMapFailureFallsBackToHeap forces the platform map call to fail and
 // requires Open to degrade to the heap path silently: a map failure
 // (exotic filesystem, resource limit) must not fail the open.

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -47,12 +46,6 @@ type Engine struct {
 	probSum    []float64
 	instOffset []int
 	numInsts   int
-
-	// tempHint[j] caches the last temporal-entry index served for
-	// trajectory j; queries hitting the same interval skip the binary
-	// search (the hint is verified before use, so stale values only cost
-	// the fallback search).
-	tempHint []atomic.Int32
 
 	// Work counters, maintained atomically (see Stats).
 	pathsDecoded     atomic.Int64
@@ -199,7 +192,6 @@ func NewEngine(a *core.Archive, ix *stiu.Index) *Engine {
 	e.probOrder = make([][]int32, len(a.Trajs))
 	e.probSum = make([]float64, len(a.Trajs))
 	e.instOffset = make([]int, len(a.Trajs))
-	e.tempHint = make([]atomic.Int32, len(a.Trajs))
 	for j, tr := range a.Trajs {
 		e.instOffset[j] = e.numInsts
 		e.numInsts += len(tr.Insts)
@@ -226,28 +218,6 @@ func NewEngine(a *core.Archive, ix *stiu.Index) *Engine {
 	return e
 }
 
-// findTemporal is Ix.FindTemporal with a per-trajectory hint: repeated
-// queries in the same interval verify the cached entry in O(1) instead of
-// re-running the binary search.  The hint is advisory — a failed
-// verification falls back to the search — so concurrent updates are safe.
-func (e *Engine) findTemporal(j int, t int64) (stiu.TemporalEntry, bool) {
-	entries, err := e.Ix.TemporalEntries(j)
-	if err != nil || len(entries) == 0 {
-		return stiu.TemporalEntry{}, false
-	}
-	h := int(e.tempHint[j].Load())
-	if h >= 0 && h < len(entries) && entries[h].Start <= t &&
-		(h+1 >= len(entries) || entries[h+1].Start > t) {
-		return entries[h], true
-	}
-	lo := sort.Search(len(entries), func(i int) bool { return entries[i].Start > t })
-	if lo == 0 {
-		return stiu.TemporalEntry{}, false
-	}
-	e.tempHint[j].Store(int32(lo - 1))
-	return entries[lo-1], true
-}
-
 // open points the cursor at instance orig of trajectory j, counting the
 // run in PathsDecoded.
 func (e *Engine) open(c *instCursor, j, orig int) error {
@@ -258,7 +228,7 @@ func (e *Engine) open(c *instCursor, j, orig int) error {
 // bracket finds i with T[i] <= t <= T[i+1] using the temporal index and a
 // partial decode from t.pos; ok is false when t is outside the trajectory.
 func (e *Engine) bracket(j int, t int64) (i int, ti, ti1 int64, ok bool) {
-	entry, found := e.findTemporal(j, t)
+	entry, found := e.Ix.FindTemporal(j, t)
 	if !found {
 		return 0, 0, 0, false
 	}

@@ -37,6 +37,7 @@ func BuildTEDIndex(a *ted.Archive, opts stiu.Options) (*TEDIndex, error) {
 		Intervals:       make(map[int][]int32),
 		trajRegionInsts: make([]map[roadnet.RegionID][]int32, len(a.Trajs)),
 	}
+	var cells []roadnet.RegionID // scratch for each edge's regions
 	for j := range a.Trajs {
 		T, err := a.DecodeTime(j)
 		if err != nil {
@@ -81,7 +82,8 @@ func BuildTEDIndex(a *ted.Archive, opts stiu.Options) (*TEDIndex, error) {
 			}
 			seen := make(map[roadnet.RegionID]bool)
 			for _, e := range pi.Edges {
-				for _, re := range ix.Grid.CellsOfEdge(a.Graph, e) {
+				cells = ix.Grid.AppendCellsOfEdge(cells[:0], a.Graph, e)
+				for _, re := range cells {
 					if !seen[re] {
 						seen[re] = true
 						ix.trajRegionInsts[j][re] = append(ix.trajRegionInsts[j][re], int32(i))

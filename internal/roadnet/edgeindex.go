@@ -17,8 +17,10 @@ func NewEdgeIndex(g *Graph, cell float64) *EdgeIndex {
 	ny := int((b.MaxY-b.MinY)/cell) + 1
 	grid := NewGridOver(b, nx, ny)
 	ix := &EdgeIndex{g: g, grid: grid, buckets: make([][]EdgeID, grid.NumRegions())}
+	var cells []RegionID
 	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
-		for _, r := range grid.CellsOfEdge(g, id) {
+		cells = grid.AppendCellsOfEdge(cells[:0], g, id)
+		for _, r := range cells {
 			ix.buckets[r] = append(ix.buckets[r], id)
 		}
 	}

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -166,7 +167,7 @@ func TestGridCells(t *testing.T) {
 func TestCellsOfSegmentOrdered(t *testing.T) {
 	g, _ := buildFig2Like()
 	grid := NewGrid(g, 8, 8)
-	cells := grid.CellsOfSegment(0, 0, 800, 0)
+	cells := grid.AppendCellsOfSegment(nil, 0, 0, 800, 0)
 	if len(cells) < 2 {
 		t.Fatalf("expected multiple cells, got %d", len(cells))
 	}
@@ -174,6 +175,11 @@ func TestCellsOfSegmentOrdered(t *testing.T) {
 		if cells[i] == cells[i-1] {
 			t.Error("consecutive duplicate cells")
 		}
+	}
+	// Appending keeps the caller's prefix and appends the same cells.
+	more := grid.AppendCellsOfSegment(cells[:1:1], 0, 0, 800, 0)
+	if !slices.Equal(more[:1], cells[:1]) || !slices.Equal(more[1:], cells) {
+		t.Errorf("append to a one-cell prefix gave %v, want %v after %v", more, cells, cells[:1])
 	}
 }
 

@@ -107,19 +107,20 @@ func (gr *Grid) CellsInRect(rect Rect) []RegionID {
 	return out
 }
 
-// CellsOfEdge returns the ordered distinct regions an edge passes through,
-// from the edge's start towards its end.
-func (gr *Grid) CellsOfEdge(g *Graph, e EdgeID) []RegionID {
+// AppendCellsOfEdge appends to dst the ordered distinct regions an edge
+// passes through, from the edge's start towards its end.
+func (gr *Grid) AppendCellsOfEdge(dst []RegionID, g *Graph, e EdgeID) []RegionID {
 	edge := g.Edge(e)
 	a, b := g.Vertex(edge.From), g.Vertex(edge.To)
-	return gr.CellsOfSegment(a.X, a.Y, b.X, b.Y)
+	return gr.AppendCellsOfSegment(dst, a.X, a.Y, b.X, b.Y)
 }
 
-// CellsOfSegment returns the ordered distinct regions crossed by the
-// segment from (ax, ay) to (bx, by).  The traversal is exact: it advances
-// through every grid-line crossing, so no clipped cell is missed (the
-// spatial index must never under-report which regions an edge touches).
-func (gr *Grid) CellsOfSegment(ax, ay, bx, by float64) []RegionID {
+// AppendCellsOfSegment appends to dst the ordered distinct regions
+// crossed by the segment from (ax, ay) to (bx, by).  The traversal is
+// exact: it advances through every grid-line crossing, so no clipped cell
+// is missed (the spatial index must never under-report which regions an
+// edge touches).
+func (gr *Grid) AppendCellsOfSegment(dst []RegionID, ax, ay, bx, by float64) []RegionID {
 	cx := int((ax - gr.bounds.MinX) / gr.cw)
 	cy := int((ay - gr.bounds.MinY) / gr.ch)
 	ex := int((bx - gr.bounds.MinX) / gr.cw)
@@ -127,7 +128,7 @@ func (gr *Grid) CellsOfSegment(ax, ay, bx, by float64) []RegionID {
 	cx, cy = clamp(cx, 0, gr.nx-1), clamp(cy, 0, gr.ny-1)
 	ex, ey = clamp(ex, 0, gr.nx-1), clamp(ey, 0, gr.ny-1)
 
-	out := []RegionID{RegionID(cy*gr.nx + cx)}
+	out := append(dst, RegionID(cy*gr.nx+cx))
 	if cx == ex && cy == ey {
 		return out
 	}

@@ -12,6 +12,7 @@ import (
 	"utcq/internal/gen"
 	"utcq/internal/stiu"
 	"utcq/internal/store"
+	"utcq/pkg/client"
 )
 
 // benchServer is built once and reused: a 4-shard store behind the HTTP
@@ -70,7 +71,7 @@ func BenchmarkServerWhere(b *testing.B) {
 		j := rng.Intn(len(ds.Trajectories))
 		T := ds.Trajectories[j].T
 		tq := T[0] + rng.Int63n(T[len(T)-1]-T[0]+1)
-		benchPost(b, ts.URL+"/v1/where", WhereRequest{Traj: j, T: tq, Alpha: 0.2})
+		benchPost(b, ts.URL+"/v1/where", client.WhereRequest{Traj: j, T: tq, Alpha: 0.2})
 	}
 }
 
@@ -82,21 +83,21 @@ func BenchmarkServerBatch16(b *testing.B) {
 	bounds := ds.Graph.Bounds()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var req BatchRequest
+		var req client.BatchRequest
 		for k := 0; k < 16; k++ {
 			j := rng.Intn(len(ds.Trajectories))
 			T := ds.Trajectories[j].T
 			tq := T[0] + rng.Int63n(T[len(T)-1]-T[0]+1)
 			if k%4 == 3 {
-				req.Queries = append(req.Queries, BatchQuery{Kind: "range", Range: &RangeRequest{
-					Rect: RectJSON{MinX: bounds.MinX, MinY: bounds.MinY,
+				req.Queries = append(req.Queries, client.BatchQuery{Kind: "range", Range: &client.RangeRequest{
+					Rect: client.Rect{MinX: bounds.MinX, MinY: bounds.MinY,
 						MaxX: bounds.MinX + 0.3*(bounds.MaxX-bounds.MinX),
 						MaxY: bounds.MinY + 0.3*(bounds.MaxY-bounds.MinY)},
 					T: tq, Alpha: 0.2,
 				}})
 			} else {
-				req.Queries = append(req.Queries, BatchQuery{Kind: "where",
-					Where: &WhereRequest{Traj: j, T: tq, Alpha: 0.2}})
+				req.Queries = append(req.Queries, client.BatchQuery{Kind: "where",
+					Where: &client.WhereRequest{Traj: j, T: tq, Alpha: 0.2}})
 			}
 		}
 		benchPost(b, ts.URL+"/v1/batch", req)

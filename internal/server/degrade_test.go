@@ -102,7 +102,7 @@ func TestShardQuarantineServesDegraded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	whereReq := WhereRequest{Traj: 0, T: ds.Trajectories[0].T[0], Alpha: 0.3}
+	whereReq := client.WhereRequest{Traj: 0, T: ds.Trajectories[0].T[0], Alpha: 0.3}
 	// The query that discovers the failure reports it as a server error…
 	if resp := postRaw(t, ts, "/v1/where", whereReq, nil); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("first query on a broken shard: status %d, want 500", resp.StatusCode)
@@ -125,7 +125,7 @@ func TestShardQuarantineServesDegraded(t *testing.T) {
 		Degraded      bool  `json:"degraded"`
 		ShardsSkipped int   `json:"shardsSkipped"`
 	}
-	rr := RangeRequest{Rect: RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: ds.Trajectories[0].T[0], Alpha: 0.3}
+	rr := client.RangeRequest{Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: ds.Trajectories[0].T[0], Alpha: 0.3}
 	if resp := postRaw(t, ts, "/v1/range", rr, &rangeResp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded range: status %d, want 200", resp.StatusCode)
 	}
@@ -144,7 +144,7 @@ func TestShardQuarantineServesDegraded(t *testing.T) {
 	if health.Status != "degraded" || health.QuarantinedShards == 0 {
 		t.Fatalf("healthz should report the quarantine: %+v", health)
 	}
-	var stats StatsResponse
+	var stats client.StatsResponse
 	getJSON(t, ts, "/v1/stats", &stats)
 	if stats.QuarantinedShards == 0 || stats.ShardOpenFailures == 0 {
 		t.Fatalf("stats should count quarantined shards and open failures: %+v", stats)
@@ -157,7 +157,7 @@ func TestShardQuarantineServesDegraded(t *testing.T) {
 // degradeIngestFixture is an ingest-enabled server with a tight admission
 // limit and a fault injector wrapped around the WAL's filesystem, so the
 // tests below can fill the queue and break the log deterministically.
-func degradeIngestFixture(t *testing.T, opts Options) (*httptest.Server, *faultfs.Injector, []RawTrajectoryJSON) {
+func degradeIngestFixture(t *testing.T, opts Options) (*httptest.Server, *faultfs.Injector, []client.RawTrajectory) {
 	t.Helper()
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 24, 24
@@ -211,20 +211,20 @@ func degradeIngestFixture(t *testing.T, opts Options) (*httptest.Server, *faultf
 func TestIngestAdmissionBoundedQueue(t *testing.T) {
 	ts, _, raws := degradeIngestFixture(t, Options{MaxPending: 1})
 
-	var ok IngestResponse
-	if resp := postRaw(t, ts, "/v1/ingest", IngestRequest{Trajectories: raws[:1]}, &ok); resp.StatusCode != http.StatusOK {
+	var ok client.IngestResponse
+	if resp := postRaw(t, ts, "/v1/ingest", client.IngestRequest{Trajectories: raws[:1]}, &ok); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first ingest under the limit: status %d, want 200", resp.StatusCode)
 	}
 	// The queue now holds >= MaxPending acknowledged records and nothing
 	// drains them: the next request must be shed, not acknowledged.
-	resp := postRaw(t, ts, "/v1/ingest", IngestRequest{Trajectories: raws[1:2]}, nil)
+	resp := postRaw(t, ts, "/v1/ingest", client.IngestRequest{Trajectories: raws[1:2]}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit ingest: status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 should carry Retry-After")
 	}
-	var stats StatsResponse
+	var stats client.StatsResponse
 	getJSON(t, ts, "/v1/stats", &stats)
 	if stats.Rejected != 1 {
 		t.Fatalf("rejected counter = %d, want 1", stats.Rejected)
@@ -241,8 +241,8 @@ func TestIngestAdmissionBoundedQueue(t *testing.T) {
 func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 	ts, inj, raws := degradeIngestFixture(t, Options{})
 
-	var ok IngestResponse
-	if resp := postRaw(t, ts, "/v1/ingest", IngestRequest{Trajectories: raws[:1]}, &ok); resp.StatusCode != http.StatusOK {
+	var ok client.IngestResponse
+	if resp := postRaw(t, ts, "/v1/ingest", client.IngestRequest{Trajectories: raws[:1]}, &ok); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy ingest: status %d, want 200", resp.StatusCode)
 	}
 
@@ -250,12 +250,12 @@ func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 	// not acknowledged) and the write path latches read-only.  FailAt
 	// resets the op counter, so the next append is write(0), sync(1).
 	inj.FailAt(1, faultfs.EIO)
-	if resp := postRaw(t, ts, "/v1/ingest", IngestRequest{Trajectories: raws[1:2]}, nil); resp.StatusCode != http.StatusInternalServerError {
+	if resp := postRaw(t, ts, "/v1/ingest", client.IngestRequest{Trajectories: raws[1:2]}, nil); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("ingest over a failed sync: status %d, want 500", resp.StatusCode)
 	}
 	inj.Disarm()
 
-	resp := postRaw(t, ts, "/v1/ingest", IngestRequest{Trajectories: raws[2:3]}, nil)
+	resp := postRaw(t, ts, "/v1/ingest", client.IngestRequest{Trajectories: raws[2:3]}, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("read-only ingest: status %d, want 503", resp.StatusCode)
 	}
@@ -271,7 +271,7 @@ func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 	if health.Status != "degraded" || !health.ReadOnly {
 		t.Fatalf("healthz should report read-only mode: %+v", health)
 	}
-	var stats StatsResponse
+	var stats client.StatsResponse
 	getJSON(t, ts, "/v1/stats", &stats)
 	if stats.Ingest == nil || !stats.Ingest.ReadOnly {
 		t.Fatalf("stats should report read-only mode: %+v", stats.Ingest)
@@ -279,9 +279,9 @@ func TestWALFaultTripsReadOnlyOverHTTP(t *testing.T) {
 
 	// Reads survive the broken write path.
 	var whereResp struct {
-		Results []WhereResultJSON `json:"results"`
+		Results []client.WhereResult `json:"results"`
 	}
-	if resp := postRaw(t, ts, "/v1/where", WhereRequest{Traj: 0, T: stats.TimeMin, Alpha: 0.0}, &whereResp); resp.StatusCode != http.StatusOK {
+	if resp := postRaw(t, ts, "/v1/where", client.WhereRequest{Traj: 0, T: stats.TimeMin, Alpha: 0.0}, &whereResp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query while read-only: status %d, want 200", resp.StatusCode)
 	}
 }
@@ -303,29 +303,29 @@ func (b *slowBackend) wait(ctx context.Context, key int64) error {
 	return ctx.Err()
 }
 
-func (b *slowBackend) Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error) {
-	return []WhereResultJSON{}, b.wait(ctx, int64(req.Traj))
+func (b *slowBackend) Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error) {
+	return []client.WhereResult{}, b.wait(ctx, int64(req.Traj))
 }
 
-func (b *slowBackend) When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error) {
-	return []WhenResultJSON{}, b.wait(ctx, int64(req.Traj))
+func (b *slowBackend) When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error) {
+	return []client.WhenResult{}, b.wait(ctx, int64(req.Traj))
 }
 
-func (b *slowBackend) Range(ctx context.Context, req RangeRequest) (RangeResult, error) {
-	return RangeResult{Trajs: []int{}}, b.wait(ctx, req.T)
+func (b *slowBackend) Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error) {
+	return client.RangeResult{Trajs: []int{}}, b.wait(ctx, req.T)
 }
 
-func (b *slowBackend) Ingest(context.Context, IngestRequest) (IngestResponse, error) {
-	return IngestResponse{}, errIngestDisabled
+func (b *slowBackend) Ingest(context.Context, client.IngestRequest) (client.IngestResponse, error) {
+	return client.IngestResponse{}, errIngestDisabled
 }
 
-func (b *slowBackend) Compact(context.Context) (CompactResponse, error) {
-	return CompactResponse{}, nil
+func (b *slowBackend) Compact(context.Context) (client.CompactResponse, error) {
+	return client.CompactResponse{}, nil
 }
 
-func (b *slowBackend) Stats(context.Context) StatsResponse { return StatsResponse{} }
+func (b *slowBackend) Stats(context.Context) client.StatsResponse { return client.StatsResponse{} }
 
-func (b *slowBackend) Health(context.Context) Health { return Health{Status: "ok"} }
+func (b *slowBackend) Health(context.Context) client.Health { return client.Health{Status: "ok"} }
 
 // TestQueryTimeoutAnswers504 pins the query deadline: the backend runs
 // under the request's context bounded by QueryTimeout, a where, range or
@@ -342,15 +342,15 @@ func TestQueryTimeoutAnswers504(t *testing.T) {
 		path string
 		body any
 	}{
-		{"/v1/where", WhereRequest{Traj: 1}},
-		{"/v1/range", RangeRequest{T: 1}},
-		{"/v1/batch", BatchRequest{Queries: []BatchQuery{
-			{Kind: "where", Where: &WhereRequest{Traj: 0}},
-			{Kind: "range", Range: &RangeRequest{T: 1}},
+		{"/v1/where", client.WhereRequest{Traj: 1}},
+		{"/v1/range", client.RangeRequest{T: 1}},
+		{"/v1/batch", client.BatchRequest{Queries: []client.BatchQuery{
+			{Kind: "where", Where: &client.WhereRequest{Traj: 0}},
+			{Kind: "range", Range: &client.RangeRequest{T: 1}},
 		}}},
 	}
 	for i, c := range slow {
-		var env ErrorResponse
+		var env client.ErrorResponse
 		start := time.Now()
 		resp := postRaw(t, ts, c.path, c.body, &env)
 		if resp.StatusCode != http.StatusGatewayTimeout || env.Code != client.CodeTimeout {
@@ -359,15 +359,15 @@ func TestQueryTimeoutAnswers504(t *testing.T) {
 		if el := time.Since(start); el > 20*budget {
 			t.Fatalf("%s answered after %v, deadline %v", c.path, el, budget)
 		}
-		var stats StatsResponse
+		var stats client.StatsResponse
 		getJSON(t, ts, "/v1/stats", &stats)
 		if stats.Timeouts != int64(i+1) {
 			t.Fatalf("after %s: timeouts = %d, want %d", c.path, stats.Timeouts, i+1)
 		}
 	}
 
-	var out results[[]WhereResultJSON]
-	if resp := postRaw(t, ts, "/v1/where", WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
+	var out results[[]client.WhereResult]
+	if resp := postRaw(t, ts, "/v1/where", client.WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fast where: status %d, want 200", resp.StatusCode)
 	}
 	if !b.hadDeadline.Load() {
@@ -377,7 +377,7 @@ func TestQueryTimeoutAnswers504(t *testing.T) {
 	nb := &slowBackend{}
 	nts := httptest.NewServer(NewHandler(nb, Options{QueryTimeout: -1}).Handler())
 	defer nts.Close()
-	if resp := postRaw(t, nts, "/v1/where", WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
+	if resp := postRaw(t, nts, "/v1/where", client.WhereRequest{Traj: 0}, &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("where without a budget: status %d, want 200", resp.StatusCode)
 	}
 	if nb.hadDeadline.Load() {

@@ -13,6 +13,7 @@ import (
 	"utcq/internal/stiu"
 	"utcq/internal/store"
 	"utcq/internal/traj"
+	"utcq/pkg/client"
 )
 
 // newIngestFixture builds a store over the first raws and a server with an
@@ -69,14 +70,14 @@ func (f *fixture) get(t *testing.T, path string, out any) {
 	}
 }
 
-func toJSON(raws []traj.RawTrajectory) []RawTrajectoryJSON {
-	out := make([]RawTrajectoryJSON, len(raws))
+func toJSON(raws []traj.RawTrajectory) []client.RawTrajectory {
+	out := make([]client.RawTrajectory, len(raws))
 	for i, raw := range raws {
-		pts := make([]RawPointJSON, len(raw.Points))
+		pts := make([]client.RawPoint, len(raw.Points))
 		for k, p := range raw.Points {
-			pts[k] = RawPointJSON{X: p.X, Y: p.Y, T: p.T}
+			pts[k] = client.RawPoint{X: p.X, Y: p.Y, T: p.T}
 		}
-		out[i] = RawTrajectoryJSON{Points: pts}
+		out[i] = client.RawTrajectory{Points: pts}
 	}
 	return out
 }
@@ -91,8 +92,8 @@ func TestIngestEndpoint(t *testing.T) {
 	gen0 := st.Generation()
 
 	// Acknowledge without flush: durable but not yet queryable.
-	var ack IngestResponse
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[:3])}, http.StatusOK, &ack)
+	var ack client.IngestResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[:3])}, http.StatusOK, &ack)
 	if ack.Accepted != 3 || ack.FirstSeq != 0 {
 		t.Fatalf("ack = %+v", ack)
 	}
@@ -104,8 +105,8 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Flush: the batch becomes queryable and the generation advances.
-	var ack2 IngestResponse
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[3:]), Flush: true}, http.StatusOK, &ack2)
+	var ack2 client.IngestResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[3:]), Flush: true}, http.StatusOK, &ack2)
 	if ack2.Pending != 0 {
 		t.Fatalf("flushed ingest left %d pending", ack2.Pending)
 	}
@@ -120,12 +121,12 @@ func TestIngestEndpoint(t *testing.T) {
 	// The ingested trajectories answer queries end to end.
 	lo, hi := st.TimeSpan()
 	var wr struct {
-		Results []WhereResultJSON `json:"results"`
+		Results []client.WhereResult `json:"results"`
 	}
-	f.post(t, "/v1/where", WhereRequest{Traj: grown - 1, T: (lo + hi) / 2, Alpha: 0}, http.StatusOK, &wr)
+	f.post(t, "/v1/where", client.WhereRequest{Traj: grown - 1, T: (lo + hi) / 2, Alpha: 0}, http.StatusOK, &wr)
 
 	// Stats reflect ingestion.
-	var sr StatsResponse
+	var sr client.StatsResponse
 	f.get(t, "/v1/stats", &sr)
 	if sr.Ingest == nil {
 		t.Fatal("stats missing ingest section")
@@ -138,7 +139,7 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// Compaction folds every delta shard.
-	var cr CompactResponse
+	var cr client.CompactResponse
 	f.post(t, "/v1/compact", struct{}{}, http.StatusOK, &cr)
 	if cr.Folded == 0 {
 		t.Fatal("compaction folded nothing")
@@ -152,11 +153,11 @@ func TestIngestEndpoint(t *testing.T) {
 	// invalid trajectory acknowledges nothing, even when other members
 	// are valid, so a client retry cannot duplicate records.
 	ackedBefore := sr.Ingest.Acked
-	var errResp ErrorResponse
-	f.post(t, "/v1/ingest", IngestRequest{}, http.StatusBadRequest, &errResp)
-	one := IngestRequest{Trajectories: []RawTrajectoryJSON{{Points: []RawPointJSON{{X: 1, Y: 2, T: 3}}}}}
+	var errResp client.ErrorResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{}, http.StatusBadRequest, &errResp)
+	one := client.IngestRequest{Trajectories: []client.RawTrajectory{{Points: []client.RawPoint{{X: 1, Y: 2, T: 3}}}}}
 	f.post(t, "/v1/ingest", one, http.StatusBadRequest, &errResp)
-	mixed := IngestRequest{Trajectories: append(toJSON(raws[:1]), RawTrajectoryJSON{Points: []RawPointJSON{
+	mixed := client.IngestRequest{Trajectories: append(toJSON(raws[:1]), client.RawTrajectory{Points: []client.RawPoint{
 		{X: 1, Y: 2, T: 30}, {X: 2, Y: 3, T: 30}, // non-increasing timestamps
 	}})}
 	f.post(t, "/v1/ingest", mixed, http.StatusBadRequest, &errResp)
@@ -170,12 +171,12 @@ func TestIngestEndpoint(t *testing.T) {
 // but still compacts (no-op on a store without deltas).
 func TestIngestDisabled(t *testing.T) {
 	f := newFixture(t)
-	var errResp ErrorResponse
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON([]traj.RawTrajectory{
+	var errResp client.ErrorResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON([]traj.RawTrajectory{
 		{Points: []traj.RawPoint{{X: 0, Y: 0, T: 1}, {X: 1, Y: 1, T: 2}}},
 	})}, http.StatusServiceUnavailable, &errResp)
 
-	var cr CompactResponse
+	var cr client.CompactResponse
 	f.post(t, "/v1/compact", struct{}{}, http.StatusOK, &cr)
 	if cr.Folded != 0 {
 		t.Fatalf("read-only store folded %d shards", cr.Folded)

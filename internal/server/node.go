@@ -39,15 +39,15 @@ func (n *node) Reader(gen uint64) (Reader, error) {
 	return &snapReader{sn, n.st.Graph()}, nil
 }
 
-func (r *snapReader) Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error) {
+func (r *snapReader) Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error) {
 	rs, err := r.sn.Where(ctx, req.Traj, req.T, req.Alpha)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WhereResultJSON, len(rs))
+	out := make([]client.WhereResult, len(rs))
 	for i, res := range rs {
 		x, y := r.g.Coords(res.Loc)
-		out[i] = WhereResultJSON{
+		out[i] = client.WhereResult{
 			Inst: res.Inst, P: res.P,
 			Edge: int(res.Loc.Edge), NDist: res.Loc.NDist,
 			X: x, Y: y,
@@ -56,7 +56,7 @@ func (r *snapReader) Where(ctx context.Context, req WhereRequest) ([]WhereResult
 	return out, nil
 }
 
-func (r *snapReader) When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error) {
+func (r *snapReader) When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error) {
 	if n := r.g.NumEdges(); req.Loc.Edge < 0 || req.Loc.Edge >= n {
 		return nil, fmt.Errorf("%w: edge %d outside [0, %d)", errBadInput, req.Loc.Edge, n)
 	}
@@ -65,9 +65,9 @@ func (r *snapReader) When(ctx context.Context, req WhenRequest) ([]WhenResultJSO
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WhenResultJSON, len(rs))
+	out := make([]client.WhenResult, len(rs))
 	for i, res := range rs {
-		out[i] = WhenResultJSON{Inst: res.Inst, P: res.P, T: res.T}
+		out[i] = client.WhenResult{Inst: res.Inst, P: res.P, T: res.T}
 	}
 	return out, nil
 }
@@ -75,16 +75,16 @@ func (r *snapReader) When(ctx context.Context, req WhenRequest) ([]WhenResultJSO
 // Range evaluates a range query over every healthy shard.  Live shards
 // that could not be consulted because they are quarantined after open
 // failures are counted in ShardsSkipped and flag the result degraded.
-func (r *snapReader) Range(ctx context.Context, req RangeRequest) (RangeResult, error) {
+func (r *snapReader) Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error) {
 	re := roadnet.Rect{MinX: req.Rect.MinX, MinY: req.Rect.MinY, MaxX: req.Rect.MaxX, MaxY: req.Rect.MaxY}
 	trajs, skipped, err := r.sn.RangeDegraded(ctx, re, req.T, req.Alpha)
 	if err != nil {
-		return RangeResult{}, err
+		return client.RangeResult{}, err
 	}
 	if trajs == nil {
 		trajs = []int{}
 	}
-	return RangeResult{Trajs: trajs, Degraded: skipped > 0, ShardsSkipped: skipped}, nil
+	return client.RangeResult{Trajs: trajs, Degraded: skipped > 0, ShardsSkipped: skipped}, nil
 }
 
 // Ingest acknowledges raw trajectories.  The whole batch is validated
@@ -92,12 +92,12 @@ func (r *snapReader) Range(ctx context.Context, req RangeRequest) (RangeResult, 
 // group commit (SubmitBatch), so the request is atomic from the client's
 // view: a 400 means nothing was acknowledged, a 200 means the entire
 // batch survives a crash.
-func (n *node) Ingest(_ context.Context, req IngestRequest) (IngestResponse, error) {
+func (n *node) Ingest(_ context.Context, req client.IngestRequest) (client.IngestResponse, error) {
 	if n.ing == nil {
-		return IngestResponse{}, fmt.Errorf("%w: utcqd started without -wal", errIngestDisabled)
+		return client.IngestResponse{}, fmt.Errorf("%w: utcqd started without -wal", errIngestDisabled)
 	}
 	if n.follower {
-		return IngestResponse{}, fmt.Errorf("%w: this node is a replication follower; submit writes to the leader", errNotLeader)
+		return client.IngestResponse{}, fmt.Errorf("%w: this node is a replication follower; submit writes to the leader", errNotLeader)
 	}
 	// Bounded admission: past the pending limit the WAL keeps growing
 	// faster than the drain empties it, so shed load here — the batch was
@@ -105,7 +105,7 @@ func (n *node) Ingest(_ context.Context, req IngestRequest) (IngestResponse, err
 	if limit := n.maxPending; limit > 0 {
 		if pending := n.ing.Pending(); pending >= limit {
 			n.rejected.Add(1)
-			return IngestResponse{}, fmt.Errorf("%w: %d acknowledged records pending (limit %d)", errBacklog, pending, limit)
+			return client.IngestResponse{}, fmt.Errorf("%w: %d acknowledged records pending (limit %d)", errBacklog, pending, limit)
 		}
 	}
 	raws := make([]traj.RawTrajectory, len(req.Trajectories))
@@ -121,9 +121,9 @@ func (n *node) Ingest(_ context.Context, req IngestRequest) (IngestResponse, err
 	// operator intervenes.
 	first, err := n.ing.SubmitBatch(raws)
 	if err != nil {
-		return IngestResponse{}, err
+		return client.IngestResponse{}, err
 	}
-	resp := IngestResponse{Accepted: len(raws), FirstSeq: first}
+	resp := client.IngestResponse{Accepted: len(raws), FirstSeq: first}
 	if req.Flush {
 		gen, err := n.ing.Flush()
 		if err != nil {
@@ -156,7 +156,7 @@ func (n *node) Ingest(_ context.Context, req IngestRequest) (IngestResponse, err
 // Compact drains pending ingestion and folds the live delta shards into
 // a base shard.  Without an ingester the store compacts directly (useful
 // after offline bulk loads).
-func (n *node) Compact(context.Context) (CompactResponse, error) {
+func (n *node) Compact(context.Context) (client.CompactResponse, error) {
 	var folded int
 	var err error
 	if n.ing != nil {
@@ -165,15 +165,15 @@ func (n *node) Compact(context.Context) (CompactResponse, error) {
 		folded, err = n.st.Compact()
 	}
 	if err != nil {
-		return CompactResponse{}, err
+		return client.CompactResponse{}, err
 	}
-	return CompactResponse{Folded: folded, Generation: n.st.Generation()}, nil
+	return client.CompactResponse{Folded: folded, Generation: n.st.Generation()}, nil
 }
 
 // Health reports "degraded" with the reasons — quarantined shards, a
 // read-only write path.
-func (n *node) Health(context.Context) Health {
-	resp := Health{Status: "ok"}
+func (n *node) Health(context.Context) client.Health {
+	resp := client.Health{Status: "ok"}
 	if q := n.st.QuarantinedShards(); q > 0 {
 		resp.Status = "degraded"
 		resp.QuarantinedShards = q
@@ -185,11 +185,11 @@ func (n *node) Health(context.Context) Health {
 	return resp
 }
 
-func (n *node) Stats(context.Context) StatsResponse {
+func (n *node) Stats(context.Context) client.StatsResponse {
 	st := n.st.Stats()
 	b := n.st.Bounds()
 	db := n.st.DataBounds()
-	resp := StatsResponse{
+	resp := client.StatsResponse{
 		Shards:            st.Shards,
 		BaseShards:        st.BaseShards,
 		DeltaShards:       st.DeltaShards,
@@ -201,8 +201,8 @@ func (n *node) Stats(context.Context) StatsResponse {
 		Compactions:       st.Compactions,
 		TimeMin:           st.TimeMin,
 		TimeMax:           st.TimeMax,
-		Bounds:            RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY},
-		DataBounds:        RectJSON{MinX: db.MinX, MinY: db.MinY, MaxX: db.MaxX, MaxY: db.MaxY},
+		Bounds:            client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY},
+		DataBounds:        client.Rect{MinX: db.MinX, MinY: db.MinY, MaxX: db.MaxX, MaxY: db.MaxY},
 		Engine:            client.EngineStats(st.Engine),
 		Succinct:          client.SuccinctStats(st.Succinct),
 		SidecarLoads:      st.SidecarLoads,
@@ -215,7 +215,7 @@ func (n *node) Stats(context.Context) StatsResponse {
 	}
 	if n.ing != nil {
 		is := n.ing.Stats()
-		resp.Ingest = &IngestStatsJSON{
+		resp.Ingest = &client.IngestStats{
 			Acked:        is.Acked,
 			Applied:      is.Applied,
 			Pending:      is.Pending,

@@ -33,7 +33,7 @@ func FuzzRequestDecode(f *testing.F) {
 	}
 	h := New(st, Options{}).Handler()
 
-	big, err := json.Marshal(BatchRequest{Queries: make([]BatchQuery, 300)})
+	big, err := json.Marshal(client.BatchRequest{Queries: make([]client.BatchQuery, 300)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func FuzzRequestDecode(f *testing.F) {
 			if w.Code/100 == 2 {
 				continue
 			}
-			var env ErrorResponse
+			var env client.ErrorResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Code == "" || env.Error == "" {
 				t.Fatalf("POST %s %q: status %d with body %q, want a v1 envelope", route, body, w.Code, w.Body.String())
 			}

@@ -83,9 +83,9 @@ func DefaultOptions() Options {
 // One Reader answers a whole /v1/batch, so every query in it sees the
 // same generation.
 type Reader interface {
-	Where(ctx context.Context, req WhereRequest) ([]WhereResultJSON, error)
-	When(ctx context.Context, req WhenRequest) ([]WhenResultJSON, error)
-	Range(ctx context.Context, req RangeRequest) (RangeResult, error)
+	Where(ctx context.Context, req client.WhereRequest) ([]client.WhereResult, error)
+	When(ctx context.Context, req client.WhenRequest) ([]client.WhenResult, error)
+	Range(ctx context.Context, req client.RangeRequest) (client.RangeResult, error)
 }
 
 // Backend is what the handler set serves: one store (New) or a cluster
@@ -97,13 +97,13 @@ type Backend interface {
 	Reader(gen uint64) (Reader, error)
 	// Ingest admits a non-empty batch of raw trajectories.  A response
 	// with FlushError set was acknowledged but not applied (202).
-	Ingest(ctx context.Context, req IngestRequest) (IngestResponse, error)
-	Compact(ctx context.Context) (CompactResponse, error)
+	Ingest(ctx context.Context, req client.IngestRequest) (client.IngestResponse, error)
+	Compact(ctx context.Context) (client.CompactResponse, error)
 	// Stats reports everything but the handler set's own counters
 	// (requests, failures, degraded queries, uptime), which the stats
 	// handler fills in; timeouts and watch counters it adds on top.
-	Stats(ctx context.Context) StatsResponse
-	Health(ctx context.Context) Health
+	Stats(ctx context.Context) client.StatsResponse
+	Health(ctx context.Context) client.Health
 }
 
 // Server is the HTTP handler set over one Backend.
@@ -209,33 +209,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.hs.Shutdown(ctx)
 }
 
-// Wire types.  The canonical definitions live in pkg/client — the
-// repo's outward-facing typed API — and the server aliases them so the
-// two sides of the wire cannot drift.  The historical *JSON names stay
-// as aliases for in-tree callers and tests.
-type (
-	PositionJSON      = client.Position
-	RectJSON          = client.Rect
-	WhereRequest      = client.WhereRequest
-	WhereResultJSON   = client.WhereResult
-	WhenRequest       = client.WhenRequest
-	WhenResultJSON    = client.WhenResult
-	RangeRequest      = client.RangeRequest
-	RangeResult       = client.RangeResult
-	BatchQuery        = client.BatchQuery
-	BatchRequest      = client.BatchRequest
-	BatchResult       = client.BatchResult
-	RawPointJSON      = client.RawPoint
-	RawTrajectoryJSON = client.RawTrajectory
-	IngestRequest     = client.IngestRequest
-	IngestResponse    = client.IngestResponse
-	CompactResponse   = client.CompactResponse
-	IngestStatsJSON   = client.IngestStats
-	StatsResponse     = client.StatsResponse
-	ErrorResponse     = client.ErrorResponse
-	Health            = client.Health
-)
-
 // results is the {"results": [...]} body of where, when and batch.
 type results[T any] struct {
 	Results T `json:"results"`
@@ -328,13 +301,13 @@ func codeFor(err error) string {
 // Transient conditions carry a Retry-After: admission rejections clear
 // as soon as the drain catches up; quarantined shards and read-only mode
 // take operator time.
-func envelope(err error) (int, ErrorResponse) {
+func envelope(err error) (int, client.ErrorResponse) {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return ae.Status, ErrorResponse{Code: ae.Code, Error: ae.Message, RetryAfter: int(ae.RetryAfter / time.Second)}
+		return ae.Status, client.ErrorResponse{Code: ae.Code, Error: ae.Message, RetryAfter: int(ae.RetryAfter / time.Second)}
 	}
 	status := statusFor(err)
-	env := ErrorResponse{Code: codeFor(err), Error: err.Error()}
+	env := client.ErrorResponse{Code: codeFor(err), Error: err.Error()}
 	switch status {
 	case http.StatusTooManyRequests:
 		env.RetryAfter = 1
@@ -405,13 +378,13 @@ func answer[Q, R any](s *Server, w http.ResponseWriter, r *http.Request, eval fu
 
 func (s *Server) handleWhere(w http.ResponseWriter, r *http.Request) {
 	if rs, ok := answer(s, w, r, Reader.Where); ok {
-		s.reply(w, results[[]WhereResultJSON]{rs})
+		s.reply(w, results[[]client.WhereResult]{rs})
 	}
 }
 
 func (s *Server) handleWhen(w http.ResponseWriter, r *http.Request) {
 	if rs, ok := answer(s, w, r, Reader.When); ok {
-		s.reply(w, results[[]WhenResultJSON]{rs})
+		s.reply(w, results[[]client.WhenResult]{rs})
 	}
 }
 
@@ -426,7 +399,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) countDegraded(res RangeResult) {
+func (s *Server) countDegraded(res client.RangeResult) {
 	if res.Degraded {
 		s.degraded.Add(1)
 	}
@@ -436,7 +409,7 @@ func (s *Server) countDegraded(res RangeResult) {
 // returns per-query results in request order.  Individual failures are
 // reported in-band so one bad query does not void the batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req client.BatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -451,7 +424,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.Fail(w, err)
 		return
 	}
-	out := make([]BatchResult, len(req.Queries))
+	out := make([]client.BatchResult, len(req.Queries))
 	err = s.query(r, func(ctx context.Context) error {
 		// Errors land in out; par.Do never sees one.
 		_ = par.Do(par.Workers(s.opts.BatchParallelism), len(req.Queries), func(i int) error {
@@ -466,12 +439,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.Fail(w, err)
 		return
 	}
-	s.reply(w, results[[]BatchResult]{out})
+	s.reply(w, results[[]client.BatchResult]{out})
 }
 
 // batchOne evaluates query i of a batch into res, with a failure's
 // message and code in-band.
-func (s *Server) batchOne(ctx context.Context, rd Reader, i int, q BatchQuery, res *BatchResult) {
+func (s *Server) batchOne(ctx context.Context, rd Reader, i int, q client.BatchQuery, res *client.BatchResult) {
 	var err error
 	switch {
 	case q.Kind == "where" && q.Where != nil:
@@ -479,7 +452,7 @@ func (s *Server) batchOne(ctx context.Context, rd Reader, i int, q BatchQuery, r
 	case q.Kind == "when" && q.When != nil:
 		res.When, err = rd.When(ctx, *q.When)
 	case q.Kind == "range" && q.Range != nil:
-		var rr RangeResult
+		var rr client.RangeResult
 		if rr, err = rd.Range(ctx, *q.Range); err == nil {
 			s.countDegraded(rr)
 			res.Trajs, res.Degraded = rr.Trajs, rr.Degraded
@@ -499,7 +472,7 @@ func (s *Server) batchOne(ctx context.Context, rd Reader, i int, q BatchQuery, r
 // acknowledged but not applied and answers 202, so the client does not
 // resubmit and duplicate the records.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
+	var req client.IngestRequest
 	if !s.decode(w, r, &req) {
 		return
 	}

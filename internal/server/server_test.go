@@ -18,6 +18,7 @@ import (
 	"utcq/internal/query"
 	"utcq/internal/stiu"
 	"utcq/internal/store"
+	"utcq/pkg/client"
 )
 
 // fixture builds a small store, its reference single-archive engine, and a
@@ -99,9 +100,9 @@ func TestWhereEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp struct {
-		Results []WhereResultJSON `json:"results"`
+		Results []client.WhereResult `json:"results"`
 	}
-	f.post(t, "/v1/where", WhereRequest{Traj: j, T: tq, Alpha: 0.1}, http.StatusOK, &resp)
+	f.post(t, "/v1/where", client.WhereRequest{Traj: j, T: tq, Alpha: 0.1}, http.StatusOK, &resp)
 	if len(resp.Results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(resp.Results), len(want))
 	}
@@ -113,7 +114,7 @@ func TestWhereEndpoint(t *testing.T) {
 	}
 
 	// Out-of-range trajectory id is a client error.
-	f.post(t, "/v1/where", WhereRequest{Traj: 10_000, T: tq}, http.StatusBadRequest, nil)
+	f.post(t, "/v1/where", client.WhereRequest{Traj: 10_000, T: tq}, http.StatusBadRequest, nil)
 }
 
 // TestWhenRejectsBadEdge checks that an out-of-range edge id is a 400,
@@ -121,10 +122,10 @@ func TestWhereEndpoint(t *testing.T) {
 func TestWhenRejectsBadEdge(t *testing.T) {
 	f := newFixture(t)
 	f.post(t, "/v1/when",
-		WhenRequest{Traj: 0, Loc: PositionJSON{Edge: 1 << 30, NDist: 1}, Alpha: 0.1},
+		client.WhenRequest{Traj: 0, Loc: client.Position{Edge: 1 << 30, NDist: 1}, Alpha: 0.1},
 		http.StatusBadRequest, nil)
 	f.post(t, "/v1/when",
-		WhenRequest{Traj: 0, Loc: PositionJSON{Edge: -1, NDist: 1}, Alpha: 0.1},
+		client.WhenRequest{Traj: 0, Loc: client.Position{Edge: -1, NDist: 1}, Alpha: 0.1},
 		http.StatusBadRequest, nil)
 }
 
@@ -147,7 +148,7 @@ func TestShardOpenFailureIs500(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(o, Options{}).Handler())
 	defer ts.Close()
-	b, _ := json.Marshal(WhereRequest{Traj: 0, T: f.midTime(0), Alpha: 0.1})
+	b, _ := json.Marshal(client.WhereRequest{Traj: 0, T: f.midTime(0), Alpha: 0.1})
 	resp, err := http.Post(ts.URL+"/v1/where", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -171,10 +172,10 @@ func TestWhenEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp struct {
-		Results []WhenResultJSON `json:"results"`
+		Results []client.WhenResult `json:"results"`
 	}
 	f.post(t, "/v1/when",
-		WhenRequest{Traj: j, Loc: PositionJSON{Edge: int(loc.Edge), NDist: loc.NDist}, Alpha: 0.1},
+		client.WhenRequest{Traj: j, Loc: client.Position{Edge: int(loc.Edge), NDist: loc.NDist}, Alpha: 0.1},
 		http.StatusOK, &resp)
 	if len(resp.Results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(resp.Results), len(want))
@@ -198,7 +199,7 @@ func TestRangeEndpoint(t *testing.T) {
 		Trajs []int `json:"trajs"`
 	}
 	f.post(t, "/v1/range",
-		RangeRequest{Rect: RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq, Alpha: 0.1},
+		client.RangeRequest{Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq, Alpha: 0.1},
 		http.StatusOK, &resp)
 	if len(resp.Trajs) != len(want) {
 		t.Fatalf("got %v, want %v", resp.Trajs, want)
@@ -214,14 +215,14 @@ func TestBatchEndpoint(t *testing.T) {
 	f := newFixture(t)
 	b := f.ds.Graph.Bounds()
 	tq := f.midTime(0)
-	req := BatchRequest{Queries: []BatchQuery{
-		{Kind: "where", Where: &WhereRequest{Traj: 0, T: tq, Alpha: 0.1}},
-		{Kind: "range", Range: &RangeRequest{Rect: RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq}},
-		{Kind: "where", Where: &WhereRequest{Traj: 99_999, T: tq}}, // in-band error
+	req := client.BatchRequest{Queries: []client.BatchQuery{
+		{Kind: "where", Where: &client.WhereRequest{Traj: 0, T: tq, Alpha: 0.1}},
+		{Kind: "range", Range: &client.RangeRequest{Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq}},
+		{Kind: "where", Where: &client.WhereRequest{Traj: 99_999, T: tq}}, // in-band error
 		{Kind: "bogus"}, // malformed entry
 	}}
 	var resp struct {
-		Results []BatchResult `json:"results"`
+		Results []client.BatchResult `json:"results"`
 	}
 	f.post(t, "/v1/batch", req, http.StatusOK, &resp)
 	if len(resp.Results) != 4 {
@@ -238,7 +239,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	// Batches above the limit are rejected whole.
-	big := BatchRequest{Queries: make([]BatchQuery, 9)}
+	big := client.BatchRequest{Queries: make([]client.BatchQuery, 9)}
 	f.post(t, "/v1/batch", big, http.StatusRequestEntityTooLarge, nil)
 }
 
@@ -264,14 +265,14 @@ func TestHealthzEndpoint(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	f := newFixture(t)
 	// Issue one query so counters move.
-	f.post(t, "/v1/where", WhereRequest{Traj: 0, T: f.midTime(0), Alpha: 0.1}, http.StatusOK, nil)
+	f.post(t, "/v1/where", client.WhereRequest{Traj: 0, T: f.midTime(0), Alpha: 0.1}, http.StatusOK, nil)
 
 	resp, err := http.Get(f.ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr StatsResponse
+	var sr client.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

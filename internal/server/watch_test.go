@@ -22,6 +22,7 @@ import (
 	"utcq/internal/stiu"
 	"utcq/internal/store"
 	"utcq/internal/traj"
+	"utcq/pkg/client"
 )
 
 // newWatchFixture builds an ingest-enabled server with numRaw raws, the
@@ -113,7 +114,7 @@ func getWatch(t *testing.T, url string) WatchResponse {
 
 // rawRangePost posts a range request and returns status and raw body
 // bytes (for byte-identity comparisons).
-func rawRangePost(t *testing.T, url string, req RangeRequest) (int, []byte) {
+func rawRangePost(t *testing.T, url string, req client.RangeRequest) (int, []byte) {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -143,7 +144,7 @@ func TestWatchMatchesFullRequery(t *testing.T) {
 	f := &fixture{ts: ts}
 	tq := chooseWatchTime(raws)
 	b := st.Bounds()
-	rect := RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
+	rect := client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
 
 	// Initial subscription: full result set.
 	first := getWatch(t, watchURL(ts.URL, st, tq, ""))
@@ -180,7 +181,7 @@ func TestWatchMatchesFullRequery(t *testing.T) {
 			// The union must equal a full requery pinned at this exact
 			// generation (the metamorphic identity).
 			status, body := rawRangePost(t, fmt.Sprintf("%s/v1/range?gen=%d", ts.URL, wr.Gen),
-				RangeRequest{Rect: rect, T: tq, Alpha: 0})
+				client.RangeRequest{Rect: rect, T: tq, Alpha: 0})
 			if status != http.StatusOK {
 				errs <- fmt.Errorf("pinned requery at gen %d: status %d: %s", wr.Gen, status, body)
 				return
@@ -236,11 +237,11 @@ func TestWatchMatchesFullRequery(t *testing.T) {
 	// watcher's in-flight long-poll.
 	for i := 0; i < len(raws); i += 6 {
 		end := min(i+6, len(raws))
-		var ack IngestResponse
-		f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[i:end]), Flush: true}, http.StatusOK, &ack)
+		var ack client.IngestResponse
+		f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[i:end]), Flush: true}, http.StatusOK, &ack)
 		waitAck(ack.Generation)
 		if i%12 == 0 {
-			var cr CompactResponse
+			var cr client.CompactResponse
 			f.post(t, "/v1/compact", struct{}{}, http.StatusOK, &cr)
 			if cr.Folded > 0 {
 				waitAck(cr.Generation)
@@ -265,7 +266,7 @@ func TestGenPinnedSnapshotIsolation(t *testing.T) {
 	f := &fixture{ts: ts}
 	tq := chooseWatchTime(raws)
 	b := st.Bounds()
-	req := RangeRequest{Rect: RectJSON{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq, Alpha: 0}
+	req := client.RangeRequest{Rect: client.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}, T: tq, Alpha: 0}
 
 	gen0 := st.Generation()
 	status, before := rawRangePost(t, ts.URL+"/v1/range", req)
@@ -274,8 +275,8 @@ func TestGenPinnedSnapshotIsolation(t *testing.T) {
 	}
 
 	// Mutate: the live answer may change, the pinned answer must not.
-	var ack IngestResponse
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[:6]), Flush: true}, http.StatusOK, &ack)
+	var ack client.IngestResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[:6]), Flush: true}, http.StatusOK, &ack)
 	if ack.Generation != gen0+1 {
 		t.Fatalf("generation %d after flush, want %d", ack.Generation, gen0+1)
 	}
@@ -289,10 +290,10 @@ func TestGenPinnedSnapshotIsolation(t *testing.T) {
 
 	// Batch requests pin the same way (one snapshot for the whole batch).
 	var batch struct {
-		Results []BatchResult `json:"results"`
+		Results []client.BatchResult `json:"results"`
 	}
 	f.post(t, fmt.Sprintf("/v1/batch?gen=%d", gen0),
-		BatchRequest{Queries: []BatchQuery{{Kind: "range", Range: &req}}}, http.StatusOK, &batch)
+		client.BatchRequest{Queries: []client.BatchQuery{{Kind: "range", Range: &req}}}, http.StatusOK, &batch)
 	var liveNow struct {
 		Trajs []int `json:"trajs"`
 	}
@@ -312,7 +313,7 @@ func TestGenPinnedSnapshotIsolation(t *testing.T) {
 	}
 
 	// Second mutation retires gen0 past the retention window.
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[6:12]), Flush: true}, http.StatusOK, &ack)
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[6:12]), Flush: true}, http.StatusOK, &ack)
 	status, body := rawRangePost(t, fmt.Sprintf("%s/v1/range?gen=%d", ts.URL, gen0), req)
 	if status != http.StatusGone {
 		t.Fatalf("retired pin: status %d (%s), want 410", status, body)
@@ -381,8 +382,8 @@ func TestWatchReconnectMidStream(t *testing.T) {
 	}
 
 	// One mutation arrives over the stream...
-	var ack IngestResponse
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[:6]), Flush: true}, http.StatusOK, &ack)
+	var ack client.IngestResponse
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[:6]), Flush: true}, http.StatusOK, &ack)
 	second := readUpdate()
 	for _, j := range second.Added {
 		have[j] = true
@@ -394,7 +395,7 @@ func TestWatchReconnectMidStream(t *testing.T) {
 	// ...then the connection dies mid-stream, a mutation happens while the
 	// client is gone, and the client resumes from its last cursor.
 	cancel()
-	f.post(t, "/v1/ingest", IngestRequest{Trajectories: toJSON(raws[6:12]), Flush: true}, http.StatusOK, &ack)
+	f.post(t, "/v1/ingest", client.IngestRequest{Trajectories: toJSON(raws[6:12]), Flush: true}, http.StatusOK, &ack)
 	resumed := getWatch(t, watchURL(ts.URL, st, tq,
 		fmt.Sprintf("&gen=%d&cursor=%d&timeout=5", second.Gen, second.Watermark)))
 	if resumed.Reset {

@@ -282,6 +282,7 @@ func (ix *Index) walkInstance(g *roadnet.Graph, c *core.InstReader, numPoints in
 	var curRegion roadnet.RegionID = roadnet.NoRegion
 	lastEdgeFactor := 0 // E position 0 is in factor 0
 	ones := 0
+	var cells []roadnet.RegionID // scratch for each edge's regions
 	for !c.Done() {
 		no, flag, err := c.Next()
 		if err != nil {
@@ -295,7 +296,8 @@ func (ix *Index) walkInstance(g *roadnet.Graph, c *core.InstReader, numPoints in
 			prevEdgeFactor := lastEdgeFactor
 			lastEdgeFactor = c.Factor()
 			curVertex = g.Edge(e).To
-			for _, re := range ix.Grid.CellsOfEdge(g, e) {
+			cells = ix.Grid.AppendCellsOfEdge(cells[:0], g, e)
+			for _, re := range cells {
 				if re == curRegion {
 					continue
 				}

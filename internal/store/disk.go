@@ -26,43 +26,6 @@ func shardFile(id uint32) string { return fmt.Sprintf("shard-%04d.utcq", id) }
 // sidecarFile returns the StIU sidecar file name of a shard (FORMAT.md §5).
 func sidecarFile(id uint32) string { return fmt.Sprintf("shard-%04d.stiu", id) }
 
-// writeFileAtomic writes a file via a temporary sibling and renames it into
-// place, fsyncing the file first, so a crash mid-write can never leave a
-// half-written artifact under the final name.  The directory is fsynced
-// after the rename and the error PROPAGATED: until the directory entry is
-// durable the rename is not — a power cut after a swallowed dir-sync
-// failure could reboot into the old file (or no file), orphaning a
-// manifest the caller believed committed.
-func writeFileAtomic(fs faultfs.FS, dir, name string, write func(io.Writer) error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("sync %s after renaming %s: %w", dir, name, err)
-	}
-	return nil
-}
-
 // countingWriter tracks how many bytes passed through it.
 type countingWriter struct {
 	w io.Writer
@@ -79,7 +42,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // exact length, which the manifest records for open-time validation.
 func writeShardFile(fs faultfs.FS, dir string, id uint32, arch *core.Archive) (int64, error) {
 	var size int64
-	err := writeFileAtomic(fs, dir, shardFile(id), func(w io.Writer) error {
+	err := faultfs.ReplaceFile(fs, filepath.Join(dir, shardFile(id)), func(w io.Writer) error {
 		cw := &countingWriter{w: w}
 		if err := arch.Save(cw); err != nil {
 			return err
@@ -106,11 +69,7 @@ func writeShardArtifacts(fs faultfs.FS, dir string, id uint32, arch *core.Archiv
 	if err != nil {
 		return uint64(size), 0, fmt.Errorf("store: encode sidecar %d: %w", id, err)
 	}
-	err = writeFileAtomic(fs, dir, sidecarFile(id), func(w io.Writer) error {
-		_, werr := w.Write(enc)
-		return werr
-	})
-	if err != nil {
+	if err := faultfs.ReplaceFile(fs, filepath.Join(dir, sidecarFile(id)), faultfs.Bytes(enc)); err != nil {
 		return 0, 0, fmt.Errorf("store: save sidecar %d: %w", id, err)
 	}
 	return uint64(size), crc32.ChecksumIEEE(enc), nil
@@ -121,7 +80,7 @@ func writeShardArtifacts(fs faultfs.FS, dir string, id uint32, arch *core.Archiv
 // of a mutation: before it they see the previous generation, after it the
 // new one, never a mixture.
 func writeManifestFile(fs faultfs.FS, dir string, man *manifest) error {
-	if err := writeFileAtomic(fs, dir, ManifestName, man.write); err != nil {
+	if err := faultfs.ReplaceFile(fs, filepath.Join(dir, ManifestName), man.write); err != nil {
 		return fmt.Errorf("store: save manifest: %w", err)
 	}
 	return nil
@@ -259,8 +218,8 @@ func Open(dir string, g *roadnet.Graph, opts OpenOptions) (*Store, error) {
 	return s, nil
 }
 
-// releaseMap is the shared cleanup target for mmap references owned by
-// decoded objects (a named function so every cleanup reuses one closure).
+// releaseMap is the cleanup target of a mapping's sole owner (a named
+// function so every cleanup reuses one closure).
 func releaseMap(m *mmapio.Map) { m.Release() }
 
 // openShard maps a shard's archive from the store directory and attaches
@@ -270,10 +229,11 @@ func releaseMap(m *mmapio.Map) { m.Release() }
 // The archive decode is zero-copy: record bitstreams alias the mapping,
 // so pages fault in when queries touch them, not at open.  Because
 // Compact moves TrajRecord pointers into merged archives that outlive
-// this shard's engine, the mapping's lifetime cannot follow the engine;
-// instead every record retains the mapping and releases it from a GC
-// cleanup, so the file is unmapped exactly when the last record (or the
-// sidecar-backed index, for its own mapping) becomes unreachable.
+// this shard's engine, the mapping's lifetime cannot follow the engine.
+// LoadBytes allocates the records in one block, and any live record keeps
+// that whole block reachable, so the block owns the mapping: one GC
+// cleanup on it unmaps the file exactly when the last record becomes
+// unreachable (the sidecar-backed index owns its own mapping likewise).
 func (s *Store) openShard(sh *shard, e *shardEntry) (*query.Engine, error) {
 	m, err := mmapio.OpenIn(s.fsys(), filepath.Join(s.dirPath(), shardFile(sh.id)))
 	if err != nil {
@@ -293,26 +253,20 @@ func (s *Store) openShard(sh *shard, e *shardEntry) (*query.Engine, error) {
 		m.Release()
 		return nil, fmt.Errorf("%d trajectories on disk, manifest says %d", got, want)
 	}
-	if m.Mapped() {
-		for _, tr := range arch.Trajs {
-			m.Retain()
-			runtime.AddCleanup(tr, releaseMap, m)
-		}
+	if len(arch.Trajs) == 0 {
+		m.Release() // nothing aliases the mapping
+	} else if m.Mapped() {
+		runtime.AddCleanup(arch.Trajs[0], releaseMap, m)
 	}
 	ix := s.loadSidecar(sh.id, e, arch, int64(len(data)))
 	if ix == nil {
 		s.sidecarRebuilds.Add(1)
 		if ix, err = stiu.Build(arch, s.indexOptions()); err != nil {
-			m.Release()
 			return nil, err
 		}
 	} else {
 		s.sidecarLoads.Add(1)
 	}
-	// Drop the creator reference: for a heap read the archive's aliases
-	// keep the buffer alive through the GC, for a mapping the per-record
-	// references do.
-	m.Release()
 	return query.NewEngine(arch, ix), nil
 }
 
@@ -339,9 +293,7 @@ func (s *Store) loadSidecar(id uint32, e *shardEntry, arch *core.Archive, archiv
 		return nil
 	}
 	if m.Mapped() {
-		m.Retain()
 		runtime.AddCleanup(ix, releaseMap, m)
 	}
-	m.Release()
 	return ix
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,5 +128,76 @@ func TestOpenRejectsTruncatedShard(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "manifest records") {
 		t.Fatalf("error does not name the manifest-recorded size: %v", err)
+	}
+}
+
+// TestMappedDeltasSurviveCompactionAndUnmap pins the ownership of mapped
+// shard files: one GC cleanup per record block (and per sidecar index)
+// owns each mapping.  Delta shards opened from disk are mapped, and
+// compaction moves their records into a merged archive, so the merged
+// records alias the deltas' mappings after the delta engines are gone.
+// The store must keep answering like a fresh engine across collections,
+// and once it is dropped every mapping it made must be unmapped.
+func TestMappedDeltasSurviveCompactionAndUnmap(t *testing.T) {
+	t.Setenv(mmapio.NoMmapEnv, "") // mapping is the subject even under a no-mmap CI pass
+	p := gen.CD()
+	p.Network.Cols, p.Network.Rows = 24, 24
+	ds, err := gen.Build(p, 30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tus := ds.Trajectories
+	opts := DefaultOptions(p.Ts)
+	opts.NumShards = 2
+	opts.Index = testIndexOpts
+
+	collect := func() {
+		for range 3 {
+			runtime.GC()
+		}
+	}
+	collect()
+	baseline := mmapio.MappedBytes()
+	func() {
+		s, err := Build(ds.Graph, tus[:12], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := saveStore(t, s)
+		for n := 12; n < 24; n += 6 {
+			if _, err := s.ApplyDelta(tus[n:n+6], uint64(n+6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o, err := Open(dir, ds.Graph, OpenOptions{Eager: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Stats(); st.DeltaShards != 2 {
+			t.Fatalf("reopened store has %d delta shards, want 2", st.DeltaShards)
+		}
+		if mmapio.MappedBytes() == baseline {
+			t.Skip("no OS mapping on this platform")
+		}
+		if _, err := o.ApplyDelta(tus[24:], uint64(len(tus))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Stats(); st.DeltaShards != 0 {
+			t.Fatalf("compacted store has %d delta shards, want 0", st.DeltaShards)
+		}
+		for i := range 3 {
+			collect()
+			checkGeneration(t, ds, tus, o, int64(500+i))
+		}
+	}()
+	for i := 0; mmapio.MappedBytes() > baseline; i++ {
+		if i == 200 {
+			t.Fatalf("dropped store still maps %d bytes past the baseline", mmapio.MappedBytes()-baseline)
+		}
+		runtime.GC()
+		runtime.Gosched()
 	}
 }
