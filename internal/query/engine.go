@@ -41,7 +41,8 @@ type Engine struct {
 	// range hot path neither sorts nor allocates per query:
 	// probOrder[j] lists instance origs in descending probability,
 	// probSum[j] is the total instance probability, and instOffset[j] maps
-	// (j, orig) to a flat index for the Lemma-4 scratch.
+	// (j, orig) to a flat index for the Lemma-1 and Lemma-4 scratch;
+	// instOffset[j+1] ends trajectory j's range.
 	probOrder  [][]int32
 	probSum    []float64
 	instOffset []int
@@ -191,10 +192,11 @@ func NewEngine(a *core.Archive, ix *stiu.Index) *Engine {
 	e := &Engine{Arch: a, Ix: ix}
 	e.probOrder = make([][]int32, len(a.Trajs))
 	e.probSum = make([]float64, len(a.Trajs))
-	e.instOffset = make([]int, len(a.Trajs))
+	e.instOffset = make([]int, len(a.Trajs)+1)
 	for j, tr := range a.Trajs {
 		e.instOffset[j] = e.numInsts
 		e.numInsts += len(tr.Insts)
+		e.instOffset[j+1] = e.numInsts
 		ord := make([]int32, len(tr.Insts))
 		sum := 0.0
 		for o := range ord {
@@ -229,10 +231,10 @@ func (e *Engine) open(c *instCursor, j, orig int) error {
 // partial decode from t.pos; ok is false when t is outside the trajectory.
 func (e *Engine) bracket(j int, t int64) (i int, ti, ti1 int64, ok bool) {
 	entry, found := e.Ix.FindTemporal(j, t)
-	if !found {
+	rec := e.Arch.Trajs[j]
+	if !found || int(entry.No) >= rec.NumPoints { // an ordinal past the points: not this record's index
 		return 0, 0, 0, false
 	}
-	rec := e.Arch.Trajs[j]
 	if entry.Pos < 0 {
 		// The entry is the final timestamp.
 		if entry.Start == t {
@@ -386,6 +388,9 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 					continue
 				}
 				gi := off + int(rt.Orig)
+				if gi >= e.instOffset[j+1] {
+					return dst, errTupleInstance(rt, len(rec.Insts))
+				}
 				if sc.pstamp[gi] != sc.epoch {
 					sc.pstamp[gi] = sc.epoch
 					sc.plan[gi] = 0
@@ -455,6 +460,9 @@ func (e *Engine) whenSpan(j int, re roadnet.RegionID) (lo, hi int, err error) {
 		return 0, -1, err
 	}
 	lo, hi = e.Ix.IntervalOf(entries[0].Start), e.Ix.IntervalOf(entries[len(entries)-1].Start)
+	if hi-lo >= len(e.Ix.Intervals) { // every interval of a trajectory's span holds it as a candidate
+		return 0, -1, fmt.Errorf("query: trajectory %d spans intervals %d..%d, more than the index's %d", j, lo, hi, len(e.Ix.Intervals))
+	}
 	for ; lo <= hi; lo++ {
 		b, err := e.Ix.Buckets(lo, re)
 		if err != nil {
@@ -530,6 +538,9 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 			for i := range b.Refs {
 				rt := &b.Refs[i]
 				gi := e.instOffset[rt.Traj] + int(rt.Orig)
+				if gi >= e.instOffset[rt.Traj+1] {
+					return dst, errTupleInstance(rt, len(e.Arch.Trajs[rt.Traj].Insts))
+				}
 				if sc.gstamp[gi] != sc.epoch {
 					sc.gstamp[gi] = sc.epoch
 					sc.group[gi] = 0
@@ -612,6 +623,12 @@ func (e *Engine) AppendRange(dst []int, re roadnet.Rect, t int64, alpha float64)
 		}
 	}
 	return dst, nil
+}
+
+// errTupleInstance reports an index tuple naming an instance its
+// trajectory does not have: the index was not built from this archive.
+func errTupleInstance(rt *stiu.RefTuple, insts int) error {
+	return fmt.Errorf("query: index tuple names instance %d of trajectory %d, which has %d", rt.Orig, rt.Traj, insts)
 }
 
 // instanceInside tests whether the instance overlaps RE at time t, using

@@ -2,6 +2,7 @@ package stiu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"utcq/internal/core"
@@ -22,7 +23,8 @@ type buildState struct {
 type builtInterval struct {
 	trajs   []int32 // trajectories whose time span intersects the interval
 	regions map[roadnet.RegionID]*RegionBucket
-	nonRefs int64 // non-reference tuples over all regions
+	nonRefs int64      // non-reference tuples over all regions
+	groups  []refGroup // group table: (traj, orig) order, modal pairs
 }
 
 // Build constructs the index from a compressed archive.  Building happens
@@ -88,6 +90,8 @@ func (ix *Index) seed(st *buildState) {
 		iv := ix.Intervals[id]
 		iv.Trajs = biv.trajs
 		iv.cand.done.Store(true)
+		iv.groups = biv.groups
+		iv.grp.done.Store(true)
 		iv.occ.forEach(func(k, re int) { iv.decoded[k].Store(biv.regions[roadnet.RegionID(re)]) })
 	}
 	for j, entries := range st.temporal {
@@ -140,6 +144,14 @@ func mergeBatches(batches []*trajBatch, shards int) map[int]*builtInterval {
 					in.nonRefs++
 				}
 			}
+			// Batches come in trajectory order and a batch's groups in
+			// reference order, so each table is in (traj, orig) order.
+			for _, g := range b.groups {
+				if mod(g.interval) == s {
+					in := get(g.interval)
+					in.groups = append(in.groups, g.group)
+				}
+			}
 		}
 		parts[s] = m
 		return nil
@@ -188,6 +200,7 @@ type trajBatch struct {
 	temporal        []TemporalEntry
 	firstIv, lastIv int // interval span covered by the trajectory
 	emits           []spatialEmit
+	groups          []groupEmit
 }
 
 // spatialEmit is one tuple destined for an (interval, region) cell: a
@@ -197,6 +210,61 @@ type spatialEmit struct {
 	re       roadnet.RegionID
 	isRef    bool
 	ref      RefTuple
+}
+
+// groupEmit is one group-table entry destined for an interval.
+type groupEmit struct {
+	interval int
+	group    refGroup
+}
+
+// pairCount counts the tuples of one group in one interval that carry
+// one (pTotal, pMax) pair.
+type pairCount struct {
+	group groupEmit
+	n     int
+}
+
+// countPair counts one more tuple of g's group carrying g's pair in g's
+// interval.
+func countPair(counts []pairCount, g groupEmit) []pairCount {
+	i := slices.IndexFunc(counts, func(c pairCount) bool { return c.group == g })
+	if i < 0 {
+		i, counts = len(counts), append(counts, pairCount{group: g})
+	}
+	counts[i].n++
+	return counts
+}
+
+// beats reports whether c is the better modal pair than d of the same
+// group and interval: more tuples, or as many and a smaller pair.
+func (c *pairCount) beats(d pairCount) bool {
+	cg, dg := &c.group.group, &d.group.group
+	if c.n != d.n {
+		return c.n > d.n
+	}
+	return cg.pTotal < dg.pTotal || cg.pTotal == dg.pTotal && cg.pMax < dg.pMax
+}
+
+// appendModalGroups appends one group's table entries to dst, one per
+// interval in counts, each with the pair that beats the group's other
+// pairs there.  It consumes counts.
+func appendModalGroups(dst []groupEmit, counts []pairCount) []groupEmit {
+	for i, c := range counts {
+		if c.n == 0 {
+			continue // folded into an earlier entry of its interval
+		}
+		for k := i + 1; k < len(counts); k++ {
+			if d := &counts[k]; d.group.interval == c.group.interval {
+				if d.beats(c) {
+					c = *d
+				}
+				d.n = 0
+			}
+		}
+		dst = append(dst, c.group)
+	}
+	return dst
 }
 
 // walkTrajectory decodes trajectory j and produces its tuple batch.  It
@@ -266,6 +334,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 		groups[g] = append(groups[g], w)
 	}
 	sort.Ints(groupKeys)
+	b.groups = make([]groupEmit, 0, len(groupKeys)) // one entry per group and interval it touches, mostly one
 
 	for _, refOrig := range groupKeys {
 		ix.emitGroupTuples(b, j, refOrig, groups[refOrig], T)
@@ -372,7 +441,9 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 		}
 	}
 
-	// Reference tuples.
+	// Reference tuples, and per interval the group's modal pair: the most
+	// frequent over its tuples there, ties going to the smaller pair.
+	counts := make([]pairCount, 0, 8)
 	for _, ag := range aggs {
 		rt := RefTuple{
 			Traj:   int32(j),
@@ -382,7 +453,9 @@ func (ix *Index) emitGroupTuples(b *trajBatch, j, refOrig int, members []*instWa
 			PMax:   float32(ag.pMax),
 		}
 		b.emits = append(b.emits, spatialEmit{interval: ag.interval, re: ag.re, isRef: true, ref: rt})
+		counts = countPair(counts, groupEmit{ag.interval, refGroup{rt.Traj, rt.Orig, rt.PTotal, rt.PMax}})
 	}
+	b.groups = appendModalGroups(b.groups, counts)
 
 	// Non-reference tuples are counted under the factor-crossing rule: one
 	// tuple per (instance, factor), kept for the first region traversed.

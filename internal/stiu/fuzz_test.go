@@ -2,6 +2,8 @@ package stiu
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"utcq/internal/core"
@@ -11,10 +13,11 @@ import (
 
 // FuzzSidecarDecode throws arbitrary bytes at the sidecar decoder —
 // seeded with a real encoding, cuts of it, bucket blobs whose declared
-// length is one byte short or long and an out-of-range probability
-// exponent, so mutations explore the rank directories, the first-touch
-// bucket boundary pass and the lazy temporal sections rather than dying
-// at the header.  Whatever decodes must also survive every lazy accessor
+// length is one byte short or long, an out-of-range probability
+// exponent, an exception tuple, a group index one past the table and a
+// rank one past the candidate set, so mutations explore the rank
+// directories, the group tables, the first-touch bucket boundary pass
+// and the lazy temporal sections rather than dying at the header.  Whatever decodes must also survive every lazy accessor
 // and a full walk of the buckets without panicking; errors are fine.
 func FuzzSidecarDecode(f *testing.F) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
@@ -45,15 +48,54 @@ func FuzzSidecarDecode(f *testing.F) {
 	f.Add(enc[:len(enc)-1]) // cut inside the last interval's bucket blob
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte("UTCI"))
-	lenOff, blobOff, blobLen := layoutAt(f, enc, len(a.Trajs), opts.GridNX*opts.GridNY, 0)
-	f.Add(enc[:blobOff+blobLen/2]) // cut inside the first interval's bucket blob
-	f.Add(withUvarintAt(enc, lenOff, uint64(blobLen-1)))
-	f.Add(withUvarintAt(enc, lenOff, uint64(blobLen+1)))
+	numTrajs, nbits := len(a.Trajs), opts.GridNX*opts.GridNY
+	sp := intervalAt(f, enc, numTrajs, nbits, 0)
+	f.Add(enc[:sp.blobOff+sp.blobLen/2]) // cut inside the first interval's bucket blob
+	f.Add(withUvarintAt(enc, sp.lenOff, uint64(sp.blobLen-1)))
+	f.Add(withUvarintAt(enc, sp.lenOff, uint64(sp.blobLen+1)))
 	badExp := bytes.Clone(enc)
 	badExp[35] = maxPExp + 1
 	f.Add(badExp)
 
-	numTrajs := len(a.Trajs)
+	// Group-table seeds on the first interval: its first bucket's first
+	// tuple made an exception (an explicit pair follows), or pointed one
+	// past the group table, and its table's first rank one past the
+	// candidate set.  Each still parses; the last two fail on first touch.
+	id := rectIntervals(ix)[0]
+	cands, err := ix.Candidates(id)
+	if err != nil {
+		f.Fatal(err)
+	}
+	nGroups, nlen := binary.Uvarint(enc[sp.groupsOff:])
+	_, nrLen := binary.Uvarint(enc[sp.blobOff:])
+	codeOff := sp.blobOff + nrLen
+	code, codeLen := binary.Uvarint(enc[codeOff:])
+	_, rankLen := binary.Uvarint(enc[sp.groupsOff+nlen:])
+	if code&tupleException != 0 {
+		f.Fatal("the fixture's first tuple is already an exception")
+	}
+	for _, seed := range []struct {
+		data []byte
+		want string
+	}{
+		{spliceSection(enc, sp.lenOff, sp.blobLen, codeOff, codeLen,
+			append(binary.AppendUvarint(nil, code|tupleException), 1, 0)), ""},
+		{spliceSection(enc, sp.lenOff, sp.blobLen, codeOff, codeLen,
+			binary.AppendUvarint(nil, nGroups<<2|code&3)), "group index past table"},
+		{spliceSection(enc, sp.groupsLenOff, sp.groupsLen, sp.groupsOff+nlen, rankLen,
+			binary.AppendUvarint(nil, uint64(len(cands)))), "rank past candidate set"},
+	} {
+		dec, err := DecodeSidecar(seed.data, a.Graph, numTrajs, archiveSize, opts)
+		if err != nil {
+			f.Fatalf("%q seed does not parse: %v", seed.want, err)
+		}
+		_, err = dec.AppendBucketsInRect(nil, id, dec.Bounds())
+		if (err == nil) != (seed.want == "") || err != nil && !strings.Contains(err.Error(), seed.want) {
+			f.Fatalf("seed: err = %v, want %q", err, seed.want)
+		}
+		f.Add(seed.data)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeSidecar(data, a.Graph, numTrajs, archiveSize, opts)
 		if err != nil {

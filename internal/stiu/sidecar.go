@@ -7,35 +7,46 @@
 //   - a fixed-width u32 offset directory over per-trajectory temporal
 //     sections, so parsing decodes no temporal entry at all and
 //     trajectory j's section decodes on its first When/FindTemporal touch;
-//   - per interval, an Elias–Fano candidate set, the interval's
-//     non-reference tuple count, a rank bitvector over the grid's region
-//     occupancy and the length-prefixed blob of individually encoded
-//     region buckets, so a probe of an absent (interval, region) pair is
-//     a bit test and a present pair decodes only its own bucket.
+//   - per interval, an Elias–Fano candidate set, a group table, the
+//     interval's non-reference tuple count, a rank bitvector over the
+//     grid's region occupancy and the length-prefixed blob of
+//     individually encoded region buckets, so a probe of an absent
+//     (interval, region) pair is a bit test and a present pair decodes
+//     only its own bucket.
+//
+// The group table holds each reference group (traj, orig) of the
+// interval once, with the probability pair most of its tuples carry: a
+// group touches many cells, and its tuples almost always share one
+// (pTotal, pMax).  A bucket tuple is then one uvarint — the group index,
+// enters and an exception bit — followed by an explicit pair only when
+// the tuple's pair is not its group's.
 //
 // Bucket boundaries are not stored.  The first bucket decode in an
 // interval derives all of them in one pass over the blob, which reads
-// each bucket's tuple count and steps over its varints.  Tuple
-// probabilities are stored exactly, as uvarint counts of the quantum
-// 2^-pExp, where pExp is the archive's PDDP maximum code length (every
-// archive probability is a multiple of it).
+// each bucket's tuple count and steps over its varints.  Probabilities
+// are stored exactly, as uvarint counts of the quantum 2^-pExp, where
+// pExp is the archive's PDDP maximum code length (every archive
+// probability is a multiple of it).
 //
 // There is no per-trajectory spatial section: the When path's Lemma-1
 // gate reads the interval buckets over the trajectory's interval span and
 // keeps the tuples of that trajectory.
 //
 // The temporal directory is fixed-width and the bitvectors are verified
-// at parse (monotone span checks and bucket boundaries happen lazily per
-// section), so parsing is O(header + interval count), independent of
-// temporal-entry and tuple counts.  When the buffer is a memory mapping,
-// untouched sections never even page in.
+// at parse (monotone span checks, group tables and bucket boundaries
+// happen lazily per section), so parsing is O(header + interval count),
+// independent of temporal-entry and tuple counts.  When the buffer is a
+// memory mapping, untouched sections never even page in.
 //
 // The encoding is deterministic: intervals and regions are emitted in
-// ascending id order and tuple slices keep their build order.
+// ascending id order, group tables in (traj, orig) order with ties
+// between equally frequent pairs going to the smaller pair, and tuple
+// slices keep their build order.
 package stiu
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -51,7 +62,7 @@ import (
 
 const (
 	sidecarMagic   = "UTCI"
-	sidecarVersion = 5
+	sidecarVersion = 6
 	sidecarHdrLen  = 36
 
 	// maxPExp bounds the probability quantum exponent: 2^-52 is the
@@ -96,10 +107,13 @@ func (st *buildState) encode(opts Options, pExp, workers int) ([]byte, error) {
 			temporal[i] = appendTemporalEntries(nil, st.temporal[i])
 			return nil
 		}
-		var err error
 		iv := st.intervals[ids[i-n]]
-		head := binary.AppendUvarint(appendEFSet(nil, iv.trajs), uint64(iv.nonRefs))
-		if intervals[i-n], err = appendLayout(head, nbits, iv.regions, pExp); err != nil {
+		head, err := appendGroups(appendEFSet(nil, iv.trajs), iv.groups, iv.trajs, pExp)
+		if err == nil {
+			head = binary.AppendUvarint(head, uint64(iv.nonRefs))
+			intervals[i-n], err = appendLayout(head, nbits, iv.regions, iv.groups, pExp)
+		}
+		if err != nil {
 			return fmt.Errorf("stiu: interval %d: %w", ids[i-n], err)
 		}
 		return nil
@@ -161,8 +175,9 @@ func appendDirectory(buf []byte, parts [][]byte) ([]byte, error) {
 
 // appendLayout emits one bucket layout: occupancy bitvector over nbits
 // regions, then the length-prefixed concatenation of the bucket encodings
-// in ascending region-id (= rank) order.
-func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket, pExp int) ([]byte, error) {
+// in ascending region-id (= rank) order, each against the interval's
+// group table.
+func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket, groups []refGroup, pExp int) ([]byte, error) {
 	ids := make([]int32, 0, len(m))
 	for id := range m {
 		if id < 0 || int(id) >= nbits {
@@ -175,7 +190,7 @@ func appendLayout(buf []byte, nbits int, m map[roadnet.RegionID]*RegionBucket, p
 	var blob []byte
 	for _, id := range ids {
 		var err error
-		if blob, err = appendBucket(blob, m[roadnet.RegionID(id)], pExp); err != nil {
+		if blob, err = appendBucket(blob, m[roadnet.RegionID(id)], groups, pExp); err != nil {
 			return nil, fmt.Errorf("region %d: %w", id, err)
 		}
 	}
@@ -245,8 +260,8 @@ func DecodeSidecar(data []byte, g *roadnet.Graph, numTrajs int, archiveSize int6
 }
 
 // parse attaches the body of a header-checked sidecar to ix.  Temporal
-// sections, candidate sets and every region bucket stay on the buffer;
-// only the interval skeleton is built.
+// sections, candidate sets, group tables and every region bucket stay on
+// the buffer; only the interval skeleton is built.
 func (ix *Index) parse(data []byte, numTrajs int) error {
 	ix.raw = data
 	ix.Temporal = make([][]TemporalEntry, numTrajs)
@@ -276,6 +291,9 @@ func (ix *Index) parse(data []byte, numTrajs int) error {
 		iv := &Interval{}
 		if iv.cand.data, err = r.efSlice(); err != nil {
 			return fmt.Errorf("stiu: sidecar interval %d trajs: %w", id, err)
+		}
+		if iv.grp.data, err = r.lenPrefixed(); err != nil {
+			return fmt.Errorf("stiu: sidecar interval %d groups: %w", id, err)
 		}
 		nonRefs, err := r.uvarint()
 		if err == nil && nonRefs > math.MaxInt64 {
@@ -349,9 +367,10 @@ func (r *sidecarReader) layout(l *layout, universe int) error {
 }
 
 // bucketBounds derives the npop+1 bucket boundaries of a layout's blob in
-// one pass: per bucket it reads the tuple count and steps over the
-// tuples' four varints each.  The pass must consume exactly the blob in
-// exactly npop buckets; anything else is corruption.
+// one pass: per bucket it reads the tuple count and steps over each
+// tuple's code and, when its exception bit is set, its explicit pair.
+// The pass must consume exactly the blob in exactly npop buckets;
+// anything else is corruption.
 func bucketBounds(blob []byte, npop int) ([]uint32, error) {
 	if len(blob) > math.MaxUint32 {
 		return nil, fmt.Errorf("bucket blob exceeds u32 offset space (%d bytes)", len(blob))
@@ -366,8 +385,14 @@ func bucketBounds(blob []byte, npop int) ([]uint32, error) {
 		if nr > uint64(r.remaining()) {
 			return nil, fmt.Errorf("bucket %d: ref count %d overflows blob", k-1, nr)
 		}
-		for i := 0; i < 4*int(nr); i++ {
-			if _, err := r.uvarint(); err != nil { // a varint has a uvarint's byte shape
+		for i := 0; i < int(nr); i++ {
+			code, err := r.uvarint()
+			if err == nil && code&tupleException != 0 {
+				if _, err = r.uvarint(); err == nil {
+					_, err = r.uvarint()
+				}
+			}
+			if err != nil {
 				return nil, fmt.Errorf("bucket %d: %w", k-1, err)
 			}
 		}
@@ -380,7 +405,8 @@ func bucketBounds(blob []byte, npop int) ([]uint32, error) {
 }
 
 // decodeTemporalEntries reads one trajectory's temporal section (count +
-// delta-coded entries).
+// delta-coded entries).  An ordinal must be a non-negative int32 and a
+// position an int32 of at least −1.
 func decodeTemporalEntries(r *sidecarReader) ([]TemporalEntry, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -406,6 +432,9 @@ func decodeTemporalEntries(r *sidecarReader) ([]TemporalEntry, error) {
 			no, err = r.varint()
 			if err == nil {
 				pos, err = r.varint()
+			}
+			if err == nil && (no < 0 || no > math.MaxInt32 || pos < -1 || pos > math.MaxInt32) {
+				err = fmt.Errorf("entry %d: ordinal %d or position %d out of range", i, no, pos)
 			}
 			entries[i] = TemporalEntry{Start: start, No: int32(no), Pos: int32(pos)}
 		}
@@ -447,52 +476,67 @@ func (r *sidecarReader) intervalID(first bool, prev *int64) (int, error) {
 	return int(id), nil
 }
 
-// --- region bucket codec ---
+// --- group table and region bucket codecs ---
 
-// appendBucket emits one region bucket, the unit the layout addresses
-// individually: the ref-tuple count, then per tuple traj, orig with
-// enters in its low bit, and pTotal and pMax as counts of 2^-pExp.  A
-// probability that is not an exact multiple of the quantum is an error.
-func appendBucket(buf []byte, b *RegionBucket, pExp int) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
-	for _, rt := range b.Refs {
-		buf = binary.AppendVarint(buf, int64(rt.Traj))
-		orig := uint64(rt.Orig) << 1
-		if rt.Enters {
-			orig |= 1
-		}
-		buf = binary.AppendUvarint(buf, orig)
-		for _, p := range [2]float32{rt.PTotal, rt.PMax} {
-			q := math.Ldexp(float64(p), pExp)
-			if !(q >= 0 && q < 1<<64 && q == math.Trunc(q)) {
-				return nil, fmt.Errorf("probability %g of trajectory %d is not a multiple of 2^-%d", p, rt.Traj, pExp)
-			}
-			buf = binary.AppendUvarint(buf, uint64(q))
-		}
-	}
-	return buf, nil
+// refGroup is one group-table entry: a reference group of the interval
+// and its modal probability pair, the (pTotal, pMax) most of the group's
+// tuples carry.
+type refGroup struct {
+	traj, orig   int32
+	pTotal, pMax float32
 }
 
-// decodeBucket decodes one region bucket from exactly data.  A quantum
-// count converts back to the float32 it was taken from: a float32 has 24
-// significant bits, so its count is exact in float64.
-func decodeBucket(data []byte, pExp int) (*RegionBucket, error) {
+// findGroup returns the index of (traj, orig) in a group table.
+func findGroup(groups []refGroup, traj, orig int32) (int, bool) {
+	return slices.BinarySearchFunc(groups, refGroup{traj: traj, orig: orig}, func(g, key refGroup) int {
+		return cmp.Or(cmp.Compare(g.traj, key.traj), cmp.Compare(g.orig, key.orig))
+	})
+}
+
+// appendGroups emits one interval's length-prefixed group table: the
+// entry count, then per entry the trajectory's rank in the candidate set
+// trajs (the first absolute, later ones as deltas, 0 meaning the same
+// trajectory), orig and the modal pTotal and pMax as counts of 2^-pExp.
+func appendGroups(buf []byte, groups []refGroup, trajs []int32, pExp int) ([]byte, error) {
+	table := binary.AppendUvarint(make([]byte, 0, 6*len(groups)+binary.MaxVarintLen64), uint64(len(groups)))
+	rank := 0
+	for _, g := range groups {
+		prev := rank
+		for rank < len(trajs) && trajs[rank] < g.traj {
+			rank++
+		}
+		if rank == len(trajs) || trajs[rank] != g.traj {
+			return nil, fmt.Errorf("group trajectory %d is not a candidate", g.traj)
+		}
+		table = binary.AppendUvarint(table, uint64(rank-prev))
+		table = binary.AppendUvarint(table, uint64(g.orig))
+		var err error
+		if table, err = appendPair(table, g.pTotal, g.pMax, pExp); err != nil {
+			return nil, fmt.Errorf("trajectory %d: %w", g.traj, err)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	return append(buf, table...), nil
+}
+
+// decodeGroups decodes a group table against its interval's candidate
+// set.  Every rank must fall inside the set and entries must ascend by
+// (traj, orig), so a decoded table only names trajectories the interval
+// holds and bucket tuples need no further trajectory check.
+func decodeGroups(data []byte, cands []int32, pExp int) ([]refGroup, error) {
 	r := &sidecarReader{data: data}
-	b := &RegionBucket{}
-	nr, err := r.uvarint()
+	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nr > uint64(r.remaining()) {
-		return nil, fmt.Errorf("ref count %d overflows block", nr)
+	if n > uint64(r.remaining()/4) { // an entry is at least four bytes
+		return nil, fmt.Errorf("group count %d overflows table", n)
 	}
-	if nr > 0 {
-		b.Refs = make([]RefTuple, nr)
-	}
-	for k := range b.Refs {
-		var traj int64
-		var orig, pt, pm uint64
-		if traj, err = r.varint(); err == nil {
+	groups := make([]refGroup, n)
+	rank := uint64(0)
+	for i := range groups {
+		var d, orig, pt, pm uint64
+		if d, err = r.uvarint(); err == nil {
 			if orig, err = r.uvarint(); err == nil {
 				if pt, err = r.uvarint(); err == nil {
 					pm, err = r.uvarint()
@@ -502,19 +546,131 @@ func decodeBucket(data []byte, pExp int) (*RegionBucket, error) {
 		if err != nil {
 			return nil, err
 		}
-		if orig>>1 > math.MaxInt32 {
-			return nil, fmt.Errorf("ref orig %d overflows int32", orig>>1)
+		if d >= uint64(len(cands)) || rank+d >= uint64(len(cands)) {
+			return nil, fmt.Errorf("group %d: rank past candidate set of %d", i, len(cands))
 		}
-		b.Refs[k] = RefTuple{
-			Traj: int32(traj), Orig: int32(orig >> 1), Enters: orig&1 != 0,
-			PTotal: float32(math.Ldexp(float64(pt), -pExp)),
-			PMax:   float32(math.Ldexp(float64(pm), -pExp)),
+		rank += d
+		if orig > math.MaxInt32 {
+			return nil, fmt.Errorf("group %d: orig %d overflows int32", i, orig)
 		}
+		if i > 0 && d == 0 && int32(orig) <= groups[i-1].orig {
+			return nil, fmt.Errorf("group %d: orig %d does not ascend", i, orig)
+		}
+		groups[i] = refGroup{cands[rank], int32(orig), dequantize(pt, pExp), dequantize(pm, pExp)}
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("group table has %d trailing bytes", r.remaining())
+	}
+	return groups, nil
+}
+
+// Tuple code bits: a bucket tuple is one uvarint, the delta of its group
+// index over the previous tuple's shifted past these two flags.
+const (
+	tupleEnters    = 1 << 0
+	tupleException = 1 << 1 // an explicit (pTotal, pMax) follows
+)
+
+// appendBucket emits one region bucket, the unit the layout addresses
+// individually: the ref-tuple count, then per tuple the code
+// (index-prev-1)<<2 | exception<<1 | enters, where index is the tuple's
+// entry in the interval's group table and prev the previous tuple's (−1
+// before the first), and — only when the tuple's pair is not its group's
+// modal pair — pTotal and pMax as counts of 2^-pExp.  Build emits a
+// bucket's tuples in (traj, orig) order, so indices strictly ascend; a
+// tuple out of that order, outside the table, or with a probability off
+// the quantum is an error.
+func appendBucket(buf []byte, b *RegionBucket, groups []refGroup, pExp int) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(b.Refs)))
+	prev := -1
+	for _, rt := range b.Refs {
+		gi, ok := findGroup(groups, rt.Traj, rt.Orig)
+		if !ok || gi <= prev {
+			return nil, fmt.Errorf("tuple (%d, %d) is not the next group of the table", rt.Traj, rt.Orig)
+		}
+		code := uint64(gi-prev-1) << 2
+		if rt.Enters {
+			code |= tupleEnters
+		}
+		g := &groups[gi]
+		if rt.PTotal != g.pTotal || rt.PMax != g.pMax {
+			code |= tupleException
+		}
+		buf = binary.AppendUvarint(buf, code)
+		if code&tupleException != 0 {
+			var err error
+			if buf, err = appendPair(buf, rt.PTotal, rt.PMax, pExp); err != nil {
+				return nil, fmt.Errorf("trajectory %d: %w", rt.Traj, err)
+			}
+		}
+		prev = gi
+	}
+	return buf, nil
+}
+
+// decodeBucket decodes one region bucket from exactly data against its
+// interval's group table.
+func decodeBucket(data []byte, groups []refGroup, pExp int) (*RegionBucket, error) {
+	r := &sidecarReader{data: data}
+	b := &RegionBucket{}
+	nr, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nr > uint64(r.remaining()) || nr > uint64(len(groups)) {
+		return nil, fmt.Errorf("ref count %d overflows block", nr)
+	}
+	if nr > 0 {
+		b.Refs = make([]RefTuple, nr)
+	}
+	prev := -1
+	for k := range b.Refs {
+		code, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if code>>2 >= uint64(len(groups)-prev-1) {
+			return nil, fmt.Errorf("tuple %d: group index past table of %d", k, len(groups))
+		}
+		prev += int(code>>2) + 1
+		g := &groups[prev]
+		rt := RefTuple{Traj: g.traj, Orig: g.orig, Enters: code&tupleEnters != 0, PTotal: g.pTotal, PMax: g.pMax}
+		if code&tupleException != 0 {
+			var pt, pm uint64
+			if pt, err = r.uvarint(); err == nil {
+				pm, err = r.uvarint()
+			}
+			if err != nil {
+				return nil, err
+			}
+			rt.PTotal, rt.PMax = dequantize(pt, pExp), dequantize(pm, pExp)
+		}
+		b.Refs[k] = rt
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("bucket has %d trailing bytes", r.remaining())
 	}
 	return b, nil
+}
+
+// appendPair emits pTotal and pMax as uvarint counts of 2^-pExp.  A
+// probability that is not an exact multiple of the quantum is an error.
+func appendPair(buf []byte, pTotal, pMax float32, pExp int) ([]byte, error) {
+	for _, p := range [2]float32{pTotal, pMax} {
+		q := math.Ldexp(float64(p), pExp)
+		if !(q >= 0 && q < 1<<64 && q == math.Trunc(q)) {
+			return nil, fmt.Errorf("probability %g is not a multiple of 2^-%d", p, pExp)
+		}
+		buf = binary.AppendUvarint(buf, uint64(q))
+	}
+	return buf, nil
+}
+
+// dequantize converts a quantum count back to the float32 it was taken
+// from: a float32 has 24 significant bits, so its count is exact in
+// float64.
+func dequantize(q uint64, pExp int) float32 {
+	return float32(math.Ldexp(float64(q), -pExp))
 }
 
 // --- Elias–Fano sorted-set codec ---
@@ -556,6 +712,8 @@ func appendEFSet(buf []byte, vals []int32) []byte {
 	return append(buf, blob...)
 }
 
+// efSet decodes one Elias–Fano set of trajectory ids, each below
+// maxCount.
 func (r *sidecarReader) efSet(maxCount int) ([]int32, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -595,6 +753,9 @@ func (r *sidecarReader) efSet(maxCount int) ([]int32, error) {
 		v := prevHigh<<l | low
 		if v > u {
 			return nil, fmt.Errorf("set value %d exceeds declared max %d", v, u)
+		}
+		if v >= uint64(maxCount) || (i > 0 && v <= uint64(out[i-1])) {
+			return nil, fmt.Errorf("set value %d is not the next trajectory of %d", v, maxCount)
 		}
 		out[i] = int32(v)
 	}

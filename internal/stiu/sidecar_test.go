@@ -2,10 +2,12 @@ package stiu
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,31 +256,173 @@ func TestEFSetRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", vals, got)
 		}
 	}
+	// A candidate set names trajectories of the archive, each once: a
+	// value at or past the trajectory count, or a repeated value, is
+	// corrupt, so no query indexes past the archive's records.
+	for _, tc := range []struct {
+		vals     []int32
+		maxCount int
+	}{
+		{[]int32{3, 10}, 10},
+		{[]int32{1 << 20}, 12},
+		{[]int32{5, 5}, 12},
+	} {
+		r := &sidecarReader{data: appendEFSet(nil, tc.vals)}
+		if _, err := r.efSet(tc.maxCount); err == nil || !strings.Contains(err.Error(), "not the next trajectory") {
+			t.Errorf("%v of %d trajectories: err = %v", tc.vals, tc.maxCount, err)
+		}
+	}
 }
 
-// TestDecodeBucketRejectsOverflow: a bucket whose ref orig does not fit an
-// int32 is corrupt, not truncated to a wrong value.
+// compareGroups orders entries by (traj, orig, pTotal, pMax).
+func compareGroups(a, b refGroup) int {
+	return cmp.Or(cmp.Compare(a.traj, b.traj), cmp.Compare(a.orig, b.orig),
+		cmp.Compare(a.pTotal, b.pTotal), cmp.Compare(a.pMax, b.pMax))
+}
+
+// newGroupTable is the reference for the group tables Build emits: the
+// interval's reference groups in (traj, orig) order, each with its modal
+// pair — the most frequent over the group's tuples in every region, ties
+// going to the smallest pair.  One sort of the interval's tuples by
+// (group, pair) turns the pair counts into run lengths.
+func newGroupTable(regions map[roadnet.RegionID]*RegionBucket) []refGroup {
+	var all []refGroup
+	for _, b := range regions {
+		for _, rt := range b.Refs {
+			all = append(all, refGroup{rt.Traj, rt.Orig, rt.PTotal, rt.PMax})
+		}
+	}
+	slices.SortFunc(all, compareGroups)
+	groups := all[:0] // compacts in place: entry g is written after run g is read
+	best := 0
+	for i := 0; i < len(all); {
+		run := i + 1
+		for run < len(all) && all[run] == all[i] {
+			run++
+		}
+		if n := len(groups); n > 0 && groups[n-1].traj == all[i].traj && groups[n-1].orig == all[i].orig {
+			if run-i > best { // strictly more frequent: a tie keeps the smaller pair
+				groups[n-1], best = all[i], run-i
+			}
+		} else {
+			groups, best = append(groups, all[i]), run-i
+		}
+		i = run
+	}
+	return groups
+}
+
+// encodeBuckets encodes buckets as the layout of one interval would —
+// one group table over all of them, each bucket against it — and
+// decodes them back through the decoded table.  The candidate set is the
+// tuples' trajectories.
+func encodeBuckets(t *testing.T, buckets [][]RefTuple, pExp int) (groups []refGroup, got [][]RefTuple, err error) {
+	t.Helper()
+	regions := make(map[roadnet.RegionID]*RegionBucket)
+	var trajs []int32
+	for i, refs := range buckets {
+		regions[roadnet.RegionID(i)] = &RegionBucket{Refs: refs}
+		for _, rt := range refs {
+			trajs = append(trajs, rt.Traj)
+		}
+	}
+	slices.Sort(trajs)
+	trajs = slices.Compact(trajs)
+	groups = newGroupTable(regions)
+	table, err := appendGroups(nil, groups, trajs, pExp)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := &sidecarReader{data: table}
+	blob, err := r.lenPrefixed()
+	if err != nil || r.remaining() != 0 {
+		t.Fatalf("group table framing: %v, %d trailing bytes", err, r.remaining())
+	}
+	dec, err := decodeGroups(blob, trajs, pExp)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, refs := range buckets {
+		enc, err := appendBucket(nil, &RegionBucket{Refs: refs}, groups, pExp)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := decodeBucket(enc, dec, pExp)
+		if err != nil {
+			return nil, nil, err
+		}
+		got = append(got, b.Refs)
+	}
+	return groups, got, nil
+}
+
+// TestDecodeBucketRejectsOverflow: a group table whose orig does not fit
+// an int32, whose rank falls past the candidate set, or a bucket tuple
+// whose group index falls past the table or whose exception pair is cut
+// short, is corrupt — an error, never a truncated or out-of-range value.
 func TestDecodeBucketRejectsOverflow(t *testing.T) {
 	const pExp = 9
-	ok, err := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{Traj: 3, Orig: math.MaxInt32, Enters: true}}}, pExp)
-	if err != nil {
-		t.Fatal(err)
+	_, got, err := encodeBuckets(t, [][]RefTuple{{{Traj: 3, Orig: math.MaxInt32, Enters: true}}}, pExp)
+	if err != nil || got[0][0].Orig != math.MaxInt32 || !got[0][0].Enters {
+		t.Fatalf("largest fields: %+v, %v", got, err)
 	}
-	if b, err := decodeBucket(ok, pExp); err != nil || b.Refs[0].Orig != math.MaxInt32 || !b.Refs[0].Enters {
-		t.Fatalf("largest fields: %+v, %v", b, err)
+	cands := []int32{3, 8}
+	entry := func(rankDelta, orig uint64) []byte {
+		b := binary.AppendUvarint(nil, rankDelta)
+		b = binary.AppendUvarint(b, orig)
+		return append(b, 0, 0) // pTotal, pMax
 	}
-	// One ref tuple (traj 3, orig 2³¹, enters, zero probabilities).
-	ref := binary.AppendUvarint(nil, 1)
-	ref = binary.AppendVarint(ref, 3)
-	ref = binary.AppendUvarint(ref, (math.MaxInt32+1)<<1|1)
-	ref = append(ref, 0, 0) // pTotal, pMax
-	if _, err := decodeBucket(ref, pExp); err == nil || !strings.Contains(err.Error(), "overflows int32") {
-		t.Errorf("orig past int32: err = %v", err)
+	table := func(entries ...[]byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(entries))), slices.Concat(entries...)...)
+	}
+	for _, tc := range []struct {
+		name, want string
+		table      []byte
+	}{
+		{"orig past int32", "overflows int32", table(entry(0, math.MaxInt32+1))},
+		{"rank one past the candidate set", "rank past candidate set", table(entry(uint64(len(cands)), 0))},
+		{"delta one past the candidate set", "rank past candidate set", table(entry(1, 0), entry(1, 0))},
+		{"orig repeated in a trajectory", "does not ascend", table(entry(0, 2), entry(0, 2))},
+		{"count past the table", "overflows table", append(binary.AppendUvarint(nil, 2), entry(0, 0)...)},
+	} {
+		if _, err := decodeGroups(tc.table, cands, pExp); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	groups, err := decodeGroups(table(entry(0, 0), entry(1, 1)), cands, pExp)
+	if err != nil || len(groups) != 2 || groups[1].traj != 8 {
+		t.Fatalf("two-group table: %+v, %v", groups, err)
+	}
+	bucket := func(codes ...uint64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(codes)))
+		for _, c := range codes {
+			b = binary.AppendUvarint(b, c)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		bucket     []byte
+	}{
+		{"index one past the table", "group index past table", bucket(2 << 2)},
+		{"second index past the table", "group index past table", bucket(1<<2, 0)},
+		{"more tuples than groups", "overflows block", bucket(0, 0, 0)},
+		{"exception with no pair", "truncated", bucket(tupleException)},
+		{"exception with half a pair", "truncated", append(bucket(tupleException), 5)},
+	} {
+		if _, err := decodeBucket(tc.bucket, groups, pExp); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if b, err := decodeBucket(append(bucket(tupleEnters, tupleException), 3, 4), groups, pExp); err != nil ||
+		b.Refs[0].Traj != 3 || !b.Refs[0].Enters || b.Refs[1].Traj != 8 || b.Refs[1].PTotal != 3.0/512 {
+		t.Fatalf("well-formed bucket: %+v, %v", b, err)
 	}
 }
 
 // retiredVersions are the sidecar versions readers no longer accept.
-var retiredVersions = []uint16{1, 2, 3, 4}
+var retiredVersions = []uint16{1, 2, 3, 4, 5}
 
 // relabelledSidecar returns an index's sidecar with its header relabelled
 // as version v.
@@ -296,11 +440,11 @@ func relabelledSidecar(t *testing.T, ix *Index, archiveSize int64, v uint16) []b
 	return out
 }
 
-// TestSidecarV1RoundTrip pins the version policy: the encoder writes
-// version 5, and a version-1 to -4 sidecar no longer round-trips — it
-// fails DecodeSidecar with a versioned error, so a store rebuilds the
+// TestSidecarRetiredVersionsRefused pins the version policy: the encoder
+// writes version 6, and a version-1 to -5 sidecar no longer round-trips —
+// it fails DecodeSidecar with a versioned error, so a store rebuilds the
 // index from its archive instead.
-func TestSidecarV1RoundTrip(t *testing.T) {
+func TestSidecarRetiredVersionsRefused(t *testing.T) {
 	opts := Options{GridNX: 16, GridNY: 16, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
 	const archiveSize = 123456
@@ -313,10 +457,10 @@ func TestSidecarV1RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSidecarV1CorruptionIsAnError truncates and bit-flips a version-1
-// to -4 sidecar at every offset: each variant must fail
+// TestSidecarRetiredVersionsCorruptionIsAnError truncates and bit-flips
+// a version-1 to -5 sidecar at every offset: each variant must fail
 // DecodeSidecar, never decode and never panic.
-func TestSidecarV1CorruptionIsAnError(t *testing.T) {
+func TestSidecarRetiredVersionsCorruptionIsAnError(t *testing.T) {
 	opts := Options{GridNX: 8, GridNY: 8, IntervalDur: 1800}
 	a, ix := buildGeneratedIndex(t, opts)
 	for _, v := range retiredVersions {
@@ -529,24 +673,85 @@ func TestSidecarExactProbabilities(t *testing.T) {
 
 	for _, pExp := range []int{7, 9, 11, maxPExp} {
 		q := float32(math.Ldexp(1, -pExp))
-		want := []RefTuple{
+		want := [][]RefTuple{{
 			{Traj: 0, Orig: 0, Enters: true, PTotal: 1, PMax: 0},
 			{Traj: 1, Orig: 2, Enters: false, PTotal: 1, PMax: 1 - q},
 			{Traj: 2, Orig: 5, Enters: true, PTotal: q, PMax: q},
 			{Traj: 3, Orig: 1, Enters: true, PTotal: 0, PMax: 0},
-		}
-		enc, err := appendBucket(nil, &RegionBucket{Refs: want}, pExp)
+		}, {
+			// Exceptions: each group's second bucket carries another pair.
+			{Traj: 0, Orig: 0, Enters: false, PTotal: q, PMax: 0},
+			{Traj: 2, Orig: 5, Enters: true, PTotal: 1, PMax: 1 - q},
+		}}
+		_, got, err := encodeBuckets(t, want, pExp)
 		if err != nil {
 			t.Fatalf("pExp %d: %v", pExp, err)
 		}
-		got, err := decodeBucket(enc, pExp)
-		if err != nil {
-			t.Fatalf("pExp %d: %v", pExp, err)
+		for i := range want {
+			requireSameTuples(t, want[i], got[i])
 		}
-		requireSameTuples(t, want, got.Refs)
-		if _, err := appendBucket(nil, &RegionBucket{Refs: []RefTuple{{PTotal: q / 2}}}, pExp); err == nil {
+		if _, _, err := encodeBuckets(t, [][]RefTuple{{{PTotal: q / 2}}}, pExp); err == nil {
 			t.Fatalf("pExp %d: half a quantum encoded", pExp)
 		}
+		if _, _, err := encodeBuckets(t, [][]RefTuple{{{PTotal: q}}, {{PTotal: q / 2}}}, pExp); err == nil {
+			t.Fatalf("pExp %d: half a quantum encoded as an exception", pExp)
+		}
+	}
+}
+
+// TestGroupTableModalPair pins the choice of each group's pair, by
+// Build's appendModalGroups and by the reference newGroupTable alike: the
+// most frequent over the interval's buckets, ties going to the smaller
+// (pTotal, pMax), whatever the bucket order.  The other tuples are
+// exceptions and still decode to their own pair.
+func TestGroupTableModalPair(t *testing.T) {
+	const pExp = 9
+	a := func(pt, pm float32) RefTuple { return RefTuple{Traj: 4, Orig: 1, PTotal: pt, PMax: pm} }
+	b := func(pt, pm float32) RefTuple { return RefTuple{Traj: 9, Orig: 0, Enters: true, PTotal: pt, PMax: pm} }
+	buckets := [][]RefTuple{
+		{a(0.5, 0.25), b(1, 0.5)},
+		{a(0.75, 0), b(0.5, 0.5)},
+		{a(0.75, 0)},
+		{b(1, 0.25)},
+	}
+	want := []refGroup{{4, 1, 0.75, 0}, {9, 0, 0.5, 0.5}}
+	for rot := range buckets {
+		rotated := append(slices.Clone(buckets[rot:]), buckets[:rot]...)
+		groups, got, err := encodeBuckets(t, rotated, pExp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(groups, want) {
+			t.Fatalf("rotation %d: groups %+v, want %+v", rot, groups, want)
+		}
+		for i := range rotated {
+			requireSameTuples(t, rotated[i], got[i])
+		}
+		// Build counts each group's pairs in first-seen order, in
+		// interval 7 here, and chooses per group.
+		var emitted []refGroup
+		for _, g := range want {
+			var counts []pairCount
+			for _, refs := range rotated {
+				for _, rt := range refs {
+					if rt.Traj != g.traj {
+						continue
+					}
+					counts = countPair(counts, groupEmit{7, refGroup{rt.Traj, rt.Orig, rt.PTotal, rt.PMax}})
+				}
+			}
+			for _, e := range appendModalGroups(nil, counts) {
+				emitted = append(emitted, e.group)
+			}
+		}
+		if !reflect.DeepEqual(emitted, want) {
+			t.Fatalf("rotation %d: Build chose %+v, want %+v", rot, emitted, want)
+		}
+	}
+	// A bucket whose tuples are not in (traj, orig) order cannot be coded
+	// as ascending group indices.
+	if _, _, err := encodeBuckets(t, [][]RefTuple{{b(1, 0), a(1, 0)}}, pExp); err == nil {
+		t.Fatal("descending tuples encoded")
 	}
 }
 
@@ -567,9 +772,16 @@ func requireSameTuples(t *testing.T, want, got []RefTuple) {
 	}
 }
 
-// layoutAt locates interval i's bucket layout in a sidecar: the offset of
-// its blobLen field, the offset of its blob and the blob's length.
-func layoutAt(t testing.TB, enc []byte, numTrajs, nbits, i int) (lenOff, blobOff, blobLen int) {
+// intervalSpans locates one interval's lazily decoded sections in a
+// sidecar: per section the offset of its uvarint length field, of its
+// bytes, and its length.
+type intervalSpans struct {
+	groupsLenOff, groupsOff, groupsLen int // group table
+	lenOff, blobOff, blobLen           int // bucket blob
+}
+
+// intervalAt locates interval i's sections in a sidecar.
+func intervalAt(t testing.TB, enc []byte, numTrajs, nbits, i int) intervalSpans {
 	t.Helper()
 	r := &sidecarReader{data: enc, off: sidecarHdrLen}
 	if _, _, err := r.directory(numTrajs); err != nil {
@@ -581,25 +793,38 @@ func layoutAt(t testing.TB, enc []byte, numTrajs, nbits, i int) (lenOff, blobOff
 	}
 	prev := int64(0)
 	for k := 0; ; k++ {
+		var sp intervalSpans
+		var groups, blob []byte
 		if _, err = r.intervalID(k == 0, &prev); err == nil {
 			if _, err = r.efSlice(); err == nil {
-				if _, err = r.uvarint(); err == nil {
-					_, err = r.bitvec(nbits)
+				sp.groupsLenOff = r.off
+				if groups, err = r.lenPrefixed(); err == nil {
+					sp.groupsOff, sp.groupsLen = r.off-len(groups), len(groups)
+					if _, err = r.uvarint(); err == nil {
+						if _, err = r.bitvec(nbits); err == nil {
+							sp.lenOff = r.off
+							blob, err = r.lenPrefixed()
+							sp.blobOff, sp.blobLen = r.off-len(blob), len(blob)
+						}
+					}
 				}
 			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		lenOff = r.off
-		blob, err := r.lenPrefixed()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if k == i {
-			return lenOff, r.off - len(blob), len(blob)
+			return sp
 		}
 	}
+}
+
+// spliceSection replaces enc[off:off+n] with repl inside the section of
+// secLen bytes whose uvarint length field is at lenOff, and rewrites
+// that field to the section's new length.
+func spliceSection(enc []byte, lenOff, secLen, off, n int, repl []byte) []byte {
+	out := slices.Concat(enc[:off], repl, enc[off+n:])
+	return withUvarintAt(out, lenOff, uint64(secLen+len(repl)-n))
 }
 
 // withUvarintAt returns enc with the uvarint at off replaced by v.
@@ -634,7 +859,8 @@ func TestSidecarBucketBoundsCorruption(t *testing.T) {
 	}
 	checked := 0
 	for i, id := range ids {
-		lenOff, blobOff, blobLen := layoutAt(t, enc, nt, nbits, i)
+		sp := intervalAt(t, enc, nt, nbits, i)
+		lenOff, blobOff, blobLen := sp.lenOff, sp.blobOff, sp.blobLen
 		npop := ix.Intervals[id].occ.npop
 		if npop == 0 {
 			continue
@@ -680,4 +906,93 @@ func TestSidecarBucketBoundsCorruption(t *testing.T) {
 	if _, err := DecodeSidecar(mut, a.Graph, nt, 7, opts); err == nil || !strings.Contains(err.Error(), "exponent 53") {
 		t.Fatalf("pExp 53: err = %v", err)
 	}
+}
+
+// TestSidecarBytesPerTraj pins the sidecar's size on DK, CD and HZ at the
+// default granularity, and that every (interval, region) bucket decoded
+// from it equals the built one.  The ceilings sit about 10% above the
+// measured sizes, so a change that re-inflates the index fails here.  At
+// 300 trajectories the per-interval occupancy bitvectors are a large
+// share; the version-5 layout, with every tuple's trajectory and pair
+// stored in full, was 187.8 / 165.8 / 216.1 B/traj.
+func TestSidecarBytesPerTraj(t *testing.T) {
+	for _, tc := range []struct {
+		p       gen.Profile
+		ceiling float64 // B/traj
+	}{
+		{gen.DK(), 126}, // measured 114.2
+		{gen.CD(), 117}, // measured 106.6
+		{gen.HZ(), 136}, // measured 123.4
+	} {
+		const n = 300
+		ds, err := gen.Build(tc.p, n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.NewCompressor(ds.Graph, core.DefaultOptions(tc.p.Ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := c.Compress(ds.Trajectories)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		ix, err := Build(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := ix.EncodeSidecar(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSidecar(enc, a.Graph, len(a.Trajs), 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameIndex(t, ix, dec)
+		requireModalGroups(t, ix, dec)
+		per := float64(len(enc)) / n
+		t.Logf("%s: sidecar %.1f B/traj over %d trajectories", tc.p.Name, per, n)
+		if per > tc.ceiling {
+			t.Errorf("%s: sidecar is %.1f B/traj, want ≤ %.0f", tc.p.Name, per, tc.ceiling)
+		}
+	}
+}
+
+// requireModalGroups holds the group tables Build emitted to the
+// reference newGroupTable over the built buckets, interval by interval,
+// and requires the decoded index's tables, forced by requireSameIndex,
+// to equal them.
+func requireModalGroups(t *testing.T, built, dec *Index) {
+	t.Helper()
+	groups, exceptions, tuples := 0, 0, 0
+	for id, iv := range built.Intervals {
+		regions := make(map[roadnet.RegionID]*RegionBucket)
+		iv.occ.forEach(func(_, re int) {
+			b, err := built.Buckets(id, roadnet.RegionID(re))
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions[roadnet.RegionID(re)] = b
+		})
+		want := newGroupTable(regions)
+		if !slices.Equal(iv.groups, want) {
+			t.Fatalf("interval %d: built group table %+v, want %+v", id, iv.groups, want)
+		}
+		if !slices.Equal(dec.Intervals[id].groups, want) {
+			t.Fatalf("interval %d: decoded group table differs", id)
+		}
+		groups += len(want)
+		for _, b := range regions {
+			for _, rt := range b.Refs {
+				g, _ := findGroup(want, rt.Traj, rt.Orig)
+				if rt.PTotal != want[g].pTotal || rt.PMax != want[g].pMax {
+					exceptions++
+				}
+				tuples++
+			}
+		}
+	}
+	t.Logf("%d groups, %d tuples, %.1f%% exceptions", groups, tuples, 100*float64(exceptions)/float64(tuples))
 }

@@ -17,12 +17,14 @@
 //
 // An Index has one in-memory form, the succinct sidecar layout of
 // FORMAT.md §5: occupancy bitvectors and directories over one encoded
-// buffer, with per-interval bucket boundaries derived on first touch and
-// a per-bucket decode cache in front of it.  DecodeSidecar parses that
-// buffer and leaves every section encoded until a query touches it; Build
-// encodes what its walk produced, parses the result the same way and
-// seeds the decode caches with the structures it already holds, so a
-// built index never decodes anything.
+// buffer, with per-interval group tables and bucket boundaries decoded
+// on first touch and a per-bucket decode cache in front of them.  A
+// group table stores each reference group of an interval once, with its
+// modal probability pair, and a bucket tuple names its group by index.
+// DecodeSidecar parses that buffer and leaves every section encoded
+// until a query touches it; Build encodes what its walk produced, parses
+// the result the same way and seeds the decode caches with the
+// structures it already holds, so a built index never decodes anything.
 package stiu
 
 import (
@@ -99,6 +101,10 @@ type Interval struct {
 	// the interval's buckets; only the size accounting reads it.
 	NonRefs int64
 	cand    lazyBlock // data = EF candidate-set bytes
+	// groups caches the decoded group table; nil until the first bucket
+	// decode in the interval.
+	groups []refGroup
+	grp    lazyBlock // data = group-table bytes
 	layout
 }
 
@@ -280,7 +286,7 @@ func (ix *Index) Buckets(interval int, re roadnet.RegionID) (*RegionBucket, erro
 		ix.prunedNoTouch.Add(1)
 		return nil, nil
 	}
-	return ix.bucketAt(l, l.occ.rank1(int(re)))
+	return ix.bucketAt(iv, l.occ.rank1(int(re)))
 }
 
 // AppendBucketsInRect appends to dst the buckets of the interval's
@@ -321,7 +327,7 @@ func (ix *Index) AppendBucketsInRect(dst []*RegionBucket, interval int, rect roa
 				} else {
 					k++
 				}
-				b, err := ix.bucketAt(l, k)
+				b, err := ix.bucketAt(iv, k)
 				if err != nil {
 					return dst, err
 				}
@@ -333,9 +339,10 @@ func (ix *Index) AppendBucketsInRect(dst []*RegionBucket, interval int, rect roa
 	return dst, nil
 }
 
-// bucketAt returns the bucket in rank slot k of l, decoding it on first
-// touch.
-func (ix *Index) bucketAt(l *layout, k int) (*RegionBucket, error) {
+// bucketAt returns the bucket in rank slot k of iv's layout, decoding it
+// on first touch.
+func (ix *Index) bucketAt(iv *Interval, k int) (*RegionBucket, error) {
+	l := &iv.layout
 	if b := l.decoded[k].Load(); b != nil {
 		return b, nil
 	}
@@ -346,8 +353,15 @@ func (ix *Index) bucketAt(l *layout, k int) (*RegionBucket, error) {
 	} else if l.bounds.err != nil {
 		return nil, l.bounds.err
 	}
+	if !iv.grp.done.Load() {
+		if err := ix.forceGroups(iv); err != nil {
+			return nil, err
+		}
+	} else if iv.grp.err != nil {
+		return nil, iv.grp.err
+	}
 	lo, hi := l.offs[k], l.offs[k+1]
-	b, err := decodeBucket(l.bounds.data[lo:hi:hi], ix.pExp)
+	b, err := decodeBucket(l.bounds.data[lo:hi:hi], iv.groups, ix.pExp)
 	if err != nil {
 		return nil, fmt.Errorf("stiu: bucket %d: %w", k, err)
 	}
@@ -381,8 +395,12 @@ func (ix *Index) Candidates(interval int) ([]int32, error) {
 	if iv == nil {
 		return nil, nil
 	}
+	return ix.candidates(iv)
+}
+
+func (ix *Index) candidates(iv *Interval) ([]int32, error) {
 	if !iv.cand.done.Load() {
-		if err := ix.forceCandidates(interval, iv); err != nil {
+		if err := ix.forceCandidates(iv); err != nil {
 			return nil, err
 		}
 	} else if iv.cand.err != nil {
@@ -391,7 +409,7 @@ func (ix *Index) Candidates(interval int) ([]int32, error) {
 	return iv.Trajs, nil
 }
 
-func (ix *Index) forceCandidates(interval int, iv *Interval) error {
+func (ix *Index) forceCandidates(iv *Interval) error {
 	iv.cand.mu.Lock()
 	defer iv.cand.mu.Unlock()
 	if iv.cand.done.Load() {
@@ -403,12 +421,31 @@ func (ix *Index) forceCandidates(interval int, iv *Interval) error {
 		err = fmt.Errorf("%d trailing bytes", r.remaining())
 	}
 	if err != nil {
-		iv.cand.err = fmt.Errorf("stiu: sidecar interval %d trajs: %w", interval, err)
+		iv.cand.err = fmt.Errorf("stiu: sidecar candidate set: %w", err)
 	} else {
 		iv.Trajs = trajs
 	}
 	iv.cand.done.Store(true)
 	return iv.cand.err
+}
+
+// forceGroups decodes iv's group table, decoding its candidate set first:
+// the table names trajectories by their rank in it.
+func (ix *Index) forceGroups(iv *Interval) error {
+	cands, err := ix.candidates(iv)
+	iv.grp.mu.Lock()
+	defer iv.grp.mu.Unlock()
+	if iv.grp.done.Load() {
+		return iv.grp.err
+	}
+	if err == nil {
+		iv.groups, err = decodeGroups(iv.grp.data, cands, ix.pExp)
+	}
+	if err != nil {
+		iv.grp.err = fmt.Errorf("stiu: group table: %w", err)
+	}
+	iv.grp.done.Store(true)
+	return iv.grp.err
 }
 
 // Bounds returns a conservative bounding rectangle of the indexed

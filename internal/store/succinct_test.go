@@ -49,7 +49,7 @@ func TestColdOpenTemporalLaziness(t *testing.T) {
 }
 
 // TestSidecarV2CorruptionSweepRebuilds sweeps byte flips and truncations
-// across a v5 sidecar file: every mutation must be caught (manifest CRC
+// across a v6 sidecar file: every mutation must be caught (manifest CRC
 // or section bounds), silently rebuilt from the archive, and answer the
 // full query workload identically to the reference engine.
 func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
@@ -60,8 +60,8 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint16(raw[4:]); v != 5 {
-		t.Fatalf("persisted sidecar version = %d, want 5", v)
+	if v := binary.LittleEndian.Uint16(raw[4:]); v != 6 {
+		t.Fatalf("persisted sidecar version = %d, want 6", v)
 	}
 
 	check := func(t *testing.T, mut []byte) {
@@ -94,48 +94,51 @@ func TestSidecarV2CorruptionSweepRebuilds(t *testing.T) {
 }
 
 // TestSidecarV4Refused pins the sidecar version policy at the store: a
-// saved store whose sidecars are relabelled version 4, with checksums the
-// manifest vouches for, opens by rebuilding every shard's index from its
-// archive and answers like the reference engine.
+// saved store whose sidecars are relabelled a retired version (4, or 5,
+// the last before group tables), with checksums the manifest vouches
+// for, opens by rebuilding every shard's index from its archive and
+// answers like the reference engine.
 func TestSidecarV4Refused(t *testing.T) {
 	const shards = 3
 	bc := buildReference(t, gen.CD(), 24, 71)
-	dir := saveStore(t, buildStore(t, bc, shards, AssignHash))
-	mpath := filepath.Join(dir, ManifestName)
-	mraw, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(bytes.NewReader(mraw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range man.entries {
-		e := &man.entries[i]
-		path := filepath.Join(dir, sidecarFile(e.id))
-		raw, err := os.ReadFile(path)
+	for _, version := range []uint16{4, 5} {
+		dir := saveStore(t, buildStore(t, bc, shards, AssignHash))
+		mpath := filepath.Join(dir, ManifestName)
+		mraw, err := os.ReadFile(mpath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint16(raw[4:], 4)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		man, err := readManifest(bytes.NewReader(mraw))
+		if err != nil {
 			t.Fatal(err)
 		}
-		e.sidecarCRC = crc32.ChecksumIEEE(raw)
+		for i := range man.entries {
+			e := &man.entries[i]
+			path := filepath.Join(dir, sidecarFile(e.id))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(raw[4:], version)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e.sidecarCRC = crc32.ChecksumIEEE(raw)
+		}
+		var buf bytes.Buffer
+		if err := man.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.SidecarRebuilds != shards || st.SidecarLoads != 0 {
+			t.Fatalf("v%d: sidecar loads=%d rebuilds=%d, want 0/%d", version, st.SidecarLoads, st.SidecarRebuilds, shards)
+		}
+		checkStoreMatchesEngine(t, bc, s, 73)
 	}
-	var buf bytes.Buffer
-	if err := man.write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.SidecarRebuilds != shards || st.SidecarLoads != 0 {
-		t.Fatalf("sidecar loads=%d rebuilds=%d, want 0/%d", st.SidecarLoads, st.SidecarRebuilds, shards)
-	}
-	checkStoreMatchesEngine(t, bc, s, 73)
 }
