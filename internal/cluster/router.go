@@ -23,11 +23,10 @@ type Member struct {
 
 // RouterOptions configure a Router.  The zero value selects defaults.
 type RouterOptions struct {
-	// Partitions and VNodes parameterize the placement; they must match
-	// whatever the members' datasets were filtered with
-	// (utcqd -cluster-partitions).
+	// Partitions parameterizes the placement; it must match whatever the
+	// members' datasets were filtered with (utcqd -cluster-partitions).
+	// The ring always uses DefaultVNodes, as the members' placement does.
 	Partitions int
-	VNodes     int
 	// Parallelism bounds the scatter-gather workers (<1: one per CPU).
 	Parallelism int
 	// MaxBatch bounds /v1/batch like the single-node server (default 256).
@@ -47,9 +46,6 @@ type RouterOptions struct {
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.Partitions <= 0 {
 		o.Partitions = DefaultPartitions
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
 	}
 	if o.QuarantineBackoff <= 0 {
 		o.QuarantineBackoff = time.Second
@@ -180,7 +176,7 @@ func NewRouter(members []Member, opts RouterOptions) *Router {
 		names[i] = m.Name
 	}
 	rt := &Router{
-		place: NewPlacement(names, opts.Partitions, opts.VNodes),
+		place: NewPlacement(names, opts.Partitions, DefaultVNodes),
 		opts:  opts,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),

@@ -89,9 +89,9 @@ func ratio(raw, comp int64) float64 {
 }
 
 // InstMeta is one instance's directory entry: its record's bit offset
-// and the navigation fields the record head carries.
+// and the navigation fields the record head carries.  An instance is a
+// reference iff RefOrig < 0.
 type InstMeta struct {
-	IsRef   bool
 	RefOrig int // original index of this non-reference's reference; -1 for refs
 	Start   int // absolute bit offset of the record
 	P       float64

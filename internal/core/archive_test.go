@@ -118,7 +118,7 @@ func checkInstReaderPaperExample(t *testing.T, origs ...int) [][]int {
 	t.Helper()
 	fx, a := compressFixture(t, 1)
 	rec := a.Trajs[0]
-	if !rec.Insts[0].IsRef {
+	if rec.Insts[0].RefOrig >= 0 {
 		t.Fatal("Tu11 is not a reference")
 	}
 	var c InstReader
@@ -135,7 +135,7 @@ func checkInstReaderPaperExample(t *testing.T, origs ...int) [][]int {
 			t.Errorf("instance %d: P = %g, directory holds %g", orig, c.P(), meta.P)
 		}
 		var wantFactor []int
-		if meta.IsRef {
+		if meta.RefOrig < 0 {
 			for range want.E {
 				wantFactor = append(wantFactor, -1)
 			}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -241,23 +239,12 @@ func badDirectories(t testing.TB) map[string][]byte {
 	payload := rec.Bits[:(rec.BitLen+7)/8]
 	v2 := withDirectory(saveArchive(a), rec.BitLen, s, payload)
 	dir := len(v2) - len(payload)
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1_paperfix.utcq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The v1 directory's instance entries start 20 + 4·6 + 4 bytes into
-	// the trajectory (bitLen, numPoints, t0, six deltaPos, numInsts), and
-	// start sits 5 bytes into each 21-byte entry.
-	v1dup := slices.Clone(v1)
-	inst := containerHeaderLen + 20 + 4*6 + 4
-	copy(v1dup[inst+21+5:inst+21+9], v1dup[inst+5:inst+9])
 	return map[string][]byte{
 		"truncated start list":   v2[:dir-2],
 		"start past bit length":  withDirectory(v2, rec.BitLen, []uint64{s[0], s[1], uint64(rec.BitLen)}, payload),
 		"repeated start":         withDirectory(v2, rec.BitLen, []uint64{s[0], s[1], 0}, payload),
 		"start inside time":      withDirectory(v2, rec.BitLen, []uint64{1, s[0] + s[1] - 1, s[2]}, payload),
 		"unlisted instance":      withDirectory(v2, rec.BitLen, []uint64{s[0], s[1] + s[2]}, payload),
-		"v1 repeated start":      v1dup,
 		"refPos past references": craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 1, refPos: 1}),
 		"repeated orig":          craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 0}),
 		"orig past count":        craftArchive(a, craftHead{orig: 0, ref: true}, craftHead{orig: 2}),
@@ -282,15 +269,17 @@ func TestLoadBytesRejectsBadDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Trajs[0].Insts[1]; got.IsRef || got.RefOrig != 2 {
+	if got := back.Trajs[0].Insts[1]; got.RefOrig != 2 {
 		t.Errorf("crafted non-reference loads as %+v, want reference 2", got)
 	}
 }
 
 // FuzzArchiveLoad feeds LoadBytes arbitrary containers, seeded with
-// version-1 and version-2 archives and directories that contradict their
-// streams, and requires it and one InstReader walk per instance of what
-// it accepts to return without panicking.
+// archives of the paper example and of a generated CD corpus (one of them
+// written without referential encoding), the paper example's archive
+// relabelled to the retired version 1, and directories that contradict
+// their streams, and requires it and one InstReader walk per instance of
+// what it accepts to return without panicking.
 func FuzzArchiveLoad(f *testing.F) {
 	fx := paperfix.MustNew()
 	c, err := NewCompressor(fx.Graph, DefaultOptions(paperfix.Ts))
@@ -302,13 +291,9 @@ func FuzzArchiveLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(saveArchive(a))
-	for _, name := range []string{"v1_paperfix.utcq", "v1_cd25.utcq"} {
-		v1, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1)
-	}
+	f.Add(withVersion(saveArchive(a), 1))
+	f.Add(saveArchive(buildCD(f, 25, true)))
+	f.Add(saveArchive(buildCD(f, 25, false)))
 	for _, data := range badDirectories(f) {
 		f.Add(data)
 	}

@@ -70,11 +70,7 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 	var sel Selection
 	switch {
 	case c.opts.DisableReferential:
-		sel = Selection{IsRef: make([]bool, len(u.Instances)), RefOf: make([]int, len(u.Instances))}
-		for i := range sel.IsRef {
-			sel.IsRef[i] = true
-			sel.RefOf[i] = -1
-		}
+		sel = allReferences(len(u.Instances))
 	case c.opts.PlainJaccard:
 		sel = selectReferencesWith(u, c.opts.NumPivots, plainJaccard)
 	default:
@@ -85,12 +81,11 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 	// References first, then non-references.
 	refWritePos := make(map[int]int) // orig index -> write order
 	for orig := range u.Instances {
-		if !sel.IsRef[orig] {
+		if sel.RefOf[orig] >= 0 {
 			continue
 		}
 		refWritePos[orig] = len(refWritePos)
 		rec.Insts[orig] = InstMeta{
-			IsRef:   true,
 			RefOrig: -1,
 			Start:   w.Len(),
 			P:       c.pCodec.Quantize(u.Instances[orig].P),
@@ -101,10 +96,10 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 	// its non-references.
 	refIx := make(map[int]*refIndexes)
 	for orig := range u.Instances {
-		if sel.IsRef[orig] {
+		refOrig := sel.RefOf[orig]
+		if refOrig < 0 {
 			continue
 		}
-		refOrig := sel.RefOf[orig]
 		ix := refIx[refOrig]
 		if ix == nil {
 			ref := &u.Instances[refOrig]
@@ -122,7 +117,6 @@ func (c *Compressor) CompressOne(u *traj.Uncertain) (*TrajRecord, CompStats, err
 			refIx[refOrig] = ix
 		}
 		rec.Insts[orig] = InstMeta{
-			IsRef:   false,
 			RefOrig: refOrig,
 			Start:   w.Len(),
 			P:       c.pCodec.Quantize(u.Instances[orig].P),

@@ -55,11 +55,8 @@ func TestExample2Selection(t *testing.T) {
 	if !sel.Validate() {
 		t.Fatal("invalid selection")
 	}
-	if !sel.IsRef[0] || sel.IsRef[1] || sel.IsRef[2] {
-		t.Fatalf("IsRef = %v, want only Tu11", sel.IsRef)
-	}
-	if sel.RefOf[1] != 0 || sel.RefOf[2] != 0 {
-		t.Errorf("RefOf = %v, want both represented by Tu11", sel.RefOf)
+	if sel.RefOf[0] != -1 || sel.RefOf[1] != 0 || sel.RefOf[2] != 0 {
+		t.Fatalf("RefOf = %v, want Tu11 the only reference, representing both others", sel.RefOf)
 	}
 	if got := sel.Rrs(0); len(got) != 2 {
 		t.Errorf("Rrs(Tu11) = %v", got)
@@ -142,7 +139,7 @@ func TestSelectionConstraints(t *testing.T) {
 	// Single instance trajectory: it is its own reference.
 	one := &traj.Uncertain{T: fx.Tu1.T, Instances: fx.Tu1.Instances[:1]}
 	sel1 := SelectReferences(one, 1)
-	if !sel1.IsRef[0] || !sel1.Validate() {
+	if sel1.RefOf[0] != -1 || !sel1.Validate() {
 		t.Error("single instance must be a reference")
 	}
 }
@@ -170,7 +167,7 @@ func TestSelectionDifferentSV(t *testing.T) {
 	if !sel.Validate() {
 		t.Fatal("invalid selection")
 	}
-	if !sel.IsRef[3] {
+	if sel.RefOf[3] != -1 {
 		t.Error("different-SV instance must become a standalone reference")
 	}
 	for v, r := range sel.RefOf {

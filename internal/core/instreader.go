@@ -62,9 +62,9 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 	rec := a.Trajs[j]
 	meta := &rec.Insts[orig]
 	refOrig := orig
-	if !meta.IsRef {
+	if meta.RefOrig >= 0 {
 		refOrig = meta.RefOrig
-		if refOrig < 0 || refOrig >= len(rec.Insts) || !rec.Insts[refOrig].IsRef {
+		if refOrig >= len(rec.Insts) || rec.Insts[refOrig].RefOrig >= 0 {
 			return fmt.Errorf("core: instance %d of trajectory %d has no reference %d", orig, j, refOrig)
 		}
 	}
@@ -96,7 +96,7 @@ func (c *InstReader) Reset(a *Archive, j, orig int) error {
 		return err
 	}
 	c.factTF, c.tfLeft, c.df, c.f = false, refTFLen, c.df[:0], -1
-	if meta.IsRef {
+	if meta.RefOrig < 0 {
 		c.ref, c.n, c.p = true, refLen, p
 		return c.tf.Seek(c.refTF)
 	}

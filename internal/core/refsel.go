@@ -12,15 +12,14 @@ import (
 // every non-reference has exactly one reference, and references are never
 // themselves represented (single-order compression).
 type Selection struct {
-	IsRef []bool
 	RefOf []int // RefOf[v] = reference instance index; -1 for references
 }
 
 // NumRefs counts the references.
 func (s Selection) NumRefs() int {
 	n := 0
-	for _, r := range s.IsRef {
-		if r {
+	for _, r := range s.RefOf {
+		if r < 0 {
 			n++
 		}
 	}
@@ -41,15 +40,9 @@ func (s Selection) Rrs(w int) []int {
 
 // Validate checks the selection's structural constraints.
 func (s Selection) Validate() bool {
-	for v := range s.IsRef {
-		if s.IsRef[v] != (s.RefOf[v] == -1) {
+	for v, w := range s.RefOf {
+		if w != -1 && (w < 0 || w >= len(s.RefOf) || s.RefOf[w] != -1 || w == v) {
 			return false
-		}
-		if !s.IsRef[v] {
-			w := s.RefOf[v]
-			if w < 0 || w >= len(s.IsRef) || !s.IsRef[w] || w == v {
-				return false
-			}
 		}
 	}
 	return true
@@ -67,14 +60,8 @@ func SelectReferences(tu *traj.Uncertain, numPivots int) Selection {
 // pivot representations (used by the plain-Jaccard ablation).
 func selectReferencesWith(tu *traj.Uncertain, numPivots int, sim func(a, b []PivotFactor) float64) Selection {
 	n := len(tu.Instances)
-	sel := Selection{IsRef: make([]bool, n), RefOf: make([]int, n)}
-	for i := range sel.RefOf {
-		sel.RefOf[i] = -1
-	}
+	sel := allReferences(n)
 	if n <= 1 {
-		for i := range sel.IsRef {
-			sel.IsRef[i] = true
-		}
 		return sel
 	}
 
@@ -107,23 +94,28 @@ func selectReferencesWith(tu *traj.Uncertain, numPivots int, sim func(a, b []Piv
 		}
 	})
 
-	isNonRef := make([]bool, n)
+	// promoted marks the instances made references.  Instances the loop
+	// never touches keep RefOf == -1: lines 11-13's standalone references.
+	promoted := make([]bool, n)
 	for _, e := range entries {
 		// SM[w][v] is still live iff: w has not become a non-reference
 		// (row w not removed), v has not been represented or promoted
 		// (column/row v not removed).
-		if isNonRef[e.w] || isNonRef[e.v] || sel.IsRef[e.v] {
+		if sel.RefOf[e.w] >= 0 || sel.RefOf[e.v] >= 0 || promoted[e.v] {
 			continue
 		}
-		sel.IsRef[e.w] = true
-		isNonRef[e.v] = true
+		promoted[e.w] = true
 		sel.RefOf[e.v] = e.w
 	}
-	// Lines 11-13: untouched instances become standalone references.
-	for i := 0; i < n; i++ {
-		if !sel.IsRef[i] && !isNonRef[i] {
-			sel.IsRef[i] = true
-		}
+	return sel
+}
+
+// allReferences is the selection that makes each of n instances a
+// reference.
+func allReferences(n int) Selection {
+	sel := Selection{RefOf: make([]int, n)}
+	for i := range sel.RefOf {
+		sel.RefOf[i] = -1
 	}
 	return sel
 }

@@ -40,13 +40,11 @@ import (
 //	    as the delta from the previous one (the first from 0)
 //	  payload bytes
 //
-// LoadBytes also reads version 1, whose directory repeated the heads in
-// fixed-width fields; Save writes version 2 only.
+// LoadBytes reads version 2 only and refuses any other version, like the
+// store's manifest, WAL and sidecar readers.
 const (
 	archiveMagic   = "UTCQ"
 	archiveVersion = 2
-	// archiveVersionV1 is the fixed-width directory layout, read only.
-	archiveVersionV1 = 1
 )
 
 // flag bits of the options byte.
@@ -312,15 +310,7 @@ func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	// next reads one trajectory's directory and payload, appending the
-	// record starts to starts in write order; minTraj is the fewest bytes
-	// a trajectory occupies.
-	next, minTraj := r.trajV2, 2
-	switch version {
-	case archiveVersion:
-	case archiveVersionV1:
-		next, minTraj = r.trajV1, 28
-	default:
+	if version != archiveVersion {
 		return nil, fmt.Errorf("core: unsupported archive version %d", version)
 	}
 	var err error
@@ -330,9 +320,10 @@ func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	if a.PCodec, err = pddp.NewCodec(opts.EtaP); err != nil {
 		return nil, err
 	}
-	// Bounding the count by the remaining bytes turns a corrupt count into
-	// a parse error instead of a giant allocation.
-	if nt*minTraj > r.remaining() {
+	// Bounding the count by the remaining bytes (a trajectory takes at
+	// least its two directory counts) turns a corrupt count into a parse
+	// error instead of a giant allocation.
+	if 2*nt > r.remaining() {
 		return nil, errTruncated
 	}
 	recs := make([]TrajRecord, nt) // one block: see the doc comment
@@ -341,7 +332,7 @@ func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 	var chunk []InstMeta // the directories are carved from shared chunks
 	for j := range a.Trajs {
 		tr := &recs[j]
-		tr.BitLen, starts, tr.Bits = next(starts[:0])
+		tr.BitLen, starts, tr.Bits = r.traj(starts[:0])
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -362,8 +353,9 @@ func LoadBytes(data []byte, g *roadnet.Graph) (*Archive, error) {
 // once.
 const instChunk = 128
 
-// trajV2 reads one trajectory of a version-2 container.
-func (r *byteReader) trajV2(starts []int) (int, []int, []byte) {
+// traj reads one trajectory's directory and payload: its bit length, the
+// record starts appended to starts in write order, and the payload.
+func (r *byteReader) traj(starts []int) (int, []int, []byte) {
 	bitLen, ni := r.uvarint(), r.uvarint()
 	if r.err == nil && (bitLen > 8*r.remaining() || ni > r.remaining()) {
 		r.err = errTruncated
@@ -377,28 +369,6 @@ func (r *byteReader) trajV2(starts []int) (int, []int, []byte) {
 		at += d
 		starts = append(starts, at)
 	}
-	return bitLen, starts, r.take((bitLen + 7) / 8)
-}
-
-// trajV1 reads one trajectory of a version-1 container.  Its directory
-// repeats what the heads hold; only the bit length and the record starts
-// are taken from it, the starts sorted into write order.
-func (r *byteReader) trajV1(starts []int) (int, []int, []byte) {
-	bitLen := int(r.u32())
-	r.take(12)               // numPoints u32, t0 i64
-	r.take(4 * int(r.u32())) // deltaPos u32s
-	ni := int(r.u32())
-	if r.err == nil && ni*21 > r.remaining() {
-		r.err = errTruncated
-	}
-	for i := 0; i < ni && r.err == nil; i++ {
-		// flags u8, refOrig i32, start u32, p f64, sv i32
-		if e := r.take(21); e != nil {
-			starts = append(starts, int(binary.LittleEndian.Uint32(e[5:])))
-		}
-	}
-	slices.Sort(starts)
-	r.take(4 * int(r.u32())) // refOrigByWrite u32s
 	return bitLen, starts, r.take((bitLen + 7) / 8)
 }
 
@@ -434,7 +404,7 @@ func (a *Archive) readHeads(tr *TrajRecord, starts, refs []int) ([]int, error) {
 		if orig < 0 || orig >= len(tr.Insts) || tr.Insts[orig].Start != 0 {
 			return refs, fmt.Errorf("core: record at %d has orig %d: out of range or repeated", start, orig)
 		}
-		m := InstMeta{IsRef: isRef, RefOrig: -1, Start: start, P: p}
+		m := InstMeta{RefOrig: -1, Start: start, P: p}
 		switch {
 		case isRef && k != len(refs):
 			return refs, fmt.Errorf("core: reference record %d follows a non-reference", orig)

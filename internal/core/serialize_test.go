@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -243,10 +247,93 @@ func TestEscapedT0RoundTrip(t *testing.T) {
 	}
 }
 
+// withVersion returns a copy of the archive data with its container
+// version field set to v.
+func withVersion(data []byte, v uint16) []byte {
+	out := slices.Clone(data)
+	binary.LittleEndian.PutUint16(out[len(archiveMagic):], v)
+	return out
+}
+
+// TestArchiveV1Refused: LoadBytes reads container version 2 only, so an
+// archive whose version field says 1 (the retired fixed-width directory
+// layout) fails with a versioned error instead of being parsed as either
+// layout.
+func TestArchiveV1Refused(t *testing.T) {
+	_, a := compressFixture(t, 1)
+	for _, v := range []uint16{1, 3} {
+		_, err := LoadBytes(withVersion(saveArchive(a), v), a.Graph)
+		want := fmt.Sprintf("unsupported archive version %d", v)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: LoadBytes error %v, want one naming %q", v, err, want)
+		}
+	}
+}
+
+// TestLoadBytesRestoresDirectory: after LoadBytes(Save(a)) on every
+// paper profile, each trajectory's point count and every instance's
+// reference, record start and p (bit for bit) equal what the encoder
+// recorded, though the container stores only the starts.
+func TestLoadBytesRestoresDirectory(t *testing.T) {
+	for _, base := range gen.Profiles() {
+		p := base
+		p.Network.Cols, p.Network.Rows = 20, 20
+		ds, err := gen.Build(p, 30, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The per-profile options of exp.CoreOptionsFor, which imports
+		// this package.
+		opts := DefaultOptions(p.Ts)
+		switch p.Name {
+		case "DK":
+			opts.NumPivots = 2
+		case "HZ":
+			opts.EtaP = 1.0 / 2048
+		}
+		c, err := NewCompressor(ds.Graph, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := c.Compress(ds.Trajectories)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadBytes(saveArchive(a), ds.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(p.Name, func(t *testing.T) { checkDirectory(t, back, a) })
+	}
+}
+
+// checkDirectory requires got's point counts and instance directory to
+// equal want's, p bit for bit.
+func checkDirectory(t *testing.T, got, want *Archive) {
+	t.Helper()
+	if len(got.Trajs) != len(want.Trajs) {
+		t.Fatalf("%d trajectories, want %d", len(got.Trajs), len(want.Trajs))
+	}
+	for j, tr := range got.Trajs {
+		w := want.Trajs[j]
+		if tr.NumPoints != w.NumPoints || len(tr.Insts) != len(w.Insts) {
+			t.Fatalf("trajectory %d: %d points and %d instances, want %d and %d",
+				j, tr.NumPoints, len(tr.Insts), w.NumPoints, len(w.Insts))
+		}
+		for i, m := range tr.Insts {
+			wm := w.Insts[i]
+			if m.RefOrig != wm.RefOrig || m.Start != wm.Start ||
+				math.Float64bits(m.P) != math.Float64bits(wm.P) {
+				t.Fatalf("trajectory %d instance %d: %+v, want %+v", j, i, m, wm)
+			}
+		}
+	}
+}
+
 // TestLoadBytesAllocsPerTrajectory pins the heap allocations LoadBytes
 // makes per trajectory on a fixed CD corpus.
 func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
-	a := buildCD(t, 40)
+	a := buildCD(t, 40, true)
 	data := saveArchive(a)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := LoadBytes(data, a.Graph); err != nil {
@@ -255,7 +342,7 @@ func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
 	})
 	per := allocs / float64(len(a.Trajs))
 	t.Logf("%.2f allocs per trajectory", per)
-	const ceiling = 0.5 // measured 0.38; one allocation per record took 1.35, the version-1 directory 4.15
+	const ceiling = 0.5 // measured 0.38; one allocation per record took 1.35, the retired version-1 directory 4.15
 	if per > ceiling {
 		t.Errorf("LoadBytes makes %.2f allocs per trajectory, want ≤ %v", per, ceiling)
 	}
@@ -266,7 +353,7 @@ func TestLoadBytesAllocsPerTrajectory(t *testing.T) {
 // starting at Trajs[0], so a GC cleanup on Trajs[0] runs only once no
 // record of the archive is reachable.
 func TestLoadBytesRecordsShareOneAllocation(t *testing.T) {
-	a, err := LoadBytes(saveArchive(buildCD(t, 40)), nil)
+	a, err := LoadBytes(saveArchive(buildCD(t, 40, true)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +384,9 @@ func TestLoadBytesRecordsShareOneAllocation(t *testing.T) {
 	}
 }
 
-// buildCD compresses n trajectories of a small fixed CD corpus.
-func buildCD(t *testing.T, n int) *Archive {
+// buildCD compresses n trajectories of a small fixed CD corpus, with or
+// without referential encoding.
+func buildCD(t testing.TB, n int, referential bool) *Archive {
 	t.Helper()
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 20, 20
@@ -306,7 +394,9 @@ func buildCD(t *testing.T, n int) *Archive {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCompressor(ds.Graph, DefaultOptions(p.Ts))
+	opts := DefaultOptions(p.Ts)
+	opts.DisableReferential = !referential
+	c, err := NewCompressor(ds.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@
 // decoded in place instead of copied onto the heap.  On platforms with
 // mmap support a Map is backed by an OS mapping (the page cache *is* the
 // buffer: untouched records cost no resident memory, and the kernel
-// reclaims clean pages under pressure); elsewhere — or when the
-// UTCQ_NO_MMAP=1 environment variable is set — Open falls back to a plain
-// heap read with identical semantics, so callers never branch on platform.
+// reclaims clean pages under pressure); elsewhere — and for empty files
+// or a failed map call — Open falls back to a plain heap read with
+// identical semantics, so callers never branch on platform.
 //
 // A Map has exactly one owner, and Release unmaps it.  Decoded objects
 // alias subslices of the mapping and may outlive the code that opened it
@@ -40,11 +40,6 @@ type Map struct {
 	mapped bool
 }
 
-// NoMmapEnv is the environment variable that forces the heap fallback at
-// runtime ("1" disables mapping); CI runs the store and query test
-// packages under it so both paths stay exercised.
-const NoMmapEnv = "UTCQ_NO_MMAP"
-
 // OpenIn opens path through the given filesystem abstraction.  The real
 // filesystem (faultfs.OS or nil) takes the Open path below — OS mapping
 // with heap fallback.  Any other FS (the fault-injection substrate of
@@ -70,8 +65,8 @@ var mapFileImpl = mapFile
 
 // Open maps path read-only.  The heap fallback is selected when the
 // platform lacks mmap, when the file is empty (zero-length mappings are
-// invalid), or when UTCQ_NO_MMAP=1; the variable is consulted per call so
-// tests can flip it with t.Setenv.  The caller owns the returned Map.
+// invalid), or when the map call fails.  The caller owns the returned
+// Map.
 func Open(path string) (*Map, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -87,7 +82,7 @@ func Open(path string) (*Map, error) {
 		return nil, fmt.Errorf("mmapio: %s is %d bytes, too large to map", path, size)
 	}
 	m := &Map{}
-	if size > 0 && mmapSupported && os.Getenv(NoMmapEnv) != "1" {
+	if size > 0 && mmapSupported {
 		data, err := mapFileImpl(f, size)
 		if err == nil {
 			m.data, m.mapped = data, true

@@ -23,7 +23,6 @@ func TestOpenMapped(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	t.Setenv(NoMmapEnv, "") // mapping is the subject even under a no-mmap CI pass
 	content := bytes.Repeat([]byte{0xAB, 0xCD}, 4096)
 	m, err := Open(writeTemp(t, content))
 	if err != nil {
@@ -45,22 +44,6 @@ func TestOpenMapped(t *testing.T) {
 	}
 }
 
-func TestOpenHeapFallback(t *testing.T) {
-	t.Setenv(NoMmapEnv, "1")
-	content := []byte("heap path")
-	m, err := Open(writeTemp(t, content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mapped() {
-		t.Fatal("UTCQ_NO_MMAP=1 still produced a mapping")
-	}
-	if !bytes.Equal(m.Data(), content) {
-		t.Fatal("heap content differs from file content")
-	}
-	m.Release()
-}
-
 func TestOpenEmptyFile(t *testing.T) {
 	m, err := Open(writeTemp(t, nil))
 	if err != nil {
@@ -74,12 +57,10 @@ func TestOpenEmptyFile(t *testing.T) {
 
 // TestMapFailureFallsBackToHeap forces the platform map call to fail and
 // requires Open to degrade to the heap path silently: a map failure
-// (exotic filesystem, resource limit) must not fail the open.
+// (exotic filesystem, resource limit) must not fail the open.  On a
+// platform without mmap the hook goes unused and the test pins the
+// fallback every Open takes there.
 func TestMapFailureFallsBackToHeap(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	t.Setenv(NoMmapEnv, "")
 	orig := mapFileImpl
 	mapFileImpl = func(f *os.File, size int64) ([]byte, error) {
 		return nil, errors.New("injected map failure")
@@ -101,6 +82,38 @@ func TestMapFailureFallsBackToHeap(t *testing.T) {
 	}
 	if got := MappedBytes(); got != before {
 		t.Fatalf("failed mapping leaked into MappedBytes: %d -> %d", before, got)
+	}
+}
+
+// TestOpenHeapFallback pins the lifecycle of a heap-backed Map, whichever
+// route led to it (no mmap on the platform, or a failed map call, forced
+// here): Release must not unmap anything or touch MappedBytes, and it
+// drops the Map's hold on the data.
+func TestOpenHeapFallback(t *testing.T) {
+	orig := mapFileImpl
+	mapFileImpl = func(f *os.File, size int64) ([]byte, error) {
+		return nil, errors.New("injected map failure")
+	}
+	defer func() { mapFileImpl = orig }()
+
+	content := []byte("heap path")
+	m, err := Open(writeTemp(t, content))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Mapped() {
+		t.Fatal("heap fallback still produced a mapping")
+	}
+	if !bytes.Equal(m.Data(), content) {
+		t.Fatal("heap content differs from file content")
+	}
+	before := MappedBytes()
+	m.Release()
+	if got := MappedBytes(); got != before {
+		t.Fatalf("releasing a heap Map changed MappedBytes: %d -> %d", before, got)
+	}
+	if m.Mapped() || m.Data() != nil {
+		t.Fatalf("after Release: mapped=%v len=%d", m.Mapped(), len(m.Data()))
 	}
 }
 
@@ -136,7 +149,6 @@ func TestUnlinkedFileStaysReadable(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	t.Setenv(NoMmapEnv, "") // mapping is the subject even under a no-mmap CI pass
 	content := bytes.Repeat([]byte{3}, 4096)
 	path := writeTemp(t, content)
 	m, err := Open(path)

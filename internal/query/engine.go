@@ -367,8 +367,8 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 	if e.DisablePruning {
 		for orig := range rec.Insts {
 			gk := orig
-			if meta := &rec.Insts[orig]; !meta.IsRef {
-				gk = meta.RefOrig
+			if ro := rec.Insts[orig].RefOrig; ro >= 0 {
+				gk = ro
 			}
 			sc.pstamp[off+gk] = sc.epoch
 			sc.plan[off+gk] = planRef | planNonRefs
@@ -421,7 +421,7 @@ func (e *Engine) AppendWhen(dst []WhenResult, j int, loc roadnet.Position, alpha
 		}
 		if pl&planNonRefs != 0 {
 			for orig := range rec.Insts {
-				if meta := &rec.Insts[orig]; !meta.IsRef && meta.RefOrig == gk {
+				if rec.Insts[orig].RefOrig == gk { // gk >= 0: never a reference
 					if dst, err = e.appendWhenInst(dst, sc, c, j, orig, loc, alpha); err != nil {
 						return dst, err
 					}

@@ -42,9 +42,6 @@ type Options struct {
 	// BatchParallelism bounds the workers evaluating one batch
 	// (<1: one per CPU).
 	BatchParallelism int
-	// ReadTimeout/WriteTimeout guard slow clients (defaults 10s/30s).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 	// QueryTimeout bounds one query request (where / when / range /
 	// batch): the backend runs under the request's context with this
 	// deadline, stops at its next shard (or member) boundary once it
@@ -72,8 +69,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		MaxBatch:     256,
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second,
 		QueryTimeout: 30 * time.Second,
 		MaxPending:   4096,
 	}
@@ -145,12 +140,6 @@ func NewHandler(b Backend, opts Options) *Server {
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = def.MaxBatch
 	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = def.ReadTimeout
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = def.WriteTimeout
-	}
 	if opts.QueryTimeout == 0 {
 		opts.QueryTimeout = def.QueryTimeout
 	}
@@ -173,10 +162,13 @@ func NewHandler(b Backend, opts Options) *Server {
 	// The http.Server exists from construction so Shutdown is effective
 	// even if it races server start (a Serve call after Shutdown returns
 	// ErrServerClosed immediately instead of leaking a live listener).
+	// The read and write timeouts guard against slow clients; the
+	// long-running routes (watch, ingest, compact, replication) lift the
+	// write deadline themselves.
 	s.hs = &http.Server{
 		Handler:      s.mux,
-		ReadTimeout:  opts.ReadTimeout,
-		WriteTimeout: opts.WriteTimeout,
+		ReadTimeout:  10 * time.Second,
+		WriteTimeout: 30 * time.Second,
 	}
 	return s
 }

@@ -300,7 +300,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 	var c core.InstReader
 	for _, refs := range []bool{true, false} {
 		for orig, meta := range rec.Insts {
-			if meta.IsRef != refs {
+			if (meta.RefOrig < 0) != refs {
 				continue
 			}
 			if err := c.Reset(a, j, orig); err != nil {
@@ -310,10 +310,7 @@ func (ix *Index) walkTrajectory(a *core.Archive, j int) (*trajBatch, error) {
 			if err != nil {
 				return nil, fmt.Errorf("instance %d: %w", orig, err)
 			}
-			w.orig, w.refOrig, w.p = orig, -1, c.P()
-			if !meta.IsRef {
-				w.refOrig = meta.RefOrig
-			}
+			w.orig, w.refOrig, w.p = orig, meta.RefOrig, c.P()
 			walks = append(walks, w)
 		}
 	}

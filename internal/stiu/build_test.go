@@ -54,7 +54,7 @@ func buildRecovered(a *core.Archive) (err error, panicked any) {
 func TestBuildCorruptRecordIsAnError(t *testing.T) {
 	a := compressCD(t, 8, 5)
 	rec := a.Trajs[0]
-	ref := slices.IndexFunc(rec.Insts, func(m core.InstMeta) bool { return m.IsRef })
+	ref := slices.IndexFunc(rec.Insts, func(m core.InstMeta) bool { return m.RefOrig < 0 })
 	r, err := rec.Reader(rec.Insts[ref].Start)
 	if err != nil {
 		t.Fatal(err)

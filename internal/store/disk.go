@@ -7,7 +7,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"utcq/internal/core"
 	"utcq/internal/faultfs"
@@ -152,10 +151,6 @@ type OpenOptions struct {
 	// the real filesystem).  Fault-injection tests substitute
 	// faultfs.MemFS/Injector here.
 	FS faultfs.FS
-	// QuarantineBackoff overrides the initial retry delay after a shard
-	// open fails (0: the 1s default).  The delay doubles per consecutive
-	// failure up to 60× the base.
-	QuarantineBackoff time.Duration
 }
 
 // Open reads a store directory written by Save (or grown by ApplyDelta /
@@ -196,7 +191,6 @@ func Open(dir string, g *roadnet.Graph, opts OpenOptions) (*Store, error) {
 			Parallelism: opts.Parallelism,
 			FS:          opts.FS,
 		},
-		quarBase: opts.QuarantineBackoff,
 	}
 	s.dir.Store(&dir)
 	v := newView(man, buildShards(man))

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"utcq/internal/faultfs"
 	"utcq/internal/gen"
 	"utcq/internal/mmapio"
 )
@@ -23,9 +25,9 @@ func saveStore(t *testing.T, s *Store) string {
 
 // TestStoreMmapHeapIdentical is the zero-copy correctness property: a
 // store opened through the mmap path and one opened through the heap
-// fallback (UTCQ_NO_MMAP=1) answer every query exactly like the
-// single-archive reference engine, and both serve every shard's index
-// from the persisted sidecar without a rebuild.
+// fallback answer every query exactly like the single-archive reference
+// engine, and both serve every shard's index from the persisted sidecar
+// without a rebuild.
 func TestStoreMmapHeapIdentical(t *testing.T) {
 	profiles := []gen.Profile{gen.DK(), gen.CD(), gen.HZ()}
 	for _, p := range profiles {
@@ -36,14 +38,13 @@ func TestStoreMmapHeapIdentical(t *testing.T) {
 			for _, mode := range []string{"mmap", "heap"} {
 				mode := mode
 				t.Run(mode, func(t *testing.T) {
+					opts := OpenOptions{Eager: true}
 					if mode == "heap" {
-						t.Setenv(mmapio.NoMmapEnv, "1")
-					} else {
-						// Force mapping even when the whole package runs
-						// under UTCQ_NO_MMAP=1 (the CI fallback pass).
-						t.Setenv(mmapio.NoMmapEnv, "")
+						// A non-OS filesystem has no file to map, so
+						// every shard is read onto the heap.
+						opts.FS = faultfs.NewInjector(faultfs.OS)
 					}
-					s, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true})
+					s, err := Open(dir, bc.ds.Graph, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,6 +132,55 @@ func TestOpenRejectsTruncatedShard(t *testing.T) {
 	}
 }
 
+// TestShardArchiveV1Refused relabels one shard archive of a saved store
+// to the retired archive version 1.  An eager open must fail with the
+// archive's versioned error; a lazy open succeeds, and the first query on
+// that shard returns the same error, with no panic and no index rebuild,
+// while the other shards keep answering.
+func TestShardArchiveV1Refused(t *testing.T) {
+	bc := buildReference(t, gen.CD(), 20, 43)
+	dir := saveStore(t, buildStore(t, bc, 2, AssignHash))
+	path := filepath.Join(dir, shardFile(0))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[4:], 1) // after the "UTCQ" magic
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "unsupported archive version 1"
+	if _, err := Open(dir, bc.ds.Graph, OpenOptions{Eager: true}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("eager open: %v, want an error naming %q", err, want)
+	}
+	s, err := Open(dir, bc.ds.Graph, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused, other := 0, 0
+	for j, u := range bc.ds.Trajectories {
+		_, err := s.Where(j, u.T[0], 0)
+		switch {
+		case s.ShardOf(j) != 0 && err != nil:
+			t.Fatalf("trajectory %d on an intact shard: %v", j, err)
+		case s.ShardOf(j) != 0:
+			other++
+		case refused == 0 && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Fatalf("first query on the relabelled shard: %v, want an error naming %q", err, want)
+		case err == nil:
+			t.Fatalf("trajectory %d on the relabelled shard answered", j)
+		default:
+			refused++
+		}
+	}
+	if refused == 0 || other == 0 {
+		t.Fatalf("%d queries on the relabelled shard, %d on the other", refused, other)
+	}
+	if st := s.Stats(); st.SidecarRebuilds != 0 {
+		t.Fatalf("%d index rebuilds from a refused archive", st.SidecarRebuilds)
+	}
+}
+
 // TestMappedDeltasSurviveCompactionAndUnmap pins the ownership of mapped
 // shard files: one GC cleanup per record block (and per sidecar index)
 // owns each mapping.  Delta shards opened from disk are mapped, and
@@ -139,7 +189,6 @@ func TestOpenRejectsTruncatedShard(t *testing.T) {
 // The store must keep answering like a fresh engine across collections,
 // and once it is dropped every mapping it made must be unmapped.
 func TestMappedDeltasSurviveCompactionAndUnmap(t *testing.T) {
-	t.Setenv(mmapio.NoMmapEnv, "") // mapping is the subject even under a no-mmap CI pass
 	p := gen.CD()
 	p.Network.Cols, p.Network.Rows = 24, 24
 	ds, err := gen.Build(p, 30, 11)

@@ -230,8 +230,6 @@ type Store struct {
 
 	// fs is the filesystem persistence goes through (nil: the real one).
 	fs faultfs.FS
-	// quarBase is the initial shard-quarantine backoff (0: 1s default).
-	quarBase time.Duration
 
 	// mu serializes mutations (ApplyDelta, Compact, Save); queries never
 	// take it — they read v.
@@ -551,23 +549,21 @@ func (s *Store) open(sh *shard, e *shardEntry, done chan struct{}) {
 	close(done)
 }
 
+// quarantineBase is the retry delay after a shard's first failed open.
+const quarantineBase = time.Second
+
 // quarantine records a failed open on sh and arms its retry deadline:
-// base backoff (1s unless OpenOptions.QuarantineBackoff overrides it)
-// doubled per consecutive failure, capped at 60× base.  Called with
-// sh.mu held.
+// quarantineBase doubled per consecutive failure, capped at 60× base.
+// Called with sh.mu held.
 func (s *Store) quarantine(sh *shard, err error) {
 	s.shardOpenFailures.Add(1)
 	fails := sh.openFails.Add(1)
-	base := s.quarBase
-	if base <= 0 {
-		base = time.Second
-	}
-	delay := base
-	for i := int32(1); i < fails && delay < 60*base; i++ {
+	delay := quarantineBase
+	for i := int32(1); i < fails && delay < 60*quarantineBase; i++ {
 		delay *= 2
 	}
-	if delay > 60*base {
-		delay = 60 * base
+	if delay > 60*quarantineBase {
+		delay = 60 * quarantineBase
 	}
 	sh.openErr.Store(&err)
 	sh.retryAt.Store(time.Now().Add(delay).UnixNano())
